@@ -62,7 +62,8 @@ type Config struct {
 	// FlitSched is a flit-granularity discipline (FBRR).
 	FlitSched sched.FlitScheduler
 	// Source generates arrivals; nil means no arrivals (packets may
-	// still be injected with Inject).
+	// still be injected with Inject). A Source that also implements
+	// traffic.Quieter is not polled while its promise holds.
 	Source traffic.Source
 	// Stall models downstream congestion. When set with a
 	// sched.LengthAware Scheduler, NewEngine fails unless
@@ -132,6 +133,17 @@ type Engine struct {
 	// conservation audits (injected = forwarded + in flight) are O(1).
 	backlogFlits int64
 	rejected     int64
+
+	// clock is the Scheduler's sched.ClockAware side, nil without it.
+	clock sched.ClockAware
+	// quieter is the Source's traffic.Quieter side, nil without it.
+	// quiet memoizes its promise: set after a poll it answered true,
+	// cleared by every change of a queue length (an injection, a
+	// departure), so Step skips exactly the polls that would return
+	// nothing and draw no randomness.
+	quieter traffic.Quieter
+	quiet   bool
+	polls   int64
 }
 
 // NewEngine validates cfg and returns an engine.
@@ -155,6 +167,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.partial = make([]flit.Packet, cfg.Flows)
 		e.remaining = make([]int, cfg.Flows)
 	}
+	e.clock, _ = cfg.Scheduler.(sched.ClockAware)
+	e.quieter, _ = cfg.Source.(traffic.Quieter)
 	return e, nil
 }
 
@@ -184,6 +198,11 @@ func (e *Engine) BacklogFlits() int64 { return e.backlogFlits }
 // injection.
 func (e *Engine) Rejected() int64 { return e.rejected }
 
+// SourcePolls returns the number of cycles in which the Source was
+// asked for arrivals: every cycle, except those a traffic.Quieter
+// source promised would bring none.
+func (e *Engine) SourcePolls() int64 { return e.polls }
+
 // Backlog returns the number of packets not yet fully served
 // (including any in service).
 func (e *Engine) Backlog() int {
@@ -205,6 +224,7 @@ func (e *Engine) Backlog() int {
 // flit.ErrZeroLength, flit.ErrBadFlow), reported to OnReject, and
 // never reach a queue or the scheduler.
 func (e *Engine) Inject(p flit.Packet) error {
+	e.quiet = false
 	err := p.Validate()
 	if err == nil && p.Flow >= e.cfg.Flows {
 		err = fmt.Errorf("%w: flow %d >= %d flows", flit.ErrBadFlow, p.Flow, e.cfg.Flows)
@@ -246,18 +266,19 @@ func (e *Engine) flowBusy(flow int) bool {
 	return e.remaining[flow] > 0
 }
 
-// Step advances the simulation by one cycle: arrivals first, then at
+// Step advances the simulation by one cycle: arrivals first (unless
+// the Source promised none until a queue length changes), then at
 // most one flit (or stall) of service.
 func (e *Engine) Step() {
-	if e.cfg.Scheduler != nil {
-		if ca, ok := e.cfg.Scheduler.(sched.ClockAware); ok {
-			ca.SetNow(e.cycle)
-		}
+	if e.clock != nil {
+		e.clock.SetNow(e.cycle)
 	}
-	if e.cfg.Source != nil {
+	if e.cfg.Source != nil && !e.quiet {
+		e.polls++
 		for _, p := range e.cfg.Source.Arrivals(e.cycle, e) {
 			e.Inject(p)
 		}
+		e.quiet = e.quieter != nil && e.quieter.QuietAfter(e.cycle, e)
 	}
 	if e.cfg.Scheduler != nil {
 		e.stepPacketMode()
@@ -307,6 +328,7 @@ func (e *Engine) stepPacketMode() {
 	}
 	// Tail flit forwarded: the packet departs.
 	e.inService = false
+	e.quiet = false
 	if e.cfg.OnDeparture != nil {
 		e.cfg.OnDeparture(e.current, e.cycle, e.occupancy)
 	}
@@ -341,8 +363,11 @@ func (e *Engine) stepFlitMode() {
 		e.cfg.OnFlit(e.cycle, flow)
 	}
 	end := e.remaining[flow] == 0
-	if end && e.cfg.OnDeparture != nil {
-		e.cfg.OnDeparture(e.partial[flow], e.cycle, int64(e.partial[flow].Length))
+	if end {
+		e.quiet = false
+		if e.cfg.OnDeparture != nil {
+			e.cfg.OnDeparture(e.partial[flow], e.cycle, int64(e.partial[flow].Length))
+		}
 	}
 	nowEmpty := end && e.queues[flow].Empty()
 	e.cfg.FlitSched.OnFlitDone(flow, end, nowEmpty)

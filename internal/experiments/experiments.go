@@ -221,6 +221,9 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		res.Faults = inj.Counters()
 		res.Rejected = e.Rejected()
 		registerFaultCounters(obs.Default(), res.Faults, res.Rejected)
+		if cfg.Collector != nil {
+			cfg.Collector.SourcePolls.Add(e.SourcePolls())
+		}
 	}
 
 	stepped, wedged := run(cfg.Cycles)

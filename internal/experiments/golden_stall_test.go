@@ -3,8 +3,10 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/traffic"
 )
@@ -82,6 +84,8 @@ func TestGoldenStallAccounting(t *testing.T) {
 		"engine.idle_cycles":  2,
 		"engine.injections":   2,
 		"engine.departures":   2,
+		// A Replay makes no quiet promise: polled every cycle.
+		"engine.source_polls": 10,
 	} {
 		if got := reg.Counter(name).Value(); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
@@ -110,6 +114,32 @@ func TestGoldenStallAccounting(t *testing.T) {
 	if s := col.StallPerPacket; s.Count() != 2 || s.Sum() != 3 || s.Max() != 3 {
 		t.Errorf("stall histogram count/sum/max = %d/%d/%d, want 2/3/3",
 			s.Count(), s.Sum(), s.Max())
+	}
+}
+
+// TestRunSimReportsSourcePolls checks that RunSim surfaces the
+// engine's poll count as engine.source_polls: a backlogged source is
+// polled at cycle 0 and after each departure inside the run.
+func TestRunSimReportsSourcePolls(t *testing.T) {
+	reg := obs.NewRegistry()
+	src := rng.New(2)
+	_, err := RunSim(SimConfig{
+		Flows:     2,
+		Scheduler: core.New(),
+		Source: traffic.NewMulti(
+			traffic.NewBacklogged(0, 4, rng.NewUniform(1, 8), src.Split()),
+			traffic.NewBacklogged(1, 4, rng.NewUniform(1, 8), src.Split()),
+		),
+		Cycles:    5000,
+		Collector: obs.NewCollector(reg, 2),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A departure on the last cycle triggers no poll inside the run.
+	polls, deps := reg.Counter("engine.source_polls").Value(), reg.Counter("engine.departures").Value()
+	if polls != deps+1 && polls != deps {
+		t.Errorf("engine.source_polls = %d, want 1 + %d departures (or %d)", polls, deps, deps)
 	}
 }
 

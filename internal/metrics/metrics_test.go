@@ -138,6 +138,58 @@ func TestServiceLogFM(t *testing.T) {
 	}
 }
 
+// fmRef is FM by Definition 1 over the reference per-flow query:
+// max_f Sent - min_f Sent.
+func fmRef(l *ServiceLog, t1, t2 int64) int64 {
+	lo, hi := l.Sent(0, t1, t2), l.Sent(0, t1, t2)
+	for f := 1; f < l.n; f++ {
+		s := l.Sent(f, t1, t2)
+		lo, hi = min(lo, s), max(hi, s)
+	}
+	return hi - lo
+}
+
+// TestServiceLogFMMatchesSent checks the one-pass FM against the
+// per-flow CumServed reference on random logs mixing served, Idle and
+// Stalled cycles, at endpoints on, around and beyond stride
+// boundaries and the end of the log, in both orders.
+func TestServiceLogFMMatchesSent(t *testing.T) {
+	src := rng.New(17)
+	for iter := 0; iter < 300; iter++ {
+		n := src.IntRange(1, 12)
+		stride := []int{1, 2, 3, 4, 7, 16}[src.Intn(6)]
+		l := NewServiceLog(n, stride)
+		cycles := src.Intn(200)
+		for i := 0; i < cycles; i++ {
+			switch r := src.Intn(10); {
+			case r == 0:
+				l.Record(Idle)
+			case r == 1:
+				l.Record(Stalled)
+			default:
+				l.Record(src.Intn(n))
+			}
+		}
+		end := int64(cycles)
+		ends := []int64{-3, 0, 1, end - 1, end, end + 1, end + int64(stride) + 5}
+		last := end / int64(stride) * int64(stride)
+		for _, k := range []int64{last, last + int64(stride), src.Int63n(end+1) / int64(stride) * int64(stride)} {
+			ends = append(ends, k-1, k, k+1)
+		}
+		for i := 0; i < 4; i++ {
+			ends = append(ends, src.Int63n(end+2))
+		}
+		for _, a := range ends {
+			for _, b := range ends {
+				if got, want := l.FM(a, b), fmRef(l, a, b); got != want {
+					t.Fatalf("n=%d stride=%d cycles=%d: FM(%d,%d) = %d, reference %d",
+						n, stride, cycles, a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestServiceLogClampsT(t *testing.T) {
 	l := NewServiceLog(2, 0)
 	l.Record(0)

@@ -41,6 +41,11 @@ type Collector struct {
 	// (injected - departed); BacklogHighWater is its high-water mark.
 	Backlog          *Gauge
 	BacklogHighWater *Gauge
+	// SourcePolls counts the cycles in which engines asked their
+	// Source for arrivals. The engine counts them itself (no callback
+	// sees a poll); the code running the engine adds
+	// Engine.SourcePolls after each run, as RunSim does.
+	SourcePolls *Counter
 }
 
 // NewCollector registers a collector's metrics in reg under the
@@ -58,6 +63,7 @@ func NewCollector(reg *Registry, flows int) *Collector {
 		StallPerPacket:   reg.Histogram("engine.packet_stall_cycles", HistogramOpts{Log2: true}),
 		Backlog:          reg.Gauge("engine.backlog_packets"),
 		BacklogHighWater: reg.Gauge("engine.backlog_packets_high_water"),
+		SourcePolls:      reg.Counter("engine.source_polls"),
 	}
 }
 

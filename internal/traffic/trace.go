@@ -39,7 +39,12 @@ func (r *Recorder) Arrivals(cycle int64, q QueueView) []flit.Packet {
 }
 
 // Replay is a Source that replays a recorded trace. Events must be
-// sorted by cycle (Recorder produces them that way).
+// sorted by cycle (Recorder produces them that way). Each call
+// releases, in order, every not yet replayed event whose cycle is at
+// or before the current one, so an event whose cycle was never polled
+// (a replay attached to an engine already past it, or rewound with
+// Reset mid-run) arrives late instead of blocking the rest of the
+// trace.
 type Replay struct {
 	Events []TraceEvent
 	next   int
@@ -57,7 +62,7 @@ func NewReplay(events []TraceEvent) *Replay {
 // Arrivals implements Source.
 func (r *Replay) Arrivals(cycle int64, q QueueView) []flit.Packet {
 	r.buf = r.buf[:0]
-	for r.next < len(r.Events) && r.Events[r.next].Cycle == cycle {
+	for r.next < len(r.Events) && r.Events[r.next].Cycle <= cycle {
 		e := r.Events[r.next]
 		r.buf = append(r.buf, flit.Packet{Flow: e.Flow, Length: e.Length, Dst: e.Dst})
 		r.next++
@@ -86,7 +91,8 @@ func WriteTrace(w io.Writer, events []TraceEvent) error {
 	return bw.Flush()
 }
 
-// ReadTrace parses the format written by WriteTrace.
+// ReadTrace parses the format written by WriteTrace. Cycles must be
+// non-negative.
 func ReadTrace(r io.Reader) ([]TraceEvent, error) {
 	var out []TraceEvent
 	sc := bufio.NewScanner(r)
@@ -100,6 +106,9 @@ func ReadTrace(r io.Reader) ([]TraceEvent, error) {
 		var e TraceEvent
 		if _, err := fmt.Sscanf(txt, "%d %d %d %d", &e.Cycle, &e.Flow, &e.Length, &e.Dst); err != nil {
 			return nil, fmt.Errorf("traffic: trace line %d: %w", line, err)
+		}
+		if e.Cycle < 0 {
+			return nil, fmt.Errorf("traffic: trace line %d: negative cycle %d", line, e.Cycle)
 		}
 		out = append(out, e)
 	}

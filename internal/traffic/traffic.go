@@ -32,6 +32,20 @@ type Source interface {
 	Arrivals(cycle int64, q QueueView) []flit.Packet
 }
 
+// Quieter is an optional extension of Source for closed-loop sources
+// whose arrivals depend on queue state alone. QuietAfter returning
+// true promises that, on every cycle after cycle, Arrivals returns
+// nothing and draws no randomness as long as no QueueLen changes, so
+// a caller may skip those calls until a queue length changes. The
+// promise may be asked for at any cycle; it covers only later calls.
+//
+// Sources that draw randomness every cycle (Bernoulli, Poisson,
+// OnOff) cannot make the promise: skipping a call would shift their
+// random streams. Replay and Recorder do not implement it either.
+type Quieter interface {
+	QuietAfter(cycle int64, q QueueView) bool
+}
+
 // Bernoulli emits, each cycle, one packet with probability Rate
 // (packets/cycle) for its flow, with lengths drawn from Dist.
 type Bernoulli struct {
@@ -123,6 +137,12 @@ func (b *Backlogged) Arrivals(cycle int64, q QueueView) []flit.Packet {
 	return b.buf
 }
 
+// QuietAfter implements Quieter: a full queue stays full until its
+// length changes.
+func (b *Backlogged) QuietAfter(cycle int64, q QueueView) bool {
+	return q.QueueLen(b.Flow) >= b.Depth
+}
+
 // OnOff is a two-state bursty source: in the On state it emits
 // packets at OnRate per cycle (Bernoulli); state dwell times are
 // geometric with the given mean cycles. It models the bursty sources
@@ -188,6 +208,16 @@ func (w *Window) Arrivals(cycle int64, q QueueView) []flit.Packet {
 	return w.Inner.Arrivals(cycle, q)
 }
 
+// QuietAfter implements Quieter: quiet once the window has closed,
+// or whenever the inner source promises quiet.
+func (w *Window) QuietAfter(cycle int64, q QueueView) bool {
+	if cycle+1 >= w.To {
+		return true
+	}
+	in, ok := w.Inner.(Quieter)
+	return ok && in.QuietAfter(cycle, q)
+}
+
 // Multi combines several sources into one.
 type Multi struct {
 	Sources []Source
@@ -207,4 +237,14 @@ func (m *Multi) Arrivals(cycle int64, q QueueView) []flit.Packet {
 		return nil
 	}
 	return m.buf
+}
+
+// QuietAfter implements Quieter: quiet when every child is.
+func (m *Multi) QuietAfter(cycle int64, q QueueView) bool {
+	for _, s := range m.Sources {
+		if in, ok := s.(Quieter); !ok || !in.QuietAfter(cycle, q) {
+			return false
+		}
+	}
+	return true
 }

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -193,5 +194,96 @@ func TestReplaySortsEvents(t *testing.T) {
 	})
 	if ps := rp.Arrivals(2, fixedView{}); len(ps) != 1 || ps[0].Flow != 0 {
 		t.Fatal("replay did not sort events by cycle")
+	}
+}
+
+func TestReadTraceRejectsNegativeCycle(t *testing.T) {
+	_, err := ReadTrace(strings.NewReader("0 0 4 0\n-1 1 2 0\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("negative cycle: err = %v, want a line 2 error", err)
+	}
+}
+
+// replayFlows drives rp over cycles [from, to) and returns the flows
+// released at each cycle that released any.
+func replayFlows(rp *Replay, from, to int64) map[int64][]int {
+	got := map[int64][]int{}
+	for c := from; c < to; c++ {
+		for _, p := range rp.Arrivals(c, fixedView{}) {
+			got[c] = append(got[c], p.Flow)
+		}
+	}
+	return got
+}
+
+// TestReplayReleasesPastEvents is the regression test for an event
+// whose cycle is never polled: it used to block every later event, so
+// the replay delivered nothing after it and never reported Done.
+func TestReplayReleasesPastEvents(t *testing.T) {
+	events := []TraceEvent{
+		{Cycle: -1, Flow: 0, Length: 4},
+		{Cycle: 2, Flow: 1, Length: 1},
+		{Cycle: 2, Flow: 2, Length: 1},
+		{Cycle: 5, Flow: 3, Length: 1},
+	}
+	for _, tc := range []struct {
+		name string
+		from int64
+		want map[int64][]int
+	}{
+		{"negative cycle", 0, map[int64][]int{0: {0}, 2: {1, 2}, 5: {3}}},
+		{"attached late", 4, map[int64][]int{4: {0, 1, 2}, 5: {3}}},
+		{"attached after the last event", 9, map[int64][]int{9: {0, 1, 2, 3}}},
+	} {
+		rp := NewReplay(events)
+		got := replayFlows(rp, tc.from, 10)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) || !rp.Done() {
+			t.Errorf("%s: released %v (done %v), want %v", tc.name, got, rp.Done(), tc.want)
+		}
+	}
+	// Reset mid-run rewinds to events that are now all in the past.
+	rp := NewReplay(events)
+	replayFlows(rp, 0, 3)
+	rp.Reset()
+	if got := replayFlows(rp, 3, 10); fmt.Sprint(got) != fmt.Sprint(map[int64][]int{3: {0, 1, 2}, 5: {3}}) || !rp.Done() {
+		t.Errorf("after Reset: released %v (done %v)", got, rp.Done())
+	}
+}
+
+// TestQuietAfter pins the Quieter promises: Backlogged is quiet at
+// depth, Multi when every child is, Window once closed or when its
+// inner source is; a per-cycle random source never is.
+func TestQuietAfter(t *testing.T) {
+	dist := rng.Constant{Length: 2}
+	full, short := fixedView{0: 3, 1: 3}, fixedView{0: 3, 1: 2}
+	b0 := NewBacklogged(0, 3, dist, rng.New(1))
+	b1 := NewBacklogged(1, 3, dist, rng.New(2))
+	bern := NewBernoulli(0, 0.5, dist, rng.New(3))
+	if _, ok := Source(bern).(Quieter); ok {
+		t.Error("Bernoulli claims Quieter")
+	}
+	for _, tc := range []struct {
+		name string
+		q    Quieter
+		view fixedView
+		c    int64
+		want bool
+	}{
+		{"backlogged at depth", b0, full, 0, true},
+		{"backlogged below depth", b1, short, 0, false},
+		{"multi all quiet", NewMulti(b0, b1), full, 0, true},
+		{"multi one short", NewMulti(b0, b1), short, 0, false},
+		{"multi with a random child", NewMulti(b0, bern), full, 0, false},
+		{"empty multi", NewMulti(), full, 0, true},
+		{"window open, inner quiet", NewWindow(b0, 0, 10), full, 3, true},
+		{"window open, inner short", NewWindow(b1, 0, 10), short, 3, false},
+		{"window open, random inner", NewWindow(bern, 0, 10), full, 3, false},
+		{"window before start, inner short", NewWindow(b1, 5, 10), short, 0, false},
+		{"window last open cycle", NewWindow(bern, 0, 10), full, 9, true},
+		{"window closed", NewWindow(bern, 0, 10), full, 12, true},
+	} {
+		if got := tc.q.QuietAfter(tc.c, tc.view); got != tc.want {
+			t.Errorf("%s: QuietAfter(%d) = %v, want %v", tc.name, tc.c, got, tc.want)
+		}
 	}
 }
