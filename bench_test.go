@@ -412,10 +412,10 @@ func BenchmarkMeshStep(b *testing.B) {
 // --- NoC stepping-mode benchmarks (BENCH_noc.json) ---
 
 // benchMeshStepping measures one mesh cycle under a stepping mode:
-// "full" iterates every router each cycle (the pre-active-set
-// behaviour), "quiescent" steps only routers holding flits or locks,
-// and "sharded" additionally fans the compute phase across a worker
-// pool. A warm phase reaches steady state first so the active set
+// "reference" is the literal oracle (SetReference: every router, full
+// ports-x-VCs scans), "quiescent" steps only routers holding flits or
+// locks through the work-lists, and "sharded" additionally fans the
+// compute phase across a worker pool. A warm phase reaches steady state first so the active set
 // reflects the sustained load, not the cold start.
 func benchMeshStepping(b *testing.B, k int, rate float64, mode string, workers int) {
 	m, err := noc.NewMesh(noc.Config{
@@ -426,8 +426,8 @@ func benchMeshStepping(b *testing.B, k int, rate float64, mode string, workers i
 		b.Fatal(err)
 	}
 	switch mode {
-	case "full":
-		m.SetFullIteration(true)
+	case "reference":
+		m.SetReference(true)
 	case "sharded":
 		p := exec.NewPool(workers)
 		defer p.Close()
@@ -510,7 +510,7 @@ func BenchmarkNoCStepping(b *testing.B) {
 		name, mode string
 		workers    int
 	}{
-		{"full", "full", 0},
+		{"reference", "reference", 0},
 		{"quiescent", "quiescent", 0},
 		{"sharded4", "sharded", 4},
 	}
@@ -586,12 +586,13 @@ func BenchmarkNoCTiledStepping(b *testing.B) {
 // workload through Run/Drain — the regime the discrete-event core
 // exists for. Steady Bernoulli loads (BenchmarkNoCStepping) never
 // globally idle, so event-to-event advancement neither helps nor
-// hurts there; here each 50k-cycle epoch is mostly gap (idle after a
+// hurts there; here each 400k-cycle epoch is mostly gap (idle after a
 // burst drains, or dormant behind a known fault window), and the
-// event core jumps it while the stepped oracle crawls. The mesh
+// event core jumps it while the reference steps every router through
+// every cycle. The mesh
 // persists across iterations, so allocs/op is the zero-allocation
 // steady-state gate for Run/Drain themselves (BENCH_hotpath.json).
-func benchMeshEventCore(b *testing.B, scenario string, stepped bool) {
+func benchMeshEventCore(b *testing.B, scenario string, reference bool) {
 	const k, epoch = 16, 400_000
 	m, err := noc.NewMesh(noc.Config{
 		K: k, VCs: 2, BufFlits: 8,
@@ -601,7 +602,7 @@ func benchMeshEventCore(b *testing.B, scenario string, stepped bool) {
 		b.Fatal(err)
 	}
 	m.RegisterObs(obs.NewRegistry())
-	m.SetStepped(stepped)
+	m.SetReference(reference)
 	// The freeze-gap scenario wedges traffic behind a frozen center
 	// router for most of each epoch. The window predicate is installed
 	// once (its bounds move per epoch); the edges are declared known
@@ -655,7 +656,7 @@ func benchMeshEventCore(b *testing.B, scenario string, stepped bool) {
 	if m.InFlight() != 0 {
 		b.Fatalf("%s epoch does not drain: %d in flight", scenario, m.InFlight())
 	}
-	if !stepped && m.Skipped() == 0 {
+	if !reference && m.Skipped() == 0 {
 		b.Fatalf("%s epoch never engaged the event core", scenario)
 	}
 	b.ReportAllocs()
@@ -670,11 +671,11 @@ func benchMeshEventCore(b *testing.B, scenario string, stepped bool) {
 func BenchmarkNoCEventCore(b *testing.B) {
 	for _, scenario := range []string{"bursty", "freeze-gap"} {
 		for _, md := range []struct {
-			name    string
-			stepped bool
-		}{{"event", false}, {"stepped", true}} {
+			name      string
+			reference bool
+		}{{"event", false}, {"reference", true}} {
 			b.Run("16x16-"+scenario+"/"+md.name, func(b *testing.B) {
-				benchMeshEventCore(b, scenario, md.stepped)
+				benchMeshEventCore(b, scenario, md.reference)
 			})
 		}
 	}

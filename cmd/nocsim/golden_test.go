@@ -41,7 +41,8 @@ const torusFaults = "stall(router=5,port=1,at=100,dur=400);freeze(router=6,at=30
 
 // TestCLIGolden pins nocsim's complete output, telemetry lines
 // included, on a fault-free mesh and a faulted torus, serial and on a
-// two-worker pool. Regenerate a golden with
+// two-worker pool, and checks -reference against the same goldens.
+// Regenerate a golden with
 // `go run ./cmd/nocsim <args> > cmd/nocsim/testdata/<name>.golden`
 // and read the diff before committing it.
 func TestCLIGolden(t *testing.T) {
@@ -55,14 +56,34 @@ func TestCLIGolden(t *testing.T) {
 		{"torus-faults", "torus-faults", torus},
 		{"torus-faults-parallel", "torus-faults", append(torus[:len(torus):len(torus)], "-parallel-mesh", "2")},
 	} {
+		want, err := os.ReadFile(filepath.Join("testdata", c.golden+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Run(c.name, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", c.golden+".golden"))
-			if err != nil {
-				t.Fatal(err)
-			}
 			if got := runCLI(t, c.args...); !bytes.Equal(got, want) {
 				t.Errorf("nocsim %q differs from testdata/%s.golden:\n%s", c.args, c.golden, got)
 			}
 		})
+		// The reference simulates the same network: only the lines
+		// counting the work performed may differ.
+		t.Run(c.name+"-reference", func(t *testing.T) {
+			args := append(c.args[:len(c.args):len(c.args)], "-reference")
+			if got := withoutWork(runCLI(t, args...)); !bytes.Equal(got, withoutWork(want)) {
+				t.Errorf("nocsim %q differs from testdata/%s.golden beyond the work lines:\n%s", args, c.golden, got)
+			}
+		})
 	}
+}
+
+// withoutWork drops the output lines that count work performed.
+func withoutWork(out []byte) []byte {
+	var kept [][]byte
+	for _, line := range bytes.SplitAfter(out, []byte("\n")) {
+		if !bytes.HasPrefix(line, []byte("stepping:")) && !bytes.HasPrefix(line, []byte("arbitration:")) &&
+			!bytes.HasPrefix(line, []byte("layout:")) {
+			kept = append(kept, line)
+		}
+	}
+	return bytes.Join(kept, nil)
 }

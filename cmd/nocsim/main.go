@@ -42,8 +42,7 @@ func main() {
 		checkF  = flag.Bool("check", false, "validate ejected flit streams and run a deadlock watchdog that dumps the channel-wait graph on a stall")
 		fseed   = flag.Uint64("faultseed", 0, "fault-randomness seed, independent of -seed (0 = derive from -seed)")
 		par     = flag.Int("parallel-mesh", 1, "shard mesh stepping across this many workers (1 = serial, 0 = GOMAXPROCS); output is identical at any setting")
-		fscan   = flag.Bool("fullscan", false, "arbitrate with full ports-x-VCs scans instead of the event-driven work-lists (oracle mode; output is identical either way)")
-		stepF   = flag.Bool("stepped", false, "step every cycle literally instead of advancing event-to-event (oracle mode; deliveries and latency are identical, but telemetry counting performed work — routers active, sites visited, cycles skipped — reflects the costlier run)")
+		refF    = flag.Bool("reference", false, "run the literal oracle: step every cycle and every router with full ports-x-VCs scans (deliveries and latency are identical, but the stepping:, arbitration: and layout: lines count the costlier run's work)")
 		traceF  = flag.Bool("trace", false, "attach the packet flight recorder and print per-flow latency tails, hop-time decomposition, and Jain fairness epochs")
 		traceS  = flag.Int("trace-sample", 64, "trace one in this many packets (1 = every packet); sampling is seed-derived per packet id, so trace output is byte-identical across stepping modes")
 		traceC  = flag.String("trace-out", "", "write sampled-packet spans as Chrome trace-event JSON (Perfetto-loadable) to this file (implies -trace)")
@@ -60,7 +59,7 @@ func main() {
 	}
 	topts := traceOpts{enabled: *traceF || *traceC != "" || *traceJ != "",
 		sample: *traceS, chrome: *traceC, jsonl: *traceJ}
-	if err := run(*k, *vcs, *buf, *tile, *arb, *pattern, *rate, *minLen, *maxLen, *cycles, *seed, *torus, *faults, *fseed, *checkF, *par, *fscan, *stepF, topts); err != nil {
+	if err := run(*k, *vcs, *buf, *tile, *arb, *pattern, *rate, *minLen, *maxLen, *cycles, *seed, *torus, *faults, *fseed, *checkF, *par, *refF, topts); err != nil {
 		fmt.Fprintf(os.Stderr, "nocsim: %v\n", err)
 		os.Exit(1)
 	}
@@ -74,7 +73,7 @@ type traceOpts struct {
 	jsonl   string
 }
 
-func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLen int, cycles int64, seed uint64, torus bool, faults string, faultSeed uint64, checkF bool, parallel int, fullScan, stepped bool, topts traceOpts) error {
+func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLen int, cycles int64, seed uint64, torus bool, faults string, faultSeed uint64, checkF bool, parallel int, reference bool, topts traceOpts) error {
 	var newArb func() sched.Scheduler
 	switch arb {
 	case "err":
@@ -101,8 +100,7 @@ func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLe
 		return err
 	}
 	m.RegisterObs(obs.Default())
-	m.SetFullScan(fullScan)
-	m.SetStepped(stepped)
+	m.SetReference(reference)
 	if parallel != 1 {
 		pool := exec.NewPool(parallel)
 		defer pool.Close()
@@ -226,7 +224,7 @@ func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLe
 			float64(comp)/float64(cyc), m.Nodes(),
 			obs.Default().Gauge("noc.active_routers_high_water").Value())
 		mode := "work-list"
-		if fullScan {
+		if reference {
 			mode = "full-scan"
 		}
 		cells := obs.Default().Counter("noc.cells_visited").Value()

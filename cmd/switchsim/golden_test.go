@@ -39,7 +39,7 @@ func runCLI(t *testing.T, args ...string) []byte {
 
 // TestCLIGolden pins switchsim's complete output: the default run, a
 // run whose contended output is stalled for 50k cycles, and the
-// literal full-scan oracle. Regenerate a golden with
+// full-scan reference. Regenerate a golden with
 // `go run ./cmd/switchsim <args> > cmd/switchsim/testdata/<name>.golden`
 // and read the diff before committing it.
 func TestCLIGolden(t *testing.T) {
@@ -48,8 +48,8 @@ func TestCLIGolden(t *testing.T) {
 		args   []string
 	}{
 		{"default", nil},
-		{"stall", []string{"-faults", "stall(port=0,at=1000,dur=50000)", "-stepped"}},
-		{"reference", []string{"-stepped", "-fullscan"}},
+		{"stall", []string{"-faults", "stall(port=0,at=1000,dur=50000)"}},
+		{"reference", []string{"-reference"}},
 	} {
 		t.Run(c.golden, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", c.golden+".golden"))

@@ -39,9 +39,7 @@ func main() {
 		faults = flag.String("faults", "", "fault-injection spec, e.g. \"stall(port=0,at=1000,dur=500);malformed(kind=notail,p=0.001)\" (\"\" = fault-free; see internal/fault)")
 		checkF = flag.Bool("check", false, "validate the output flit stream and run a deadlock watchdog; violations fail the run with a cycle-stamped report")
 		fseed  = flag.Uint64("faultseed", 0, "fault-randomness seed, independent of -seed (0 = derive from -seed)")
-		fscan  = flag.Bool("fullscan", false, "arbitrate with full ports-x-VCs scans instead of the event-driven work-lists (oracle mode; output must be identical)")
-		par    = flag.Int("parallel-mesh", 1, "step the switch through the explicit two-phase compute/commit path (any value != 1); a single switch has nothing to shard, but output must be identical")
-		stepF  = flag.Bool("stepped", false, "step every cycle literally instead of jumping dormant fault windows event-to-event (oracle mode; throughput and fault counters are identical, but arbitration-sites-visited reflects the costlier run)")
+		refF   = flag.Bool("reference", false, "arbitrate with full ports-x-VCs scans instead of the event-driven work-lists (oracle mode; output is identical except the arbitration line, which counts the costlier run's work)")
 		traceF = flag.Bool("trace", false, "attach the packet flight recorder and print per-input latency tails, hop-time decomposition, and Jain fairness epochs")
 		traceS = flag.Int("trace-sample", 64, "trace one in this many packets (1 = every packet); sampling is seed-derived per packet id, so trace output is byte-identical across stepping modes")
 		traceC = flag.String("trace-out", "", "write sampled-packet spans as Chrome trace-event JSON (Perfetto-loadable) to this file (implies -trace)")
@@ -58,7 +56,7 @@ func main() {
 	}
 	topts := traceOpts{enabled: *traceF || *traceC != "" || *traceJ != "",
 		sample: *traceS, chrome: *traceC, jsonl: *traceJ}
-	if err := run(*inputs, *vcs, *buf, *arb, *minLen, *maxLen, *bigIn, *drainP, *cycles, *seed, *faults, *fseed, *checkF, *par, *fscan, *stepF, topts); err != nil {
+	if err := run(*inputs, *vcs, *buf, *arb, *minLen, *maxLen, *bigIn, *drainP, *cycles, *seed, *faults, *fseed, *checkF, *refF, topts); err != nil {
 		fmt.Fprintf(os.Stderr, "switchsim: %v\n", err)
 		os.Exit(1)
 	}
@@ -72,7 +70,7 @@ type traceOpts struct {
 	jsonl   string
 }
 
-func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP float64, cycles int64, seed uint64, faults string, faultSeed uint64, checkF bool, parallel int, fullScan, stepped bool, topts traceOpts) error {
+func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP float64, cycles int64, seed uint64, faults string, faultSeed uint64, checkF bool, reference bool, topts traceOpts) error {
 	var newArb func() sched.Scheduler
 	switch arb {
 	case "err":
@@ -93,7 +91,7 @@ func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP flo
 	if err != nil {
 		return err
 	}
-	r.SetFullScan(fullScan)
+	r.SetFullScan(reference)
 	spec, err := fault.Parse(faults)
 	if err != nil {
 		return err
@@ -110,12 +108,6 @@ func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP flo
 			r.SetOutputFault(port, f)
 		}
 	}
-	// All fault hooks above derive from the parsed spec, so every cycle
-	// at which a fault answer can change is a spec window edge: declare
-	// the edges known so the router may report dormancy (NextEventAt)
-	// and the run can jump dormant windows event-to-event.
-	r.SetFaultEdgesKnown(true)
-	edges := finj.WindowEdges()
 	// Flit-level malformed directives (notail, duphead, ...) replace a
 	// whole injected packet's flit stream; they exercise the switch's
 	// tolerance and, with -check, the stream validator's detection.
@@ -151,7 +143,7 @@ func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP flo
 		stream := check.NewFlitStream(rec, "output 0")
 		prev := sink.Inner.OnFlit
 		sink.Inner.OnFlit = func(f flit.Flit, vc int, cycle int64) {
-			stream.Observe(f, cycle)
+			stream.Observe(f, vc, cycle)
 			wd.Progress(cycle)
 			prev(f, vc, cycle)
 		}
@@ -209,70 +201,8 @@ func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP flo
 			dists[i] = rng.NewUniform(minLen, maxLen)
 		}
 	}
-	stepRouter := r.Step
-	if parallel != 1 {
-		var fx wormhole.Effects
-		stepRouter = func(c int64) {
-			fx.Reset()
-			r.Compute(c, &fx)
-			fx.Apply()
-		}
-	}
-
 	pending := make([][]flit.Flit, inputs)
-	// wedge renders the deadlock abort: the channel-wait graph at the
-	// watchdog's trip cycle.
-	wedge := func(c int64) error {
-		dump := ""
-		for _, e := range r.WaitEdges(c) {
-			dump += "  " + e.String() + "\n"
-		}
-		return fmt.Errorf("wedged at cycle %d (no delivery for %d cycles)\nchannel-wait graph:\n%s",
-			c, wd.Limit, dump)
-	}
-	// canSkip reports whether cycle c is a provable no-op that draws no
-	// randomness: the router is dormant (frozen, or every pending
-	// output stalled, with window edges known), every backlogged input
-	// is refused (a nil pending slot would draw a fresh packet), and
-	// the sink holds nothing to drain. Such cycles repeat verbatim
-	// until the next fault-window edge, so the run may jump straight to
-	// it — consulting the watchdog at its exact trip cycle inside the
-	// gap, as a stepped run would.
-	canSkip := func(c int64) bool {
-		if stepped || r.NextEventAt(c) != wormhole.EventNever || sink.Buffered() != 0 {
-			return false
-		}
-		for in := 0; in < inputs; in++ {
-			if pending[in] == nil || r.CanAccept(in+1, 0) {
-				return false
-			}
-		}
-		return true
-	}
-	nextEdge := func(c int64) int64 {
-		for _, e := range edges {
-			if e > c {
-				if e < cycles {
-					return e
-				}
-				break
-			}
-		}
-		return cycles
-	}
 	for c := int64(0); c < cycles; c++ {
-		if canSkip(c) {
-			t := nextEdge(c)
-			if wd != nil && !wd.Tripped() {
-				// A stepped run checks the watchdog at every cycle of
-				// [c, t); trip at the same cycle it would.
-				if at := wd.ExpiresAt(); at < t && wd.Expired(at, 1) {
-					return wedge(at)
-				}
-			}
-			c = t - 1 // the loop increment lands on the edge itself
-			continue
-		}
 		for in := 0; in < inputs; in++ {
 			port := in + 1
 			if pending[in] == nil {
@@ -311,12 +241,18 @@ func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP flo
 				}
 			}
 		}
-		stepRouter(c)
+		r.Step(c)
 		sink.Step(c)
 		// Inputs are permanently backlogged, so a silent output for the
-		// whole watchdog budget means the switch is wedged.
+		// whole watchdog budget means the switch is wedged: abort with
+		// the channel-wait graph at the trip cycle.
 		if wd != nil && wd.Expired(c, 1) {
-			return wedge(c)
+			dump := ""
+			for _, e := range r.WaitEdges(c) {
+				dump += "  " + e.String() + "\n"
+			}
+			return fmt.Errorf("wedged at cycle %d (no delivery for %d cycles)\nchannel-wait graph:\n%s",
+				c, wd.Limit, dump)
 		}
 	}
 
@@ -330,7 +266,7 @@ func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP flo
 	fmt.Printf("switch: %d inputs -> 1 output, arb=%s, drain p=%.2f, %d cycles\n",
 		inputs, arb, drainP, cycles)
 	mode := "work-list"
-	if fullScan {
+	if reference {
 		mode = "full-scan"
 	}
 	fmt.Printf("arbitration: %s, %.2f arbitration sites visited/cycle (switch holds %d ports*VCs cells)\n",

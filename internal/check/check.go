@@ -25,9 +25,9 @@
 //     (wormhole switching forwards a packet's flits contiguously and
 //     queues are FIFO, so cross-packet reordering within a flow is
 //     impossible in a correct implementation).
-//   - flit.stream — a delivered flit stream is well-formed per flow:
-//     head, bodies in sequence, tail, no interleaving of two packets
-//     of the same flow (wormhole contiguity at the ejection point).
+//   - flit.stream — a delivered flit stream is well-formed per virtual
+//     channel: head, bodies in sequence, tail, no interleaving of two
+//     packets on one VC (wormhole contiguity at the ejection point).
 //   - progress.watchdog — a backlogged system forwards at least one
 //     flit every N cycles; tripping it means deadlock or livelock,
 //     and the wormhole substrate can then dump its channel-wait

@@ -62,23 +62,24 @@ func TestWatchdogRejectsNonPositiveLimit(t *testing.T) {
 	check.NewWatchdog(0)
 }
 
-// observeAll feeds a flit slice to a stream validator, one cycle per
-// flit starting at base.
+// observeAll feeds a flit slice delivered on VC 0 to a stream
+// validator, one cycle per flit starting at base.
 func observeAll(s *check.FlitStream, fs []flit.Flit, base int64) {
 	for i, f := range fs {
-		s.Observe(f, base+int64(i))
+		s.Observe(f, 0, base+int64(i))
 	}
 }
 
 func TestFlitStreamAcceptsWellFormedTraffic(t *testing.T) {
 	rec := check.NewRecorder()
 	s := check.NewFlitStream(rec, "sink")
-	// Two flows' packets legitimately interleave on one link; within a
-	// flow each packet is contiguous.
+	// Two flows' packets legitimately interleave on one link, each on
+	// its own VC; within a VC each packet is contiguous.
 	a := flit.Packet{Flow: 0, Length: 3, ID: 1}.Flits()
 	b := flit.Packet{Flow: 1, Length: 2, ID: 2}.Flits()
-	seq := []flit.Flit{a[0], b[0], a[1], b[1], a[2]}
-	observeAll(s, seq, 0)
+	for i, f := range []flit.Flit{a[0], b[0], a[1], b[1], a[2]} {
+		s.Observe(f, int(f.Flow), int64(i))
+	}
 	observeAll(s, flit.Packet{Flow: 0, Length: 1, ID: 3}.Flits(), 10)
 	if err := rec.Err(); err != nil {
 		t.Fatalf("well-formed stream reported: %v", err)
@@ -115,7 +116,7 @@ func TestFlitStreamDetectsMalformations(t *testing.T) {
 		},
 		{
 			"body-without-head", func(s *check.FlitStream) {
-				s.Observe(flit.Flit{Flow: 0, Kind: flit.Body, Seq: 1, PktID: 9}, 5)
+				s.Observe(flit.Flit{Flow: 0, Kind: flit.Body, Seq: 1, PktID: 9}, 0, 5)
 			},
 			"without a head",
 		},
@@ -159,6 +160,39 @@ func TestFlitStreamDetectsMalformations(t *testing.T) {
 	}
 }
 
+// TestFlitStreamKeysByVC pins that stream state is kept per
+// delivering VC: an ejection link multiplexes its VCs flit by flit, so
+// two packets of one flow to one sink on different VCs legitimately
+// interleave, while the same interleaving on one VC breaks wormhole
+// contiguity.
+func TestFlitStreamKeysByVC(t *testing.T) {
+	a := flit.Packet{Flow: 6, Length: 3, ID: 357}.Flits()
+	b := flit.Packet{Flow: 6, Length: 3, ID: 359}.Flits()
+	for _, c := range []struct {
+		name  string
+		vcB   int
+		clean bool
+	}{{"different VCs", 1, true}, {"one VC", 0, false}} {
+		rec := check.NewRecorder()
+		s := check.NewFlitStream(rec, "sink 4")
+		for i, f := range []flit.Flit{a[0], b[0], a[1], b[1], a[2], b[2]} {
+			vc := 0
+			if f.PktID == b[0].PktID {
+				vc = c.vcB
+			}
+			s.Observe(f, vc, int64(i))
+		}
+		if err := rec.Err(); c.clean && err != nil {
+			t.Errorf("%s: interleaving reported: %v", c.name, err)
+		} else if !c.clean && err == nil {
+			t.Errorf("%s: interleaving went undetected", c.name)
+		}
+		if n := s.OpenPackets(); c.clean && n != 0 {
+			t.Errorf("%s: OpenPackets = %d after both tails, want 0", c.name, n)
+		}
+	}
+}
+
 func TestFlitStreamOpenPacketsAfterLostTail(t *testing.T) {
 	rec := check.NewRecorder()
 	s := check.NewFlitStream(rec, "sink")
@@ -175,7 +209,7 @@ func TestRecorderCapAndCounter(t *testing.T) {
 	const n = check.DefaultMaxViolations + 4
 	for i := 0; i < n; i++ {
 		// Each body-without-head is one violation.
-		s.Observe(flit.Flit{Flow: 0, Kind: flit.Body, Seq: 1, PktID: int64(i)}, int64(i))
+		s.Observe(flit.Flit{Flow: 0, Kind: flit.Body, Seq: 1, PktID: int64(i)}, 0, int64(i))
 	}
 	if got := rec.Count(); got != n {
 		t.Errorf("Count() = %d, want %d (cap counts, does not drop)", got, n)

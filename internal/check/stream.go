@@ -5,11 +5,13 @@ import (
 )
 
 // FlitStream incrementally validates a delivered flit stream at an
-// observation point (an ejection sink, a link tap): per flow, every
-// packet must open with a head, advance its flits in Seq order under
-// one packet id, and close with a tail before the next head — the
-// wormhole no-interleaving contract, checked flow by flow because a
-// link legitimately multiplexes flits of different flows/VCs.
+// observation point (an ejection sink, a link tap): per virtual
+// channel, every packet must open with a head, advance its flits in
+// Seq order under one packet id, and close with a tail before the next
+// head — the wormhole no-interleaving contract. It is checked VC by VC
+// because an output VC carries one packet from grant to tail, while
+// the link multiplexes its VCs flit by flit: two packets — even of one
+// flow — on different VCs legitimately interleave.
 //
 // It is the runtime counterpart of flit.ValidateFlits (which audits a
 // complete stream after the fact): attach one FlitStream per sink and
@@ -21,7 +23,7 @@ type FlitStream struct {
 	// name labels the observation point in violation details.
 	name string
 
-	flows []streamState
+	vcs []streamState
 }
 
 type streamState struct {
@@ -36,47 +38,47 @@ func NewFlitStream(rec *Recorder, name string) *FlitStream {
 	return &FlitStream{rec: rec, name: name}
 }
 
-// Observe feeds the next delivered flit.
-func (s *FlitStream) Observe(f flit.Flit, cycle int64) {
+// Observe feeds the next flit delivered on virtual channel vc.
+func (s *FlitStream) Observe(f flit.Flit, vc int, cycle int64) {
 	if f.Flow < 0 {
 		s.rec.report(cycle, InvStream, f.Flow, "%s: flit with negative flow id", s.name)
 		return
 	}
-	for f.Flow >= len(s.flows) {
-		s.flows = append(s.flows, streamState{})
+	for vc >= len(s.vcs) {
+		s.vcs = append(s.vcs, streamState{})
 	}
-	st := &s.flows[f.Flow]
+	st := &s.vcs[vc]
 	switch f.Kind {
 	case flit.HeadTail:
 		if st.open {
 			s.rec.report(cycle, InvStream, f.Flow,
-				"%s: head of packet %d while packet %d is open (duplicate head / missing tail)",
-				s.name, f.PktID, st.id)
+				"%s vc %d: head of packet %d while packet %d is open (duplicate head / missing tail)",
+				s.name, vc, f.PktID, st.id)
 		}
 		st.open = false
 	case flit.Head:
 		if st.open {
 			s.rec.report(cycle, InvStream, f.Flow,
-				"%s: head of packet %d while packet %d is open (duplicate head / missing tail)",
-				s.name, f.PktID, st.id)
+				"%s vc %d: head of packet %d while packet %d is open (duplicate head / missing tail)",
+				s.name, vc, f.PktID, st.id)
 		}
 		st.open, st.id, st.seq = true, f.PktID, 1
 	case flit.Body, flit.Tail:
 		if !st.open {
 			s.rec.report(cycle, InvStream, f.Flow,
-				"%s: %v flit of packet %d without a head", s.name, f.Kind, f.PktID)
+				"%s vc %d: %v flit of packet %d without a head", s.name, vc, f.Kind, f.PktID)
 			return
 		}
 		if f.PktID != st.id {
 			s.rec.report(cycle, InvStream, f.Flow,
-				"%s: flit of packet %d interleaved into open packet %d", s.name, f.PktID, st.id)
+				"%s vc %d: flit of packet %d interleaved into open packet %d", s.name, vc, f.PktID, st.id)
 			// Resynchronise on the interloper so one interleaving
 			// does not cascade into a violation per flit.
 			st.id = f.PktID
 		}
 		if f.Seq != st.seq {
 			s.rec.report(cycle, InvStream, f.Flow,
-				"%s: packet %d flit out of order: seq %d, expected %d", s.name, st.id, f.Seq, st.seq)
+				"%s vc %d: packet %d flit out of order: seq %d, expected %d", s.name, vc, st.id, f.Seq, st.seq)
 		}
 		st.seq = f.Seq + 1
 		if f.Kind == flit.Tail {
@@ -88,12 +90,12 @@ func (s *FlitStream) Observe(f flit.Flit, cycle int64) {
 	}
 }
 
-// OpenPackets returns the number of flows with a packet still open —
+// OpenPackets returns the number of VCs with a packet still open —
 // after a drain this should be zero; a dropped or corrupted tail
 // leaves it positive.
 func (s *FlitStream) OpenPackets() int {
 	n := 0
-	for _, st := range s.flows {
+	for _, st := range s.vcs {
 		if st.open {
 			n++
 		}

@@ -81,9 +81,6 @@ func New(total, queues, reserve int) *Buffer {
 // Total returns the pool size in slots.
 func (b *Buffer) Total() int { return len(b.slots) }
 
-// Queues returns the number of logical queues.
-func (b *Buffer) Queues() int { return len(b.head) }
-
 // Len returns the occupancy of queue q.
 func (b *Buffer) Len(q int) int { return b.count[q] }
 

@@ -217,7 +217,7 @@ func RunBounds(p BoundsParams) (*BoundsResult, error) {
 				Scheduler: s,
 				Source:    boundsSource(cfg, disc, p.Util, rng.Derive(p.Seed, uint64(i))),
 			}
-			inj, chk, err := applyRobustness(p.Robustness, p.faultSeed(p.Seed, i), &ecfg)
+			inj, chk, err := applyRobustness(p.Robustness, p.faultSeed(p.Seed, i), 0, &ecfg)
 			if err != nil {
 				return BoundsCell{}, err
 			}
@@ -237,7 +237,7 @@ func RunBounds(p BoundsParams) (*BoundsResult, error) {
 			if chk != nil {
 				chk.Attach(e, ecfg.Scheduler)
 			}
-			if err := runChecked(e, chk, p.Cycles); err != nil {
+			if _, err := runChecked(e, chk, p.Cycles, false); err != nil {
 				return BoundsCell{}, fmt.Errorf("experiments: bounds %s/%d: %w", k.sched, k.flows, err)
 			}
 			registerFaultCounters(obs.Default(), inj.Counters(), e.Rejected())

@@ -102,11 +102,12 @@ type SimConfig struct {
 	WatchdogCycles int64
 }
 
-// watchdogLimit picks the watchdog budget for a config: generous
-// enough that a configured transient fault window cannot trip it.
-func (cfg *SimConfig) watchdogLimit(spec *fault.Spec) int64 {
-	if cfg.WatchdogCycles > 0 {
-		return cfg.WatchdogCycles
+// watchdogLimit picks the watchdog budget: override when positive,
+// otherwise generous enough that a configured transient fault window
+// cannot trip it.
+func watchdogLimit(spec *fault.Spec, override int64) int64 {
+	if override > 0 {
+		return override
 	}
 	limit := int64(1 << 16)
 	if spec != nil {
@@ -166,31 +167,10 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		cfg.Trace.Wire(&ecfg.OnInject, &ecfg.OnDeparture)
 	}
 
-	spec, err := fault.Parse(cfg.FaultSpec)
+	inj, chk, err := applyRobustness(Robustness{Faults: cfg.FaultSpec, Check: cfg.Check},
+		cfg.FaultSeed, cfg.WatchdogCycles, &ecfg)
 	if err != nil {
 		return nil, err
-	}
-	inj := fault.New(spec, cfg.FaultSeed)
-	wrapped := inj.WrapStall(ecfg.Stall)
-	if wrapped != nil && ecfg.Stall == nil {
-		// An injected stall is a deliberate failure, not an occupancy
-		// accounting mode: measuring how a length-budgeting
-		// discipline degrades under it is the point, so the
-		// length-aware guard does not apply.
-		ecfg.AllowLengthAwareStalls = true
-	}
-	ecfg.Stall = wrapped
-	ecfg.Source = inj.WrapSource(ecfg.Source, cfg.Flows)
-
-	var chk *check.EngineChecker
-	if cfg.Check {
-		chk = check.NewEngineChecker(cfg.Flows)
-		chk.Recorder.Register(obs.Default())
-		chk.Watchdog = check.NewWatchdog(cfg.watchdogLimit(spec))
-		chk.Wire(&ecfg)
-		if errs, ok := cfg.Scheduler.(*core.ERR); ok {
-			errs.SetTrace(chk)
-		}
 	}
 
 	e, err := engine.NewEngine(ecfg)
@@ -201,22 +181,6 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		chk.Attach(e, cfg.Scheduler)
 	}
 
-	// run steps up to n cycles, auditing each one when checking is
-	// enabled, and reports whether the watchdog ended the run early.
-	run := func(n int64) (stepped int64, wedged bool) {
-		if chk == nil {
-			e.Run(n)
-			return n, false
-		}
-		for ; stepped < n; stepped++ {
-			e.Step()
-			chk.Tick()
-			if chk.Watchdog.Tripped() {
-				return stepped + 1, true
-			}
-		}
-		return stepped, false
-	}
 	finish := func() {
 		res.Faults = inj.Counters()
 		res.Rejected = e.Rejected()
@@ -225,50 +189,37 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 			cfg.Collector.SourcePolls.Add(e.SourcePolls())
 		}
 	}
-
-	stepped, wedged := run(cfg.Cycles)
-	res.Cycles = stepped
-	if wedged {
+	// fail ends the run with the checker's report, registering the
+	// fault counters first so a wedged run still shows what fired.
+	fail := func(phase string, err error) (*SimResult, error) {
 		finish()
-		return nil, fmt.Errorf("experiments: %s wedged: %w", res.Discipline, chk.Err())
+		if chk.Watchdog.Tripped() {
+			return nil, fmt.Errorf("experiments: %s wedged%s: %w", res.Discipline, phase, err)
+		}
+		return nil, fmt.Errorf("experiments: %s failed invariant checking: %w", res.Discipline, err)
+	}
+
+	stepped, err := runChecked(e, chk, cfg.Cycles, false)
+	res.Cycles = stepped
+	if err != nil {
+		return fail("", err)
 	}
 	if cfg.DrainAfter {
 		budget := cfg.DrainBudget
 		if budget == 0 {
 			budget = 16 * cfg.Cycles
 		}
-		if chk == nil {
-			extra, drained := e.RunUntilDrained(budget)
-			res.Cycles += extra
-			if !drained {
-				return nil, fmt.Errorf("experiments: %s did not drain within %d cycles",
-					res.Discipline, budget)
-			}
-		} else {
-			var extra int64
-			for extra = 0; extra < budget && e.Backlog() > 0; extra++ {
-				e.Step()
-				chk.Tick()
-				if chk.Watchdog.Tripped() {
-					res.Cycles += extra + 1
-					finish()
-					return nil, fmt.Errorf("experiments: %s wedged during drain: %w",
-						res.Discipline, chk.Err())
-				}
-			}
-			res.Cycles += extra
-			if e.Backlog() > 0 {
-				return nil, fmt.Errorf("experiments: %s did not drain within %d cycles",
-					res.Discipline, budget)
-			}
+		extra, err := runChecked(e, chk, budget, true)
+		res.Cycles += extra
+		if err != nil {
+			return fail(" during drain", err)
+		}
+		if e.Backlog() > 0 {
+			return nil, fmt.Errorf("experiments: %s did not drain within %d cycles",
+				res.Discipline, budget)
 		}
 	}
 	finish()
-	if chk != nil {
-		if err := chk.Err(); err != nil {
-			return nil, fmt.Errorf("experiments: %s failed invariant checking: %w", res.Discipline, err)
-		}
-	}
 	return res, nil
 }
 
@@ -317,11 +268,11 @@ func (r Robustness) faultSeed(base uint64, job int) uint64 {
 }
 
 // applyRobustness wires the fault injector and (when r.Check is set)
-// the invariant checker into a raw engine.Config, for the runners
-// that drive the engine directly instead of through RunSim. Call
-// before engine.NewEngine; afterwards attach the checker with
+// the invariant checker, with a watchdog budget of watchdog cycles
+// (0 = watchdogLimit's default), into a raw engine.Config. Call before
+// engine.NewEngine; afterwards attach the checker with
 // chk.Attach(e, cfg.Scheduler) and step with runChecked.
-func applyRobustness(r Robustness, faultSeed uint64, cfg *engine.Config) (*fault.Injector, *check.EngineChecker, error) {
+func applyRobustness(r Robustness, faultSeed uint64, watchdog int64, cfg *engine.Config) (*fault.Injector, *check.EngineChecker, error) {
 	spec, err := fault.Parse(r.Faults)
 	if err != nil {
 		return nil, nil, err
@@ -341,8 +292,7 @@ func applyRobustness(r Robustness, faultSeed uint64, cfg *engine.Config) (*fault
 	if r.Check {
 		chk = check.NewEngineChecker(cfg.Flows)
 		chk.Recorder.Register(obs.Default())
-		sc := SimConfig{}
-		chk.Watchdog = check.NewWatchdog(sc.watchdogLimit(spec))
+		chk.Watchdog = check.NewWatchdog(watchdogLimit(spec, watchdog))
 		chk.Wire(cfg)
 		if errs, ok := cfg.Scheduler.(*core.ERR); ok {
 			errs.SetTrace(chk)
@@ -351,22 +301,29 @@ func applyRobustness(r Robustness, faultSeed uint64, cfg *engine.Config) (*fault
 	return inj, chk, nil
 }
 
-// runChecked steps the engine n cycles, auditing every cycle when a
-// checker is attached, and fails with the checker's structured report
-// on any violation (including a tripped deadlock watchdog).
-func runChecked(e *engine.Engine, chk *check.EngineChecker, n int64) error {
+// runChecked steps the engine n cycles — with drain set, only until
+// its backlog empties — auditing every cycle when a checker is
+// attached. It returns the cycles stepped and fails with the checker's
+// structured report on any violation, stopping early when the deadlock
+// watchdog trips.
+func runChecked(e *engine.Engine, chk *check.EngineChecker, n int64, drain bool) (int64, error) {
 	if chk == nil {
+		if drain {
+			stepped, _ := e.RunUntilDrained(n)
+			return stepped, nil
+		}
 		e.Run(n)
-		return nil
+		return n, nil
 	}
-	for i := int64(0); i < n; i++ {
+	var i int64
+	for ; i < n && !(drain && e.Backlog() == 0); i++ {
 		e.Step()
 		chk.Tick()
 		if chk.Watchdog.Tripped() {
-			return chk.Err()
+			return i + 1, chk.Err()
 		}
 	}
-	return chk.Err()
+	return i, chk.Err()
 }
 
 // gridOptions assembles the exec options every grid runner shares:

@@ -98,7 +98,7 @@ func RunGap(p GapParams) (*GapResult, error) {
 					last[flow] = cycle
 				},
 			}
-			inj, chk, err := applyRobustness(p.Robustness, p.faultSeed(p.Seed, i), &cfg)
+			inj, chk, err := applyRobustness(p.Robustness, p.faultSeed(p.Seed, i), 0, &cfg)
 			if err != nil {
 				return gaps{}, err
 			}
@@ -109,7 +109,7 @@ func RunGap(p GapParams) (*GapResult, error) {
 			if chk != nil {
 				chk.Attach(e, cfg.Scheduler)
 			}
-			if err := runChecked(e, chk, p.Cycles); err != nil {
+			if _, err := runChecked(e, chk, p.Cycles, false); err != nil {
 				return gaps{}, err
 			}
 			registerFaultCounters(obs.Default(), inj.Counters(), e.Rejected())

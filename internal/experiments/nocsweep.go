@@ -110,7 +110,7 @@ func RunNoCSweep(p NoCSweepParams) (*NoCSweepResult, error) {
 					rec = check.NewRecorder()
 					rec.Register(obs.Default())
 					mesh.CheckStreams(rec)
-					wd = check.NewWatchdog((&SimConfig{}).watchdogLimit(spec))
+					wd = check.NewWatchdog(watchdogLimit(spec, 0))
 					mesh.WatchProgress(wd)
 				}
 				// wedged flags a mesh that holds flits but delivers

@@ -133,11 +133,11 @@ func RunParkingLot(p ParkingLotParams) (*ParkingLotResult, error) {
 			stream := check.NewFlitStream(rec, "parking-lot sink")
 			prev := sink.OnFlit
 			sink.OnFlit = func(f flit.Flit, vc int, cycle int64) {
-				stream.Observe(f, cycle)
+				stream.Observe(f, vc, cycle)
 				wd.Progress(cycle)
 				prev(f, vc, cycle)
 			}
-			wd = check.NewWatchdog((&SimConfig{}).watchdogLimit(spec))
+			wd = check.NewWatchdog(watchdogLimit(spec, 0))
 		}
 
 		// Backlogged sources: source i injects at router i, port 1.

@@ -120,7 +120,7 @@ func RunTable1(p Table1Params) (*Table1Result, error) {
 			} else {
 				cfg.FlitSched = m.flit()
 			}
-			inj, chk, err := applyRobustness(p.Fig4.Robustness, p.Fig4.faultSeed(p.Fig4.Seed, i), &cfg)
+			inj, chk, err := applyRobustness(p.Fig4.Robustness, p.Fig4.faultSeed(p.Fig4.Seed, i), 0, &cfg)
 			if err != nil {
 				return disc{}, err
 			}
@@ -131,7 +131,7 @@ func RunTable1(p Table1Params) (*Table1Result, error) {
 			if chk != nil {
 				chk.Attach(e, cfg.Scheduler)
 			}
-			if err := runChecked(e, chk, p.Fig4.Cycles); err != nil {
+			if _, err := runChecked(e, chk, p.Fig4.Cycles, false); err != nil {
 				return disc{}, err
 			}
 			registerFaultCounters(obs.Default(), inj.Counters(), e.Rejected())

@@ -175,17 +175,6 @@ func (p Packet) Validate() error {
 	return nil
 }
 
-// FlitsChecked materialises the packet as a slice of flits after
-// validating it, returning a typed error for malformed packets where
-// Flits would silently yield an empty slice (zero-length) or flits
-// with a negative flow id.
-func (p Packet) FlitsChecked() ([]Flit, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p.Flits(), nil
-}
-
 // ValidateFlits checks that a flit sequence forms exactly the
 // well-formed packets a wormhole channel may carry: each packet opens
 // with a Head (or is a single HeadTail), continues with Body flits of

@@ -7,214 +7,88 @@ import (
 	"testing"
 
 	"repro/internal/check"
-	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/fault"
-	"repro/internal/flit"
-	"repro/internal/obs"
-	"repro/internal/rng"
-	"repro/internal/sched"
 )
-
-// eventRunOpts parameterises one event-core oracle scenario: bursty
-// scheduled traffic (the regime event-driven advancement exists for)
-// on an arbitrary mesh config, optionally faulted, in event-driven or
-// stepped-oracle mode.
-type eventRunOpts struct {
-	cfg      Config
-	spec     string // fault spec, "" = clean
-	stepped  bool   // SetStepped oracle mode
-	workers  int    // > 0: attach an exec.Pool of this size
-	bursts   []int64
-	perBurst int
-	run      int64
-	drain    int64
-}
-
-// eventRun drives one scenario through the Run/Drain event core and
-// returns its artifacts plus the skipped-cycle count. Unlike
-// runOracleRun it never steps manually: the point is to exercise
-// event-to-event advancement against the stepped oracle.
-func eventRun(t *testing.T, o eventRunOpts) (runArtifacts, int64) {
-	t.Helper()
-	m, err := NewMesh(o.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	m.RegisterObs(reg)
-	m.SetStepped(o.stepped)
-	if o.workers > 0 {
-		p := exec.NewPool(o.workers)
-		defer p.Close()
-		m.SetPool(p)
-	}
-	if o.spec != "" {
-		spec, err := fault.Parse(o.spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.InstallFaults(fault.New(spec, 99))
-	}
-	var log []delivRec
-	for id := range m.sinks {
-		id := id
-		s := m.sinks[id]
-		prev := s.OnFlit
-		s.OnFlit = func(f flit.Flit, vc int, cycle int64) {
-			log = append(log, delivRec{node: id, flow: f.Flow, seq: f.Seq,
-				vc: vc, kind: f.Kind, pkt: f.PktID, cycle: cycle})
-			if prev != nil {
-				prev(f, vc, cycle)
-			}
-		}
-	}
-	src := rng.New(21)
-	for _, at := range o.bursts {
-		for i := 0; i < o.perBurst; i++ {
-			s, d := src.Intn(m.Nodes()), src.Intn(m.Nodes())
-			if s == d {
-				d = (d + 1) % m.Nodes()
-			}
-			m.SendAt(at+int64(src.Intn(20)), s, d, src.IntRange(1, 6))
-		}
-	}
-	m.Run(o.run)
-	// Faulted scenarios may legitimately wedge (dropped tails); the
-	// oracle compares final cycle and in-flight count instead of
-	// requiring a drain.
-	m.Drain(o.drain)
-	return runArtifacts{
-		log:      log,
-		packets:  append([]int64(nil), m.DeliveredPackets...),
-		flits:    append([]int64(nil), m.DeliveredFlits...),
-		cycle:    m.Cycle(),
-		inFlight: m.InFlight(),
-		latN:     m.Latency.N(),
-		latMean:  m.Latency.Mean(),
-		latVar:   m.Latency.Var(),
-		latMin:   m.Latency.Min(),
-		latMax:   m.Latency.Max(),
-		obs:      reg.Snapshot(),
-	}, m.Skipped()
-}
-
-// assertEventMatchesStepped runs a scenario in both modes and pins the
-// event-core contract: byte-identical artifacts (telemetry masked —
-// router_computes and cells_visited legitimately count only performed
-// work), an identical noc.cycles total, and the event run actually
-// skipping something.
-func assertEventMatchesStepped(t *testing.T, name string, o eventRunOpts) {
-	t.Helper()
-	o.stepped = true
-	base, skippedOracle := eventRun(t, o)
-	if base.latN == 0 {
-		t.Fatalf("%s: scenario degenerate: nothing delivered", name)
-	}
-	if skippedOracle != 0 {
-		t.Fatalf("%s: stepped oracle still skipped %d cycles", name, skippedOracle)
-	}
-	o.stepped = false
-	got, skipped := eventRun(t, o)
-	if skipped == 0 {
-		t.Fatalf("%s: event core never skipped a cycle on a bursty scenario", name)
-	}
-	assertArtifactsEqual(t, name, base, got, false)
-	if a, b := base.obs.Counters["noc.cycles"], got.obs.Counters["noc.cycles"]; a != b {
-		t.Errorf("%s: obs cycle counters diverge: stepped %d, event %d", name, a, b)
-	}
-}
 
 // TestEventMatchesSteppedMeshFaults is the adversarial event-core
 // oracle on a mesh: a freeze window spanning an entire idle gap AND
 // the next burst (a dormant-frozen router must wake exactly at the
 // thaw edge while neighbours hold worms aimed at it), a stall window
 // opening just before a burst, plus probabilistic drop/corruption.
-// Event-driven Run/Drain must be byte-identical to literal stepping.
+// Event-driven Run/Drain must reproduce the reference byte for byte.
 func TestEventMatchesSteppedMeshFaults(t *testing.T) {
-	assertEventMatchesStepped(t, "event-vs-stepped-mesh-faults", eventRunOpts{
-		cfg: Config{K: 4, VCs: 2, BufFlits: 4,
-			NewArb: func() sched.Scheduler { return core.New() }},
-		spec:     "freeze(router=6,at=30,dur=5100);stall(port=1,at=4990,dur=300);drop(router=5,port=1,p=0.05);corrupt(router=10,p=0.05)",
-		bursts:   []int64{0, 5000, 10000},
-		perBurst: 12,
-		run:      12_000,
-		drain:    6_000,
+	_, fast := assertMatchesReference(t, "event-mesh-faults", scenario{
+		cfg:   meshCfg(false, 0),
+		spec:  "freeze(router=6,at=30,dur=5100);stall(port=1,at=4990,dur=300);drop(router=5,port=1,p=0.05);corrupt(router=10,p=0.05)",
+		sends: burstSends(16, 21, []int64{0, 5000, 10000}, 12),
+		run:   12_000,
+		drain: 6_000,
 	})
+	if fast.skipped == 0 {
+		t.Fatal("event core never skipped a cycle on a bursty scenario")
+	}
 }
 
 // TestEventMatchesSteppedTorusFaults repeats the oracle on a torus
 // (dateline VCs, wrap routing) under a stall window and a freeze that
 // opens mid-burst.
 func TestEventMatchesSteppedTorusFaults(t *testing.T) {
-	assertEventMatchesStepped(t, "event-vs-stepped-torus-faults", eventRunOpts{
-		cfg: Config{K: 4, VCs: 4, BufFlits: 4, Torus: true,
-			NewArb: func() sched.Scheduler { return core.New() }},
-		spec:     "stall(port=1,at=5005,dur=400);freeze(router=6,at=10,dur=200)",
-		bursts:   []int64{0, 5000, 10000},
-		perBurst: 12,
-		run:      12_000,
-		drain:    6_000,
+	_, fast := assertMatchesReference(t, "event-torus-faults", scenario{
+		cfg:   meshCfg(true, 0),
+		spec:  "stall(port=1,at=5005,dur=400);freeze(router=6,at=10,dur=200)",
+		sends: burstSends(16, 21, []int64{0, 5000, 10000}, 12),
+		run:   12_000,
+		drain: 6_000,
 	})
+	if fast.skipped == 0 {
+		t.Fatal("event core never skipped a cycle on a bursty scenario")
+	}
 }
 
 // TestEventMatchesSteppedDAMQ pins the event core on shared-buffer
 // (DAMQ) inputs, whose stop/go gates must keep routers polling (never
 // dormant) even under a stall window with known edges.
 func TestEventMatchesSteppedDAMQ(t *testing.T) {
-	assertEventMatchesStepped(t, "event-vs-stepped-damq", eventRunOpts{
-		cfg: Config{K: 4, VCs: 2, BufFlits: 2, SharedBufFlits: 16, SharedBufCap: 12,
-			NewArb: func() sched.Scheduler { return core.New() }},
-		spec:     "stall(port=2,at=3,dur=120)",
-		bursts:   []int64{0, 4000, 8000},
-		perBurst: 12,
-		run:      10_000,
-		drain:    6_000,
+	_, fast := assertMatchesReference(t, "event-damq", scenario{
+		cfg:   Config{K: 4, VCs: 2, BufFlits: 2, SharedBufFlits: 16, SharedBufCap: 12, NewArb: newERR},
+		spec:  "stall(port=2,at=3,dur=120)",
+		sends: burstSends(16, 21, []int64{0, 4000, 8000}, 12),
+		run:   10_000,
+		drain: 6_000,
 	})
+	if fast.skipped == 0 {
+		t.Fatal("event core never skipped a cycle on a bursty scenario")
+	}
 }
 
-// TestFaultWindowInsideIdleGapNoOp pins the time-skip edge case this
-// PR exists for: a fault window that opens AND closes entirely inside
-// a skipped idle gap is a strict no-op. The event run must be
-// byte-identical to the stepped oracle (SetTimeSkip(false)) — and the
-// window must not cost a single stepped cycle: the run with the
-// gap-internal windows steps exactly as many cycles as a clean run.
+// TestFaultWindowInsideIdleGapNoOp pins the time-skip edge case: a
+// fault window that opens AND closes entirely inside a skipped idle
+// gap is a strict no-op. The event run must reproduce the reference —
+// and the window must not cost a single stepped cycle: the run with
+// the gap-internal windows steps exactly as many cycles as a clean
+// run.
 func TestFaultWindowInsideIdleGapNoOp(t *testing.T) {
-	o := eventRunOpts{
-		cfg: Config{K: 4, VCs: 2, BufFlits: 4,
-			NewArb: func() sched.Scheduler { return core.New() }},
+	s := scenario{
+		cfg: meshCfg(false, 0),
 		// Both windows open and close inside the idle gap between the
 		// burst draining (well before cycle 1000) and cycle 10000.
-		spec:     "stall(port=1,at=3000,dur=1000);freeze(router=5,at=4200,dur=300)",
-		bursts:   []int64{0, 10_000},
-		perBurst: 8,
-		run:      11_000,
-		drain:    5_000,
+		spec:  "stall(port=1,at=3000,dur=1000);freeze(router=5,at=4200,dur=300)",
+		sends: burstSends(16, 21, []int64{0, 10_000}, 8),
+		run:   11_000,
+		drain: 5_000,
 	}
-	o.stepped = true
-	oracle, _ := eventRun(t, o)
-	if oracle.latN == 0 || oracle.inFlight != 0 {
-		t.Fatalf("scenario degenerate: %d samples, %d in flight", oracle.latN, oracle.inFlight)
+	ref, faulted := assertMatchesReference(t, "gap-window", s)
+	if ref.inFlight != 0 {
+		t.Fatalf("scenario degenerate: %d in flight", ref.inFlight)
 	}
-	o.stepped = false
-	faulted, faultedSkipped := eventRun(t, o)
-	if faultedSkipped == 0 {
+	if faulted.skipped == 0 {
 		t.Fatal("event core never skipped with a fault window in the gap")
 	}
-	assertArtifactsEqual(t, "gap-window-vs-stepped", oracle, faulted, false)
-	if a, b := oracle.obs.Counters["noc.cycles"], faulted.obs.Counters["noc.cycles"]; a != b {
-		t.Errorf("obs cycle counters diverge: stepped %d, event %d", a, b)
-	}
 	// Same run without the windows: identical artifacts AND identical
-	// telemetry — the no-op windows must not add one stepped cycle,
-	// one router compute, or one visited cell.
-	o.spec = ""
-	clean, cleanSkipped := eventRun(t, o)
-	assertArtifactsEqual(t, "gap-window-vs-clean", clean, faulted, true)
-	if cleanSkipped != faultedSkipped {
-		t.Errorf("skipped-cycle counts diverge: clean %d, windowed %d (windows inside an idle gap cost stepped cycles)",
-			cleanSkipped, faultedSkipped)
-	}
+	// work telemetry — the no-op windows must not add one stepped
+	// cycle, one router compute, or one visited cell.
+	s.spec = ""
+	assertArtifactsEqual(t, "gap-window-vs-clean", runScenario(t, s, false), faulted, true)
 }
 
 // wedgeRun wedges a mesh quietly — a permanent output stall strands a
@@ -222,14 +96,13 @@ func TestFaultWindowInsideIdleGapNoOp(t *testing.T) {
 // watchdog attached. Returns the watchdog trip cycle (-1 = never
 // tripped), the wait-graph dump captured at the trip, whether the
 // drain claimed success, the final cycle, and the skipped count.
-func wedgeRun(t *testing.T, stepped bool) (trip int64, dump string, drained bool, cycle, skipped int64) {
+func wedgeRun(t *testing.T, reference bool) (trip int64, dump string, drained bool, cycle, skipped int64) {
 	t.Helper()
-	m, err := NewMesh(Config{K: 4, VCs: 2, BufFlits: 4,
-		NewArb: func() sched.Scheduler { return core.New() }})
+	m, err := NewMesh(meshCfg(false, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetStepped(stepped)
+	m.SetReference(reference)
 	spec, err := fault.Parse("stall(router=5,port=1,at=5)")
 	if err != nil {
 		t.Fatal(err)
@@ -256,18 +129,18 @@ func wedgeRun(t *testing.T, stepped bool) (trip int64, dump string, drained bool
 // runnable, no event pending) used to be jumped straight to the
 // horizon, silently degrading the deadlock diagnostic to "Drain
 // returned false". Event-driven Drain must now trip the watchdog at
-// the exact cycle a stepped run would, fire the OnWedged hook with a
+// the exact cycle the reference would, fire the OnWedged hook with a
 // non-empty channel-wait dump, and only then skip to the horizon.
 func TestDrainWedgedQuietTripsWatchdog(t *testing.T) {
 	sTrip, sDump, sDrained, sCycle, sSkipped := wedgeRun(t, true)
 	if sDrained {
-		t.Fatal("stepped oracle drained a permanently wedged network")
+		t.Fatal("reference drained a permanently wedged network")
 	}
 	if sTrip < 0 {
-		t.Fatal("stepped oracle never tripped the watchdog")
+		t.Fatal("reference never tripped the watchdog")
 	}
 	if sSkipped != 0 {
-		t.Fatalf("stepped oracle skipped %d cycles", sSkipped)
+		t.Fatalf("reference skipped %d cycles", sSkipped)
 	}
 	eTrip, eDump, eDrained, eCycle, eSkipped := wedgeRun(t, false)
 	if eDrained {
@@ -277,18 +150,18 @@ func TestDrainWedgedQuietTripsWatchdog(t *testing.T) {
 		t.Fatal("event-driven Drain never skipped: the wedged-quiet tail was stepped literally")
 	}
 	if eTrip != sTrip {
-		t.Errorf("watchdog trip cycles diverge: stepped %d, event %d", sTrip, eTrip)
+		t.Errorf("watchdog trip cycles diverge: reference %d, event %d", sTrip, eTrip)
 	}
 	if eCycle != sCycle {
-		t.Errorf("final cycles diverge: stepped %d, event %d", sCycle, eCycle)
+		t.Errorf("final cycles diverge: reference %d, event %d", sCycle, eCycle)
 	}
-	for name, dump := range map[string]string{"stepped": sDump, "event": eDump} {
+	for name, dump := range map[string]string{"reference": sDump, "event": eDump} {
 		if dump == "" || strings.Contains(dump, "no blocked channels") {
 			t.Errorf("%s run tripped without a channel-wait dump: %q", name, dump)
 		}
 	}
 	if eDump != sDump {
-		t.Errorf("wait-graph dumps diverge:\nstepped:\n%s\nevent:\n%s", sDump, eDump)
+		t.Errorf("wait-graph dumps diverge:\nreference:\n%s\nevent:\n%s", sDump, eDump)
 	}
 }
 
@@ -298,8 +171,7 @@ func TestDrainWedgedQuietTripsWatchdog(t *testing.T) {
 // scheduled traffic on the way, and terminating in O(events), not
 // O(cycles).
 func TestRunHorizonClamp(t *testing.T) {
-	m, err := NewMesh(Config{K: 3, VCs: 2, BufFlits: 4,
-		NewArb: func() sched.Scheduler { return core.New() }})
+	m, err := NewMesh(Config{K: 3, VCs: 2, BufFlits: 4, NewArb: newERR})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,8 +197,7 @@ func TestRunHorizonClamp(t *testing.T) {
 // horizons, no cycle-by-cycle crawl. A send scheduled beyond the
 // horizon must simply never release.
 func TestDrainHorizonClamp(t *testing.T) {
-	m, err := NewMesh(Config{K: 3, VCs: 2, BufFlits: 4,
-		NewArb: func() sched.Scheduler { return core.New() }})
+	m, err := NewMesh(Config{K: 3, VCs: 2, BufFlits: 4, NewArb: newERR})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,13 +222,16 @@ func TestDrainHorizonClamp(t *testing.T) {
 	}
 }
 
-// FuzzMeshEventOracle feeds arbitrary burst scripts AND
-// arbitrarily-windowed stall/freeze faults to event-driven and
-// stepped Run/Drain and requires byte-identical delivery logs — a
-// coverage-guided search for a window placement whose dormancy
-// analysis skips a cycle that mattered. hdr[6] picks the commit tile
-// edge (0 = auto), so the search also covers every tiling of the K=3
-// mesh, 1x1 boundary-only through 3x3 single-tile. Run with
+// FuzzMeshEventOracle feeds arbitrary send scripts AND
+// arbitrarily-windowed stall/freeze faults to the fast mesh and the
+// reference and requires byte-identical delivery logs, final cycles,
+// and in-flight counts — a coverage-guided search for a traffic shape
+// whose work-list quiescence drops an event, or a window placement
+// whose dormancy analysis skips a cycle that mattered. hdr[6] picks
+// the commit tile edge (bits 0-1; 0 = auto), so the search covers
+// every tiling of the K=3 mesh, 1x1 boundary-only through 3x3
+// single-tile, and the gap resolution (bit 2: send gaps count single
+// cycles instead of multiples of 4). Run with
 // `go test -fuzz FuzzMeshEventOracle ./internal/noc`.
 func FuzzMeshEventOracle(f *testing.F) {
 	f.Add([]byte{0x03, 0x10, 0x08, 0x04, 0x02, 0x30, 0x00, 0x01, 0x53, 0x22, 0x90, 0x07})
@@ -367,6 +241,11 @@ func FuzzMeshEventOracle(f *testing.F) {
 	// 2x2 (uneven edge tiles on K=3) under faulted bursty traffic.
 	f.Add([]byte{0x03, 0x10, 0x08, 0x04, 0x02, 0x30, 0x01, 0x53, 0x22, 0x90, 0x07, 0x11})
 	f.Add([]byte{0x05, 0x20, 0x00, 0x07, 0x01, 0x10, 0x02, 0x10, 0x20, 0x30, 0x40, 0x50})
+	// Fault-free scripts at single-cycle gap resolution (the former
+	// work-list fuzzer's seeds).
+	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x01, 0x53, 0x22, 0x90, 0x07})
+	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0xff, 0x00, 0xff, 0x00, 0xff, 0x00, 0xff, 0x00})
+	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80, 0x90})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 7 {
 			return
@@ -376,6 +255,10 @@ func FuzzMeshEventOracle(f *testing.F) {
 		}
 		hdr, script := data[:7], data[7:]
 		tile := int(hdr[6] % 4) // 0 = auto, else explicit 1..3
+		gapScale := int64(4)
+		if hdr[6]&4 != 0 {
+			gapScale = 1
+		}
 		var specs []string
 		if hdr[0]%4 != 0 {
 			// dur==0 is a permanent stall: the wedged network must still
@@ -390,58 +273,25 @@ func FuzzMeshEventOracle(f *testing.F) {
 			specs = append(specs, fmt.Sprintf("freeze(router=%d,at=%d,dur=%d)",
 				hdr[3]%9, int64(hdr[4])*16, 1+int64(hdr[5])*8))
 		}
-		faultSpec := strings.Join(specs, ";")
-		run := func(stepped bool) ([]delivRec, int64, int) {
-			m, err := NewMesh(Config{K: 3, VCs: 2, BufFlits: 2, Tile: tile,
-				NewArb: func() sched.Scheduler { return core.New() }})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.SetStepped(stepped)
-			if faultSpec != "" {
-				spec, err := fault.Parse(faultSpec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m.InstallFaults(fault.New(spec, 11))
-			}
-			var log []delivRec
-			for id := range m.sinks {
-				id := id
-				m.sinks[id].OnFlit = func(fl flit.Flit, vc int, cycle int64) {
-					log = append(log, delivRec{node: id, flow: fl.Flow, seq: fl.Seq,
-						vc: vc, kind: fl.Kind, pkt: fl.PktID, cycle: cycle})
-				}
-			}
-			at := int64(0)
-			for i := 0; i+2 < len(script); i += 3 {
-				at += int64(script[i]) * 4 // gaps up to ~1000 cycles
-				src := int(script[i+1]>>4) % m.Nodes()
-				dst := int(script[i+1]&0xf) % m.Nodes()
-				if src == dst {
-					dst = (dst + 1) % m.Nodes()
-				}
-				m.SendAt(at, src, dst, 1+int(script[i+2]%6))
-			}
-			m.Run(at + 1)
-			m.Drain(20_000)
-			return log, m.Cycle(), m.InFlight()
+		s := scenario{
+			cfg:   Config{K: 3, VCs: 2, BufFlits: 2, Tile: tile, NewArb: newERR},
+			spec:  strings.Join(specs, ";"),
+			drain: 20_000,
 		}
-		wantLog, wantCycle, wantInFlight := run(true)
-		gotLog, gotCycle, gotInFlight := run(false)
-		if wantCycle != gotCycle {
-			t.Fatalf("final cycles diverge: stepped %d, event %d (faults %q)", wantCycle, gotCycle, faultSpec)
-		}
-		if wantInFlight != gotInFlight {
-			t.Fatalf("in-flight counts diverge: stepped %d, event %d (faults %q)", wantInFlight, gotInFlight, faultSpec)
-		}
-		if len(wantLog) != len(gotLog) {
-			t.Fatalf("delivery counts diverge: stepped %d, event %d (faults %q)", len(wantLog), len(gotLog), faultSpec)
-		}
-		for i := range wantLog {
-			if wantLog[i] != gotLog[i] {
-				t.Fatalf("delivery %d diverges: stepped %+v, event %+v (faults %q)", i, wantLog[i], gotLog[i], faultSpec)
+		// Each script triple is one send: (cycle gap, src/dst nibble
+		// pair, length).
+		at := int64(0)
+		for i := 0; i+2 < len(script); i += 3 {
+			at += int64(script[i]) * gapScale
+			src := int(script[i+1]>>4) % 9
+			dst := int(script[i+1]&0xf) % 9
+			if src == dst {
+				dst = (dst + 1) % 9
 			}
+			s.sends = append(s.sends, send{at, src, dst, 1 + int(script[i+2]%6)})
 		}
+		s.run = at + 1
+		ref := runScenario(t, s, true)
+		assertArtifactsEqual(t, fmt.Sprintf("faults %q", s.spec), ref, runScenario(t, s, false), false)
 	})
 }

@@ -280,8 +280,9 @@ type Mesh struct {
 	fx      []wormhole.Effects // per-router effect buffers, physical order
 	allIDs  []int
 	pool    *exec.Pool
-	// fullIter disables active-set skipping (oracle mode for tests).
-	fullIter bool
+	// reference selects the literal oracle (SetReference): every cycle
+	// stepped, every router computed, full ports-x-VCs scans.
+	reference bool
 
 	// Tile-major layout: physR lists the routers in physical (tile-
 	// major) order; ext2phys/phys2ext translate between node ids (the
@@ -335,10 +336,6 @@ type Mesh struct {
 	// router can act. Off on fault-free meshes: the probe walk never
 	// runs, so the no-fault hot path stays O(1) per cycle.
 	dormancy bool
-	// stepped disables event-to-event advancement in Run/Drain: every
-	// cycle is stepped literally (oracle mode; see SetStepped and the
-	// skip-vs-step identity tests).
-	stepped bool
 	// skipped counts cycles jumped over by time skipping.
 	skipped int64
 
@@ -401,7 +398,7 @@ const routeTableNodes = 4096
 
 // NewMesh validates cfg and builds the network. All per-router state
 // is carved out of one flat arena in tile-major order (see
-// ArenaBytes), so construction cost and footprint stay linear and a
+// BytesPerRouter), so construction cost and footprint stay linear and a
 // commit tile is contiguous in memory.
 func NewMesh(cfg Config) (*Mesh, error) {
 	if cfg.K < 2 {
@@ -783,41 +780,28 @@ func (m *Mesh) InFlight() int { return len(m.inflight) }
 func (m *Mesh) Cycle() int64 { return m.cycle }
 
 // SetPool attaches a persistent worker pool: Step (and so Run and
-// Drain) shards its compute phase across it, exactly as StepParallel
-// does. nil restores serial compute. Artifacts are identical either
+// Drain) shards its compute and tile-interior commit phases across
+// it. nil restores serial stepping. A pool may be attached, swapped,
+// or removed between any two steps; artifacts are identical either
 // way.
 func (m *Mesh) SetPool(p *exec.Pool) { m.pool = p }
 
-// SetFullIteration, when on, makes every Step walk all K² routers
-// instead of only the active set — the oracle the determinism tests
-// compare against, since a skipped router must be a strict no-op.
-func (m *Mesh) SetFullIteration(on bool) { m.fullIter = on }
-
-// SetFullScan, when on, makes every router arbitrate with the
-// original full ports-x-VCs scans instead of the event-driven
-// work-lists (wormhole.Router.SetFullScan) — the oracle mode for the
-// work-list differential tests. Artifacts must be byte-identical
-// either way.
-func (m *Mesh) SetFullScan(on bool) {
+// SetReference, when on, runs the mesh as its own literal oracle: Run
+// and Drain step every cycle instead of jumping provably idle gaps,
+// every Step computes all K² routers instead of the active set, and
+// every router arbitrates with full ports-x-VCs scans instead of the
+// event-driven work-lists (wormhole.Router.SetFullScan). Each fast
+// path skips only work that is a strict no-op, so every simulation
+// artifact is byte-identical either way; only the telemetry counting
+// performed work differs (noc.router_computes, noc.cells_visited,
+// noc.cycles_skipped). The differential tests and cmd/nocsim's
+// -reference flag compare against it.
+func (m *Mesh) SetReference(on bool) {
+	m.reference = on
 	for _, r := range m.routers {
 		r.SetFullScan(on)
 	}
 }
-
-// SetTimeSkip enables (default) or disables event-to-event time
-// advancement in Run and Drain. Advancement only ever jumps over
-// cycles that are provably strict no-ops — no router can act, no
-// injector can make progress, and no scheduled send or registered
-// fault-window edge comes due — so an event-driven run is
-// cycle-stamp-identical to a stepped one.
-func (m *Mesh) SetTimeSkip(on bool) { m.stepped = !on }
-
-// SetStepped, when on, disables the event core entirely: Run and
-// Drain step every cycle literally. This is the byte-identical
-// differential oracle for event-driven advancement (cmd/nocsim's
-// -stepped flag; the same pattern as -fullscan for the work-lists).
-// SetStepped(true) is equivalent to SetTimeSkip(false).
-func (m *Mesh) SetStepped(on bool) { m.stepped = on }
 
 // Skipped returns the number of no-op cycles jumped over by
 // event-driven advancement.
@@ -910,7 +894,7 @@ func (m *Mesh) injCanProgress(id int) bool {
 // completely idle network is a strict no-op, so a fully idle mesh
 // skips straight across it.
 func (m *Mesh) nextEventCycle(end int64) int64 {
-	if m.stepped || m.canActNow() {
+	if m.reference || m.canActNow() {
 		return m.cycle
 	}
 	next := end
@@ -1025,25 +1009,19 @@ func (m *Mesh) RegisterObs(reg *obs.Registry) {
 	m.obsBytesPerRouter.Set(m.BytesPerRouter())
 }
 
-// Step advances the whole mesh by one cycle (sharding compute across
-// the pool installed with SetPool, if any).
-func (m *Mesh) Step() { m.step(m.pool) }
-
-// StepParallel advances the mesh by one cycle with both the compute
-// phase and the tile-interior commit sharded across p's workers. The
-// result is byte-identical to Step at any worker count: computes
-// touch only router-own state; each tile's interior effects are
-// applied by the worker owning the tile, in a fixed tile-ascending
+// Step advances the whole mesh by one cycle, sharding the compute
+// and tile-interior commit phases across the pool installed with
+// SetPool, if any. The result is byte-identical at any worker count:
+// computes touch only router-own state; each tile's interior effects
+// are applied by the worker owning the tile, in a fixed tile-ascending
 // order; and the only effects committed by the serial phase are the
 // tile-boundary crossings, again in tile-ascending order. No part of
 // the schedule depends on the worker count.
-func (m *Mesh) StepParallel(p *exec.Pool) { m.step(p) }
-
-func (m *Mesh) step(pool *exec.Pool) {
+func (m *Mesh) Step() {
 	m.releaseDue()
 	m.injectPhase()
 	ids := m.activeR.sorted()
-	if m.fullIter {
+	if m.reference {
 		ids = m.allIDs
 	}
 	// Shared-buffer (DAMQ) gates read downstream occupancy, so they
@@ -1061,9 +1039,9 @@ func (m *Mesh) step(pool *exec.Pool) {
 	m.partitionTiles(ids)
 	m.tileIDs = ids
 	m.tileCycle = m.cycle
-	if g := m.planGroups(pool, len(ids)); g > 1 {
+	if g := m.planGroups(len(ids)); g > 1 {
 		m.parCommit = true
-		pool.Do(m.tileTasks[:g]...)
+		m.pool.Do(m.tileTasks[:g]...)
 		m.parCommit = false
 		m.activeR.recount()
 	} else {
@@ -1086,8 +1064,8 @@ func (m *Mesh) step(pool *exec.Pool) {
 		rest.Reset()
 	}
 	m.crossFx += cross
-	// Retire routers with nothing runnable. Stricter than Busy(): a
-	// router still holding hard-blocked worms is pruned too, because
+	// Retire routers with nothing runnable. A router still holding
+	// hard-blocked worms is pruned too, because
 	// every hard block resolves through an instrumented event
 	// (acceptFlit, creditArrived) that re-registers it via onActive.
 	m.activeR.prune(func(id int) bool {
@@ -1144,11 +1122,11 @@ func (m *Mesh) partitionTiles(ids []int) {
 // worker executes a tile — per-tile work and order are fixed — so the
 // choice cannot affect artifacts. Returns 1 (run inline) without a
 // pool or meaningful parallel work.
-func (m *Mesh) planGroups(pool *exec.Pool, active int) int {
-	if pool == nil || active <= 1 {
+func (m *Mesh) planGroups(active int) int {
+	if m.pool == nil || active <= 1 {
 		return 1
 	}
-	g := pool.Workers()
+	g := m.pool.Workers()
 	if g > m.numTiles {
 		g = m.numTiles
 	}
@@ -1267,7 +1245,7 @@ func (m *Mesh) injectPhase() {
 // take, a scheduled send or registered fault-window edge coming due —
 // are stepped; provably no-op gaps between events are jumped in one
 // move. The run is cycle-stamp- and artifact-identical to a stepped
-// one (SetStepped(true) restores literal stepping as the oracle).
+// one (SetReference restores literal stepping as the oracle).
 func (m *Mesh) Run(n int64) {
 	end := m.horizonEnd(n)
 	for m.cycle < end {
@@ -1313,12 +1291,9 @@ func (m *Mesh) TileEdge() int { return m.tileEdge }
 // Tiles returns the number of commit tiles.
 func (m *Mesh) Tiles() int { return m.numTiles }
 
-// ArenaBytes returns the router arena footprint in bytes — the flat
-// preallocated storage all per-router state is carved from (excludes
-// schedulers and DAMQ buffers; see wormhole.Arena.Bytes).
-func (m *Mesh) ArenaBytes() int64 { return m.arenaBytes }
-
-// BytesPerRouter returns the arena footprint per router.
+// BytesPerRouter returns the router arena footprint per router — the
+// flat preallocated storage all per-router state is carved from
+// (excludes schedulers and DAMQ buffers; see wormhole.Arena.Bytes).
 func (m *Mesh) BytesPerRouter() int64 { return m.arenaBytes / int64(m.Nodes()) }
 
 // CrossShardEffects returns the cumulative number of router-target

@@ -43,7 +43,7 @@ func (m *Mesh) InstallFaults(inj *fault.Injector) {
 }
 
 // CheckStreams attaches a flit-stream validator (wormhole contiguity,
-// per-flow packet wellformedness) to every ejection sink, reporting
+// per-VC packet wellformedness) to every ejection sink, reporting
 // into rec. The returned streams allow a post-drain audit: a stream
 // with OpenPackets() > 0 received a head whose tail never arrived —
 // the signature of a dropped or corrupted tail flit.
@@ -54,7 +54,7 @@ func (m *Mesh) CheckStreams(rec *check.Recorder) []*check.FlitStream {
 		stream := check.NewFlitStream(rec, fmt.Sprintf("sink %d", id))
 		prev := s.OnFlit
 		s.OnFlit = func(f flit.Flit, vc int, cycle int64) {
-			stream.Observe(f, cycle)
+			stream.Observe(f, vc, cycle)
 			if prev != nil {
 				prev(f, vc, cycle)
 			}

@@ -1,119 +1,39 @@
 package noc
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/exec"
-	"repro/internal/fault"
 	"repro/internal/rng"
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
-// traceMode names one stepping configuration of the cross-mode
-// differential: the flight recorder must emit byte-identical artifacts
-// under every one of them.
-type traceMode struct {
-	name     string
-	stepped  bool
-	fullScan bool
-	workers  int // > 0: sharded-parallel stepping with this many workers
-}
-
-var traceModes = []traceMode{
-	{name: "stepped", stepped: true},
-	{name: "event", stepped: false},
-	{name: "fullscan", stepped: true, fullScan: true},
-	{name: "parallel4", stepped: false, workers: 4},
-}
-
-// traceArtifacts renders everything the recorder exports — JSONL
-// spans, the Chrome trace, and the rollup table — into one byte blob.
-func traceArtifacts(t *testing.T, tr *trace.Trace, ws []trace.FaultWindow) []byte {
-	t.Helper()
-	recs := tr.Records()
-	var buf bytes.Buffer
-	if err := trace.WriteJSONL(&buf, recs, ws); err != nil {
-		t.Fatal(err)
+// traceScenario is the flight-recorder workload: three bursts of 60
+// packets on the 4x4 mesh, traced 1-in-sample.
+func traceScenario(sample int, spec string) scenario {
+	return scenario{
+		cfg:   meshCfg(false, 0),
+		spec:  spec,
+		sends: burstSends(16, 21, []int64{0, 900, 2600}, 60),
+		run:   4000,
+		drain: 6000,
+		trace: &TraceConfig{Seed: 0xfeed, SampleEvery: sample, EpochCycles: 512},
 	}
-	if err := trace.WriteChrome(&buf, recs, ws); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Rollup().Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// traceRun drives one bursty, faulted scenario in the given mode with
-// the flight recorder attached and returns the rendered artifacts.
-func traceRun(t *testing.T, mode traceMode, sampleEvery int, spec string) ([]byte, *trace.Trace) {
-	t.Helper()
-	cfg := Config{K: 4, VCs: 2, BufFlits: 4,
-		NewArb: func() sched.Scheduler { return core.New() }}
-	m, err := NewMesh(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetStepped(mode.stepped)
-	m.SetFullScan(mode.fullScan)
-	if mode.workers > 0 {
-		p := exec.NewPool(mode.workers)
-		defer p.Close()
-		m.SetPool(p)
-	}
-	var ws []trace.FaultWindow
-	if spec != "" {
-		sp, err := fault.Parse(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.InstallFaults(fault.New(sp, 99))
-		ws = trace.WindowsFromSpec(sp)
-	}
-	tr := m.EnableTrace(TraceConfig{Seed: 0xfeed, SampleEvery: sampleEvery, EpochCycles: 512})
-	src := rng.New(21)
-	for _, at := range []int64{0, 900, 2600} {
-		for i := 0; i < 60; i++ {
-			s, d := src.Intn(m.Nodes()), src.Intn(m.Nodes())
-			if s == d {
-				d = (d + 1) % m.Nodes()
-			}
-			m.SendAt(at+int64(src.Intn(20)), s, d, src.IntRange(1, 6))
-		}
-	}
-	m.Run(4000)
-	m.Drain(6000)
-	tr.Finish(m.Cycle())
-	return traceArtifacts(t, tr, ws), tr
 }
 
 // TestTraceByteIdenticalAcrossModes pins the flight recorder's central
 // contract: with full sampling and an active fault spec, the JSONL
 // spans, the Chrome trace, and the rollup table are byte-identical
-// across stepped, event-driven, full-scan, and sharded-parallel
+// across the reference, event-driven, and pool-sharded (4 workers)
 // stepping.
 func TestTraceByteIdenticalAcrossModes(t *testing.T) {
-	const spec = "stall(router=5,port=1,at=300,dur=400);freeze(router=6,at=1000,dur=200)"
-	base, btr := traceRun(t, traceModes[0], 1, spec)
-	if len(btr.Records()) == 0 {
+	ref, _ := assertMatchesReference(t, "trace",
+		traceScenario(1, "stall(router=5,port=1,at=300,dur=400);freeze(router=6,at=1000,dur=200)"), []int{4})
+	if len(ref.tr.Records()) == 0 {
 		t.Fatal("scenario degenerate: no records traced")
 	}
-	if btr.Dropped() != 0 {
-		t.Fatalf("baseline dropped %d records; grow the rings", btr.Dropped())
-	}
-	for _, mode := range traceModes[1:] {
-		got, gtr := traceRun(t, mode, 1, spec)
-		if gtr.Dropped() != 0 {
-			t.Fatalf("%s: dropped %d records", mode.name, gtr.Dropped())
-		}
-		if !bytes.Equal(base, got) {
-			t.Errorf("%s: trace artifacts diverge from stepped oracle (%d vs %d bytes)",
-				mode.name, len(base), len(got))
-		}
+	if ref.tr.Dropped() != 0 {
+		t.Fatalf("reference dropped %d records; grow the rings", ref.tr.Dropped())
 	}
 }
 
@@ -121,10 +41,8 @@ func TestTraceByteIdenticalAcrossModes(t *testing.T) {
 // by record availability: every record of a 1-in-4 run also appears in
 // the full-sampling run, and the sampled ids agree with the Sampler.
 func TestTraceSampledSubset(t *testing.T) {
-	full, ftr := traceRun(t, traceModes[0], 1, "")
-	_ = full
-	sub, str := traceRun(t, traceModes[0], 4, "")
-	_ = sub
+	ftr := runScenario(t, traceScenario(1, ""), false).tr
+	str := runScenario(t, traceScenario(4, ""), false).tr
 	if str.Dropped() != 0 || ftr.Dropped() != 0 {
 		t.Fatal("rings overflowed; grow them")
 	}
@@ -150,10 +68,10 @@ func TestTraceSampledSubset(t *testing.T) {
 	}
 }
 
-// TestTraceAuditClean runs the span auditor over a faulted cross-mode
-// scenario and requires zero invariant violations.
+// TestTraceAuditClean runs the span auditor over a faulted scenario
+// and requires zero invariant violations.
 func TestTraceAuditClean(t *testing.T) {
-	_, tr := traceRun(t, traceModes[1], 1, "stall(router=5,port=1,at=300,dur=400)")
+	tr := runScenario(t, traceScenario(1, "stall(router=5,port=1,at=300,dur=400)"), false).tr
 	viol := 0
 	n := trace.Audit(tr.Records(), func(cycle int64, invariant string, flow int, format string, argv ...any) {
 		viol++
@@ -165,9 +83,9 @@ func TestTraceAuditClean(t *testing.T) {
 }
 
 // FuzzTraceOracle fuzzes the cross-mode byte-identity contract over
-// the sampling seed, the traffic seed, and the fault windows: stepped
-// and event-driven runs of the same scenario must export identical
-// bytes, and the auditor must stay silent.
+// the sampling seed, the traffic seed, and the fault windows: the
+// reference and the event-driven run of the same scenario must export
+// identical bytes, and the auditor must stay silent.
 func FuzzTraceOracle(f *testing.F) {
 	f.Add(uint64(1), int64(7), 300, 400)
 	f.Add(uint64(0xfeed), int64(21), 0, 0)
@@ -176,49 +94,19 @@ func FuzzTraceOracle(f *testing.F) {
 		if at < 0 || dur < 0 || at > 3000 || dur > 2000 {
 			t.Skip()
 		}
-		spec := ""
+		s := scenario{
+			cfg:   Config{K: 3, VCs: 2, BufFlits: 4, NewArb: newERR},
+			sends: burstSends(9, uint64(traffic), []int64{0, 700}, 25),
+			run:   1500,
+			drain: 4000,
+			trace: &TraceConfig{Seed: seed, SampleEvery: 1, EpochCycles: 256},
+		}
 		if dur > 0 {
-			spec = fmt.Sprintf("stall(router=5,port=1,at=%d,dur=%d)", at, dur)
+			s.spec = fmt.Sprintf("stall(router=5,port=1,at=%d,dur=%d)", at, dur)
 		}
-		run := func(stepped bool) ([]byte, *trace.Trace) {
-			cfg := Config{K: 3, VCs: 2, BufFlits: 4,
-				NewArb: func() sched.Scheduler { return core.New() }}
-			m, err := NewMesh(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.SetStepped(stepped)
-			var ws []trace.FaultWindow
-			if spec != "" {
-				sp, err := fault.Parse(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m.InstallFaults(fault.New(sp, 99))
-				ws = trace.WindowsFromSpec(sp)
-			}
-			tr := m.EnableTrace(TraceConfig{Seed: seed, SampleEvery: 1, EpochCycles: 256})
-			src := rng.New(uint64(traffic))
-			for _, a := range []int64{0, 700} {
-				for i := 0; i < 25; i++ {
-					s, d := src.Intn(m.Nodes()), src.Intn(m.Nodes())
-					if s == d {
-						d = (d + 1) % m.Nodes()
-					}
-					m.SendAt(a+int64(src.Intn(15)), s, d, src.IntRange(1, 5))
-				}
-			}
-			m.Run(1500)
-			m.Drain(4000)
-			tr.Finish(m.Cycle())
-			return traceArtifacts(t, tr, ws), tr
-		}
-		base, btr := run(true)
-		got, _ := run(false)
-		if !bytes.Equal(base, got) {
-			t.Fatalf("stepped and event trace artifacts diverge (%d vs %d bytes)", len(base), len(got))
-		}
-		if n := trace.Audit(btr.Records(), func(cycle int64, invariant string, flow int, format string, argv ...any) {
+		ref := runScenario(t, s, true)
+		assertArtifactsEqual(t, "trace", ref, runScenario(t, s, false), false)
+		if n := trace.Audit(ref.tr.Records(), func(cycle int64, invariant string, flow int, format string, argv ...any) {
 			t.Errorf("cycle %d %s flow %d: "+format, append([]any{cycle, invariant, flow}, argv...)...)
 		}); n != 0 {
 			t.Fatalf("%d span-invariant violations", n)
@@ -232,8 +120,7 @@ func FuzzTraceOracle(f *testing.F) {
 // tracers — so running with the recorder disabled is structurally the
 // run without a recorder, and the returned Trace stays empty.
 func TestTraceDisabledInstallsNothing(t *testing.T) {
-	m, err := NewMesh(Config{K: 4, VCs: 2, BufFlits: 4,
-		NewArb: func() sched.Scheduler { return core.New() }})
+	m, err := NewMesh(meshCfg(false, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,87 +3,26 @@ package noc
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/flit"
 	"repro/internal/obs"
 	"repro/internal/rng"
-	"repro/internal/sched"
 )
-
-// runOracleRun drives one fixed injector scenario on a mesh built from
-// cfg — optionally with faults, optionally in full-scan oracle mode —
-// and returns the run's artifacts. It is the work-list counterpart of
-// runStepVariant: the two modes must differ only in which arbitration
-// cells Compute visits, never in what the network does.
-func runOracleRun(t *testing.T, cfg Config, faultSpec string, fullScan bool, cycles int) runArtifacts {
-	t.Helper()
-	m, err := NewMesh(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	m.RegisterObs(reg)
-	m.SetFullScan(fullScan)
-	if faultSpec != "" {
-		spec, err := fault.Parse(faultSpec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.InstallFaults(fault.New(spec, 99))
-	}
-	var log []delivRec
-	for id := range m.sinks {
-		id := id
-		s := m.sinks[id]
-		prev := s.OnFlit
-		s.OnFlit = func(f flit.Flit, vc int, cycle int64) {
-			log = append(log, delivRec{node: id, flow: f.Flow, seq: f.Seq,
-				vc: vc, kind: f.Kind, pkt: f.PktID, cycle: cycle})
-			if prev != nil {
-				prev(f, vc, cycle)
-			}
-		}
-	}
-	inj := NewInjector(m, 0.15, Uniform{Nodes: m.Nodes()}, rng.NewUniform(1, 6), rng.New(7))
-	for c := 0; c < cycles; c++ {
-		inj.Step()
-		m.Step()
-	}
-	for i := 0; i < 6000 && m.InFlight() > 0; i++ {
-		m.Step()
-	}
-	return runArtifacts{
-		log:      log,
-		packets:  append([]int64(nil), m.DeliveredPackets...),
-		flits:    append([]int64(nil), m.DeliveredFlits...),
-		cycle:    m.Cycle(),
-		inFlight: m.InFlight(),
-		latN:     m.Latency.N(),
-		latMean:  m.Latency.Mean(),
-		latVar:   m.Latency.Var(),
-		latMin:   m.Latency.Min(),
-		latMax:   m.Latency.Max(),
-		obs:      reg.Snapshot(),
-	}
-}
 
 // TestWorklistMatchesFullScanDAMQ pins the work-list oracle on the
 // configuration its quiescence analysis is most fragile for: DAMQ
 // shared-buffer inputs, whose stop/go gates can change answers without
 // any credit event, so gated outputs must keep polling instead of
-// quiescing. The work-list and full-scan runs must be byte-identical
-// in every simulation artifact (telemetry legitimately differs:
+// quiescing. The fast run must reproduce the reference in every
+// simulation artifact (telemetry legitimately differs:
 // noc.cells_visited counts the scan work the work-list saves).
 func TestWorklistMatchesFullScanDAMQ(t *testing.T) {
-	cfg := Config{K: 4, VCs: 2, BufFlits: 2, SharedBufFlits: 16, SharedBufCap: 12,
-		NewArb: func() sched.Scheduler { return core.New() }}
-	base := runOracleRun(t, cfg, "", true, 2500)
-	if base.latN == 0 || base.inFlight != 0 {
-		t.Fatalf("scenario degenerate: %d packets, %d in flight", base.latN, base.inFlight)
+	ref, _ := assertMatchesReference(t, "worklist-damq", scenario{
+		cfg:    Config{K: 4, VCs: 2, BufFlits: 2, SharedBufFlits: 16, SharedBufCap: 12, NewArb: newERR},
+		inject: 2500,
+	})
+	if ref.inFlight != 0 {
+		t.Fatalf("scenario degenerate: %d packets in flight", ref.inFlight)
 	}
-	got := runOracleRun(t, cfg, "", false, 2500)
-	assertArtifactsEqual(t, "worklist-vs-fullscan-damq", base, got, false)
 }
 
 // TestWorklistMatchesFullScanTorusFaults is the adversarial work-list
@@ -93,92 +32,28 @@ func TestWorklistMatchesFullScanDAMQ(t *testing.T) {
 // worm forever, a frozen router skips Compute entirely), and each must
 // leave the work-list agreeing with the full scan flit for flit.
 func TestWorklistMatchesFullScanTorusFaults(t *testing.T) {
-	const spec = "stall(port=1,at=100,dur=200);drop(router=5,port=1,p=0.05);corrupt(router=10,p=0.05);freeze(router=6,at=300,dur=400)"
-	cfg := Config{K: 4, VCs: 4, BufFlits: 4, Torus: true,
-		NewArb: func() sched.Scheduler { return core.New() }}
-	base := runOracleRun(t, cfg, spec, true, 2500)
-	if base.latN == 0 {
-		t.Fatal("scenario degenerate: nothing delivered")
-	}
-	got := runOracleRun(t, cfg, spec, false, 2500)
-	assertArtifactsEqual(t, "worklist-vs-fullscan-faults", base, got, false)
-}
-
-// timeSkipScenario schedules three bursts separated by long idle gaps
-// — the regime idle-gap skipping exists for — then runs and drains.
-func timeSkipScenario(t *testing.T, skip bool) (runArtifacts, int64) {
-	t.Helper()
-	m, err := NewMesh(Config{K: 4, VCs: 2, BufFlits: 4,
-		NewArb: func() sched.Scheduler { return core.New() }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	m.RegisterObs(reg)
-	m.SetTimeSkip(skip)
-	var log []delivRec
-	for id := range m.sinks {
-		id := id
-		s := m.sinks[id]
-		s.OnFlit = func(f flit.Flit, vc int, cycle int64) {
-			log = append(log, delivRec{node: id, flow: f.Flow, seq: f.Seq,
-				vc: vc, kind: f.Kind, pkt: f.PktID, cycle: cycle})
-		}
-	}
-	src := rng.New(21)
-	for burst := 0; burst < 3; burst++ {
-		at := int64(burst * 5000)
-		for i := 0; i < 12; i++ {
-			s, d := src.Intn(m.Nodes()), src.Intn(m.Nodes())
-			if s == d {
-				d = (d + 1) % m.Nodes()
-			}
-			m.SendAt(at+int64(src.Intn(20)), s, d, src.IntRange(1, 6))
-		}
-	}
-	m.Run(12_000)
-	if !m.Drain(5_000) {
-		t.Fatal("network did not drain")
-	}
-	art := runArtifacts{
-		log:      log,
-		packets:  append([]int64(nil), m.DeliveredPackets...),
-		flits:    append([]int64(nil), m.DeliveredFlits...),
-		cycle:    m.Cycle(),
-		inFlight: m.InFlight(),
-		latN:     m.Latency.N(),
-		latMean:  m.Latency.Mean(),
-		latVar:   m.Latency.Var(),
-		latMin:   m.Latency.Min(),
-		latMax:   m.Latency.Max(),
-		obs:      reg.Snapshot(),
-	}
-	return art, m.Skipped()
+	assertMatchesReference(t, "worklist-torus-faults",
+		scenario{cfg: meshCfg(true, 0), spec: torusFaults, inject: 2500})
 }
 
 // TestRunTimeSkipMatchesStepped pins the time-skip contract: jumping
-// the cycle counter over provably idle gaps must be cycle-stamp
-// identical to literally stepping them — every delivered flit lands at
-// the same (node, vc, cycle), every latency sample is the same float,
-// and the final cycle counter agrees. Only noc.cycles_skipped may
-// differ, and the skipping run must actually have skipped something.
+// the cycle counter over provably idle gaps between three bursts must
+// be cycle-stamp identical to literally stepping them — every
+// delivered flit lands at the same (node, vc, cycle), every latency
+// sample is the same float, the final cycle counter and the noc.cycles
+// total agree, and the fast run must actually have skipped something.
 func TestRunTimeSkipMatchesStepped(t *testing.T) {
-	stepped, skippedOff := timeSkipScenario(t, false)
-	if stepped.latN == 0 {
-		t.Fatal("scenario degenerate: nothing delivered")
+	ref, fast := assertMatchesReference(t, "timeskip", scenario{
+		cfg:   meshCfg(false, 0),
+		sends: burstSends(16, 21, []int64{0, 5000, 10000}, 12),
+		run:   12_000,
+		drain: 5_000,
+	})
+	if ref.inFlight != 0 {
+		t.Fatal("network did not drain")
 	}
-	if skippedOff != 0 {
-		t.Fatalf("SetTimeSkip(false) still skipped %d cycles", skippedOff)
-	}
-	skipped, skippedOn := timeSkipScenario(t, true)
-	if skippedOn == 0 {
+	if fast.skipped == 0 {
 		t.Fatal("time skipping never engaged on a bursty scenario with 5000-cycle gaps")
-	}
-	assertArtifactsEqual(t, "timeskip-vs-stepped", stepped, skipped, false)
-	// The telemetry the oracle above masks out: both runs must report
-	// the same stepped-cycle total even though one jumped most of them.
-	if a, b := stepped.obs.Counters["noc.cycles"], skipped.obs.Counters["noc.cycles"]; a != b {
-		t.Errorf("obs cycle counters diverge: stepped %d, skipped %d", a, b)
 	}
 }
 
@@ -189,16 +64,14 @@ func TestRunTimeSkipMatchesStepped(t *testing.T) {
 // (events must register on frozen routers, not be dropped), or the
 // network wedges with traffic no scan will ever revisit.
 func TestFaultFrozenRouterWorklist(t *testing.T) {
-	cfg := Config{K: 4, VCs: 2, BufFlits: 4,
-		NewArb: func() sched.Scheduler { return core.New() }}
-	for _, fullScan := range []bool{false, true} {
-		m, err := NewMesh(cfg)
+	for _, reference := range []bool{false, true} {
+		m, err := NewMesh(meshCfg(false, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		reg := obs.NewRegistry()
 		m.RegisterObs(reg)
-		m.SetFullScan(fullScan)
+		m.SetReference(reference)
 		spec, err := fault.Parse("freeze(router=5,at=50,dur=600)")
 		if err != nil {
 			t.Fatal(err)
@@ -214,75 +87,15 @@ func TestFaultFrozenRouterWorklist(t *testing.T) {
 			m.Step()
 		}
 		if !m.Drain(5_000) {
-			t.Fatalf("fullScan=%v: traffic stranded behind a thawed router; %d in flight (cells dropped from the work-list while frozen?)",
-				fullScan, m.InFlight())
+			t.Fatalf("reference=%v: traffic stranded behind a thawed router; %d in flight (cells dropped from the work-list while frozen?)",
+				reference, m.InFlight())
 		}
 		// Everything delivered: the active set must be empty again, or
 		// idle routers poll forever and time skipping never re-engages.
 		if got := reg.Gauge("noc.active_routers").Value(); got != 0 {
-			t.Errorf("fullScan=%v: %d routers still active after drain", fullScan, got)
+			t.Errorf("reference=%v: %d routers still active after drain", reference, got)
 		}
 	}
-}
-
-// FuzzMeshWorklistOracle feeds arbitrary send scripts to the
-// work-list and full-scan stepping modes and requires byte-identical
-// delivery logs — a coverage-guided search for a traffic shape whose
-// quiescence analysis drops an event. Run with
-// `go test -fuzz FuzzMeshWorklistOracle ./internal/noc`.
-func FuzzMeshWorklistOracle(f *testing.F) {
-	f.Add([]byte{0x01, 0x53, 0x22, 0x90, 0x07})
-	f.Add([]byte{0xff, 0x00, 0xff, 0x00, 0xff, 0x00, 0xff, 0x00})
-	f.Add([]byte{0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80, 0x90})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 96 {
-			data = data[:96]
-		}
-		run := func(fullScan bool) ([]delivRec, int64) {
-			m, err := NewMesh(Config{K: 3, VCs: 2, BufFlits: 2,
-				NewArb: func() sched.Scheduler { return core.New() }})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.SetFullScan(fullScan)
-			var log []delivRec
-			for id := range m.sinks {
-				id := id
-				m.sinks[id].OnFlit = func(fl flit.Flit, vc int, cycle int64) {
-					log = append(log, delivRec{node: id, flow: fl.Flow, seq: fl.Seq,
-						vc: vc, kind: fl.Kind, pkt: fl.PktID, cycle: cycle})
-				}
-			}
-			// Each input triple is one send: (cycle gap, src/dst nibble
-			// pair, length). Gaps above 200 exercise idle stretches.
-			at := int64(0)
-			for i := 0; i+2 < len(data); i += 3 {
-				at += int64(data[i])
-				src := int(data[i+1]>>4) % m.Nodes()
-				dst := int(data[i+1]&0xf) % m.Nodes()
-				if src == dst {
-					dst = (dst + 1) % m.Nodes()
-				}
-				m.SendAt(at, src, dst, 1+int(data[i+2]%6))
-			}
-			m.Run(at + 1)
-			m.Drain(20_000)
-			return log, m.Cycle()
-		}
-		wantLog, wantCycle := run(true)
-		gotLog, gotCycle := run(false)
-		if wantCycle != gotCycle {
-			t.Fatalf("final cycles diverge: full-scan %d, work-list %d", wantCycle, gotCycle)
-		}
-		if len(wantLog) != len(gotLog) {
-			t.Fatalf("delivery counts diverge: full-scan %d, work-list %d", len(wantLog), len(gotLog))
-		}
-		for i := range wantLog {
-			if wantLog[i] != gotLog[i] {
-				t.Fatalf("delivery %d diverges: full-scan %+v, work-list %+v", i, wantLog[i], gotLog[i])
-			}
-		}
-	})
 }
 
 // TestMeshStepAllocsZero gates the zero-allocation steady state at the
@@ -291,8 +104,7 @@ func FuzzMeshWorklistOracle(f *testing.F) {
 // — must not allocate. Telemetry is wired, since the production path
 // always runs with it.
 func TestMeshStepAllocsZero(t *testing.T) {
-	m, err := NewMesh(Config{K: 8, VCs: 2, BufFlits: 8,
-		NewArb: func() sched.Scheduler { return core.New() }})
+	m, err := NewMesh(Config{K: 8, VCs: 2, BufFlits: 8, NewArb: newERR})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,19 +37,6 @@ func (q *PacketQueue) Empty() bool { return q.size == 0 }
 // packets.
 func (q *PacketQueue) FlitBacklog() int64 { return q.flits }
 
-// PushChecked validates the packet and appends it, returning the
-// typed flit validation error for malformed packets (zero-length,
-// negative flow id) instead of silently accepting them. Injection
-// paths that may face malformed traffic use this; Push remains the
-// unchecked hot path for packets already validated upstream.
-func (q *PacketQueue) PushChecked(p flit.Packet) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	q.Push(p)
-	return nil
-}
-
 // Push appends a packet to the tail of the queue.
 func (q *PacketQueue) Push(p flit.Packet) {
 	if q.size == len(q.buf) {

@@ -182,26 +182,10 @@ func (ro *Rollup) finish(cycle int64) {
 	}
 }
 
-// Epochs returns the closed Jain epochs in order.
-func (ro *Rollup) Epochs() []JainEpoch {
-	ro.fold()
-	return ro.epochs
-}
-
 // Latency returns the aggregate latency histogram (all packets).
 func (ro *Rollup) Latency() *obs.Histogram {
 	ro.fold()
 	return ro.latAll
-}
-
-// FlowLatency returns flow's latency histogram (all that flow's
-// packets), or nil when out of range.
-func (ro *Rollup) FlowLatency(flow int) *obs.Histogram {
-	ro.fold()
-	if flow < 0 || flow >= ro.flows {
-		return nil
-	}
-	return ro.lat[flow]
 }
 
 // Render renders the rollup: per-flow tail latencies with the

@@ -307,9 +307,6 @@ type Router struct {
 	// telemetry: the work the work-lists save is visible as the gap
 	// between this and ports*VCs*cycles).
 	cellsVisited int64
-	// lastCycle is the most recent cycle passed to Compute (DumpState
-	// uses it to render lazy occupancies).
-	lastCycle int64
 
 	// tr, when non-nil, observes packet lifecycle events for the
 	// flight recorder (see Tracer). Calls on the per-visit paths are
@@ -344,9 +341,6 @@ func (r *Router) ID() int { return r.id }
 // Effects.ApplyDomain, deferring everything that crosses a domain
 // boundary to the serial commit. The default domain is 0.
 func (r *Router) SetDomain(d int) { r.domain = d }
-
-// Domain returns the commit domain assigned by SetDomain.
-func (r *Router) Domain() int { return r.domain }
 
 // Connect wires output port po of a to input port pi of b, setting up
 // the flow control: per-VC credits for statically partitioned inputs,
@@ -578,18 +572,14 @@ func (r *Router) SetFaultEdgesKnown(on bool) { r.faultEdgesKnown = on }
 // to maintain its active set. nil removes the hook.
 func (r *Router) SetOnActive(fn func()) { r.onActive = fn }
 
-// Busy reports whether the router holds any state at all: buffered
-// flits or active output allocations.
-func (r *Router) Busy() bool { return r.work > 0 }
-
 // Runnable reports whether stepping the router could change any
 // state: some output may be able to forward a flit, or some idle
 // output queue has an eligible flow to grant. A router with
 // Runnable() == false steps as a strict no-op — even when it still
-// holds hard-blocked worms (Busy() == true), every one of them waits
-// on an external event (a flit arrival or a credit return) that
-// re-enters it on the work-lists and fires the onActive hook — so a
-// caller may skip it without changing any observable state.
+// holds hard-blocked worms, every one of them waits on an external
+// event (a flit arrival or a credit return) that re-enters it on the
+// work-lists and fires the onActive hook — so a caller may skip it
+// without changing any observable state.
 func (r *Router) Runnable() bool { return r.pendingOut.Any() || r.grantable.Any() }
 
 // EventNever is NextEventAt's "no self-scheduled event" answer: the
@@ -863,7 +853,6 @@ func (r *Router) Step(cycle int64) {
 // the caller commits the effects afterwards with fx.Apply, ordering
 // commits however its determinism contract requires.
 func (r *Router) Compute(cycle int64, fx *Effects) {
-	r.lastCycle = cycle
 	if r.frozen != nil && r.frozen(cycle) {
 		// A frozen router does nothing, but its work-lists are left
 		// intact — the cells stay enqueued and are processed on the
@@ -1164,10 +1153,6 @@ func (r *Router) completePacket(o, v int, cycle int64) {
 	}
 }
 
-// Arb returns the arbiter of output queue (o, v) (for tests and
-// metrics).
-func (r *Router) Arb(o, v int) sched.Scheduler { return r.arbs[o*r.cfg.VCs+v] }
-
 // Sink is an ejection endpoint: it accepts every flit and reports
 // packet departures (tail flits). Its buffer is unlimited, modelling
 // an end system that always drains its network interface.
@@ -1230,11 +1215,6 @@ func (s *StallSink) AcceptFlit(f flit.Flit, vc int, cycle int64) {
 
 // BufFlits implements Endpoint.
 func (s *StallSink) BufFlits() int { return s.Capacity }
-
-// Buffered returns the number of flits held but not yet drained. An
-// empty sink's Step is a no-op that draws no randomness, so callers
-// advancing time event-to-event may skip it.
-func (s *StallSink) Buffered() int { return len(s.buffered) }
 
 // Bind attaches the sink to the router output feeding it so drained
 // flits return credits. Call after ConnectEndpoint.
@@ -1318,47 +1298,4 @@ func (r *Router) WaitEdges(cycle int64) []WaitEdge {
 func (e WaitEdge) String() string {
 	return fmt.Sprintf("router %d out(%d,%d) <- in(%d,%d) flow %d occ %d: %s",
 		e.Router, e.OutPort, e.OutVC, e.InPort, e.InVC, e.Flow, e.Occupancy, e.Reason)
-}
-
-// DumpState prints the router's output-queue allocations, FIFO
-// occupancies and credit counters — a debugging aid for deadlock
-// analysis. Outputs are visited only when they hold allocations or
-// grantable cells, inputs only when non-empty, so the dump of a big
-// quiescent mesh stays proportional to its live state.
-func (r *Router) DumpState() {
-	V := r.cfg.VCs
-	for o := 0; o < r.cfg.Ports; o++ {
-		if r.outs[o].lockCount == 0 && !anyGrantable(&r.grantable, o, V) {
-			continue
-		}
-		for v := 0; v < V; v++ {
-			cell := o*V + v
-			l := r.locks[cell]
-			if l.active {
-				fmt.Printf("router %d out (%d,%d): LOCKED in=(%d,%d) occ=%d fifo=%d crd=%d elig=%d\n",
-					r.id, o, v, l.port, l.vc, r.lastCycle-l.since, r.in[l.port].len(l.vc), r.crd[cell], r.eligible[cell])
-			} else if r.eligible[cell] > 0 {
-				fmt.Printf("router %d out (%d,%d): idle but eligible=%d crd=%d\n", r.id, o, v, r.eligible[cell], r.crd[cell])
-			}
-		}
-	}
-	for p := range r.in {
-		for v := 0; v < V; v++ {
-			if !r.in[p].empty(v) {
-				h := r.in[p].peek(v).f
-				fmt.Printf("router %d in (%d,%d): %d flits, head %v dst=%d notified=%v\n",
-					r.id, p, v, r.in[p].len(v), h.Kind, h.Dst, r.in[p].fifos[v].notif)
-			}
-		}
-	}
-}
-
-// anyGrantable reports whether output o has any grantable cell.
-func anyGrantable(b *queue.Bitset, o, vcs int) bool {
-	for v := 0; v < vcs; v++ {
-		if b.Test(o*vcs + v) {
-			return true
-		}
-	}
-	return false
 }
