@@ -8,14 +8,13 @@ import (
 	"testing"
 )
 
-// runMainEnv, when set to 1, makes the test binary behave as nocsim
-// itself: each golden case runs the command in its own process,
-// because the telemetry lines read the process-global obs registry
-// and a second in-process run would print accumulated counters.
-const runMainEnv = "NOCSIM_RUN_MAIN"
-
+// TestMain runs the test binary as nocsim itself when it is started
+// under that name (argv[0]): each golden case runs the command in its
+// own process, because the CLI accumulates into the process-global
+// obs registry and a second in-process run would print different
+// telemetry. Separate processes also let the cases run in parallel.
 func TestMain(m *testing.M) {
-	if os.Getenv(runMainEnv) == "1" {
+	if os.Args[0] == "nocsim" {
 		main()
 		os.Exit(0)
 	}
@@ -26,8 +25,12 @@ func TestMain(m *testing.M) {
 // standard output.
 func runCLI(t *testing.T, args ...string) []byte {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, args...)
+	cmd.Args[0] = "nocsim"
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -61,6 +64,7 @@ func TestCLIGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
 			if got := runCLI(t, c.args...); !bytes.Equal(got, want) {
 				t.Errorf("nocsim %q differs from testdata/%s.golden:\n%s", c.args, c.golden, got)
 			}
@@ -68,6 +72,7 @@ func TestCLIGolden(t *testing.T) {
 		// The reference simulates the same network: only the lines
 		// counting the work performed may differ.
 		t.Run(c.name+"-reference", func(t *testing.T) {
+			t.Parallel()
 			args := append(c.args[:len(c.args):len(c.args)], "-reference")
 			if got := withoutWork(runCLI(t, args...)); !bytes.Equal(got, withoutWork(want)) {
 				t.Errorf("nocsim %q differs from testdata/%s.golden beyond the work lines:\n%s", args, c.golden, got)

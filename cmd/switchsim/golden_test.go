@@ -8,14 +8,13 @@ import (
 	"testing"
 )
 
-// runMainEnv, when set to 1, makes the test binary behave as
-// switchsim itself: each golden case runs the command in its own
-// process, because the CLI accumulates into the process-global obs
-// registry.
-const runMainEnv = "SWITCHSIM_RUN_MAIN"
-
+// TestMain runs the test binary as switchsim itself when it is started
+// under that name (argv[0]): each golden case runs the command in its
+// own process, because the CLI accumulates into the process-global
+// obs registry and a second in-process run would print different
+// telemetry. Separate processes also let the cases run in parallel.
 func TestMain(m *testing.M) {
-	if os.Getenv(runMainEnv) == "1" {
+	if os.Args[0] == "switchsim" {
 		main()
 		os.Exit(0)
 	}
@@ -26,8 +25,12 @@ func TestMain(m *testing.M) {
 // standard output.
 func runCLI(t *testing.T, args ...string) []byte {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, args...)
+	cmd.Args[0] = "switchsim"
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -52,6 +55,7 @@ func TestCLIGolden(t *testing.T) {
 		{"reference", []string{"-reference"}},
 	} {
 		t.Run(c.golden, func(t *testing.T) {
+			t.Parallel()
 			want, err := os.ReadFile(filepath.Join("testdata", c.golden+".golden"))
 			if err != nil {
 				t.Fatal(err)

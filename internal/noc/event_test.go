@@ -241,8 +241,7 @@ func FuzzMeshEventOracle(f *testing.F) {
 	// 2x2 (uneven edge tiles on K=3) under faulted bursty traffic.
 	f.Add([]byte{0x03, 0x10, 0x08, 0x04, 0x02, 0x30, 0x01, 0x53, 0x22, 0x90, 0x07, 0x11})
 	f.Add([]byte{0x05, 0x20, 0x00, 0x07, 0x01, 0x10, 0x02, 0x10, 0x20, 0x30, 0x40, 0x50})
-	// Fault-free scripts at single-cycle gap resolution (the former
-	// work-list fuzzer's seeds).
+	// Fault-free scripts at single-cycle gap resolution.
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x01, 0x53, 0x22, 0x90, 0x07})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0xff, 0x00, 0xff, 0x00, 0xff, 0x00, 0xff, 0x00})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80, 0x90})
