@@ -19,7 +19,7 @@
 // thing a dormant event-driven run never visits, so it is attributed
 // at export time by overlapping each hop's [grant, depart] span with
 // the parsed fault windows — identical in every mode by construction.
-// The result: trace exports are byte-identical across -stepped, the
+// The result: trace exports are byte-identical across -reference, the
 // event core, and -parallel-mesh at any worker count.
 package trace
 
