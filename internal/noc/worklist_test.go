@@ -124,3 +124,22 @@ func TestMeshStepAllocsZero(t *testing.T) {
 		t.Errorf("Mesh.Step allocates %.1f times per cycle in steady state, want 0", got)
 	}
 }
+
+// FuzzMeshWorklistOracle feeds arbitrary fault-free send scripts, with
+// gaps counted in single cycles, to the fast mesh and the reference
+// and requires identical artifacts — a coverage-guided search for a
+// traffic shape whose work-list quiescence drops an event. Every input
+// byte is script: it is FuzzMeshEventOracle's check under the header
+// "no faults, auto tile, single-cycle gaps". Run with
+// `go test -fuzz FuzzMeshWorklistOracle ./internal/noc`.
+func FuzzMeshWorklistOracle(f *testing.F) {
+	f.Add([]byte{0x01, 0x53, 0x22, 0x90, 0x07})
+	f.Add([]byte{0xff, 0x00, 0xff, 0x00, 0xff, 0x00, 0xff, 0x00})
+	f.Add([]byte{0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80, 0x90})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 96 {
+			script = script[:96]
+		}
+		checkMeshOracle(t, []byte{0, 0, 0, 0, 0, 0, 4}, script)
+	})
+}
