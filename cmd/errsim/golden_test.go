@@ -2,10 +2,15 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // TestMain runs the test binary as errsim itself when it is started
@@ -39,7 +44,7 @@ func runCLI(t *testing.T, args ...string) (stdout, stderr []byte, err error) {
 
 // TestCLIGolden pins errsim's output for every experiment at a short
 // length, plus one faulted, checked run of the engine and of the NoC
-// and one -json document. Every text case runs serially and on a
+// and one -json document. Every case runs serially and on a
 // two-worker pool against the same golden. Regenerate a golden with
 // `go run ./cmd/errsim <args> > cmd/errsim/testdata/<name>.golden`
 // and read the diff before committing it.
@@ -47,38 +52,32 @@ func TestCLIGolden(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		args []string
-		json bool
 	}{
-		{"table1", []string{"-exp", "table1", "-cycles", "20000"}, false},
-		{"fig4", []string{"-exp", "fig4", "-cycles", "20000"}, false},
-		{"fig5", []string{"-exp", "fig5", "-cycles", "2000", "-repeats", "1"}, false},
-		{"fig6", []string{"-exp", "fig6", "-cycles", "20000", "-intervals", "50"}, false},
-		{"fig6ext", []string{"-exp", "fig6ext", "-cycles", "20000", "-intervals", "50"}, false},
-		{"occupancy", []string{"-exp", "occupancy", "-cycles", "20000"}, false},
-		{"screset", []string{"-exp", "screset", "-cycles", "20000"}, false},
-		{"weighted", []string{"-exp", "weighted", "-cycles", "20000"}, false},
-		{"gap", []string{"-exp", "gap", "-cycles", "20000"}, false},
-		{"lr", []string{"-exp", "lr", "-cycles", "20000"}, false},
-		{"parkinglot", []string{"-exp", "parkinglot", "-cycles", "4000"}, false},
-		{"nocsweep", []string{"-exp", "nocsweep", "-cycles", "2000"}, false},
-		{"nocsweep-torus", []string{"-exp", "nocsweep-torus", "-cycles", "2000"}, false},
-		{"bounds", []string{"-exp", "bounds", "-cycles", "5000"}, false},
+		{"table1", []string{"-exp", "table1", "-cycles", "20000"}},
+		{"fig4", []string{"-exp", "fig4", "-cycles", "20000"}},
+		{"fig5", []string{"-exp", "fig5", "-cycles", "2000", "-repeats", "1"}},
+		{"fig6", []string{"-exp", "fig6", "-cycles", "20000", "-intervals", "50"}},
+		{"fig6ext", []string{"-exp", "fig6ext", "-cycles", "20000", "-intervals", "50"}},
+		{"occupancy", []string{"-exp", "occupancy", "-cycles", "20000"}},
+		{"screset", []string{"-exp", "screset", "-cycles", "20000"}},
+		{"weighted", []string{"-exp", "weighted", "-cycles", "20000"}},
+		{"gap", []string{"-exp", "gap", "-cycles", "20000"}},
+		{"lr", []string{"-exp", "lr", "-cycles", "20000"}},
+		{"parkinglot", []string{"-exp", "parkinglot", "-cycles", "4000"}},
+		{"nocsweep", []string{"-exp", "nocsweep", "-cycles", "2000"}},
+		{"nocsweep-torus", []string{"-exp", "nocsweep-torus", "-cycles", "2000"}},
+		{"bounds", []string{"-exp", "bounds", "-cycles", "5000"}},
 		{"fig4-stall-check", []string{"-exp", "fig4", "-cycles", "20000",
-			"-faults", "stall(flow=2,at=5000,dur=10000)", "-check"}, false},
+			"-faults", "stall(flow=2,at=5000,dur=10000)", "-check"}},
 		{"nocsweep-freeze-check", []string{"-exp", "nocsweep", "-cycles", "2000",
-			"-faults", "freeze(router=5,at=500,dur=300)", "-check"}, false},
-		{"weighted-json", []string{"-exp", "weighted", "-cycles", "20000", "-json"}, true},
+			"-faults", "freeze(router=5,at=500,dur=300)", "-check"}},
+		{"weighted-json", []string{"-exp", "weighted", "-cycles", "20000", "-json"}},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", c.name+".golden"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		workers := []string{"1", "2"}
-		if c.json {
-			// The JSON document records the worker count.
-			workers = workers[:1]
-		}
-		for _, w := range workers {
+		for _, w := range []string{"1", "2"} {
 			c, args := c, append(c.args[:len(c.args):len(c.args)], "-parallel", w)
 			t.Run(c.name+"-parallel-"+w, func(t *testing.T) {
 				t.Parallel()
@@ -94,16 +93,26 @@ func TestCLIGolden(t *testing.T) {
 	}
 }
 
+// everyName lists the -exp names errsim has always accepted.
+var everyName = []string{
+	"table1", "fig4", "fig4a", "fig4b", "fig4c", "fig4d",
+	"fig5", "fig5a", "fig5b", "fig6", "fig6ext", "occupancy", "screset",
+	"weighted", "gap", "lr", "parkinglot", "nocsweep", "nocsweep-torus", "bounds", "scale",
+}
+
 // TestEveryExperimentRenders runs every -exp name at a minimal length
-// and checks that it exits cleanly with some output. scale is left
-// out: its default grid builds a million-router torus whatever
-// -cycles says (CI's scale-smoke job runs it on a small grid).
+// and checks that it exits cleanly with some output, and that the
+// experiment table holds exactly these names. scale is not run: its
+// default grid builds a million-router torus whatever -cycles says
+// (CI's scale-smoke job runs it).
 func TestEveryExperimentRenders(t *testing.T) {
-	for _, name := range []string{
-		"table1", "fig4", "fig4a", "fig4b", "fig4c", "fig4d",
-		"fig5", "fig5a", "fig5b", "fig6", "fig6ext", "occupancy", "screset",
-		"weighted", "gap", "nocsweep", "nocsweep-torus", "parkinglot", "lr", "bounds",
-	} {
+	if got := experiments.Names(); !reflect.DeepEqual(got, everyName) {
+		t.Errorf("experiment table names = %q, want %q", got, everyName)
+	}
+	for _, name := range everyName {
+		if name == "scale" {
+			continue
+		}
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -116,5 +125,71 @@ func TestEveryExperimentRenders(t *testing.T) {
 				t.Fatalf("errsim %q printed nothing", args)
 			}
 		})
+	}
+}
+
+// TestTraceOutRefused pins the flight recorder's reach: -trace-out
+// writes engine spans for the single-server experiments, and every
+// other experiment refuses it by name instead of writing an empty
+// trace.
+func TestTraceOutRefused(t *testing.T) {
+	refused := map[string]bool{"occupancy": true, "screset": true, "gap": true, "lr": true,
+		"parkinglot": true, "nocsweep": true, "nocsweep-torus": true, "bounds": true, "scale": true}
+	for _, name := range everyName {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			path := filepath.Join(t.TempDir(), "trace.json")
+			args := []string{"-exp", name, "-cycles", "1000", "-intervals", "10", "-repeats", "1",
+				"-trace-out", path, "-trace-sample", "1"}
+			if name == "scale" {
+				// Own no point of the grid, so that a missed refusal
+				// cannot build the million-router torus.
+				args = append(args, "-shard", "99", "-of", "100")
+			}
+			_, stderr, err := runCLI(t, args...)
+			if !refused[name] {
+				if err != nil {
+					t.Fatalf("errsim %q: %v\n%s", args, err, stderr)
+				}
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var spans []json.RawMessage
+				if err := json.Unmarshal(b, &spans); err != nil || len(spans) == 0 {
+					t.Fatalf("errsim %q wrote %d spans (err %v), want some", args, len(spans), err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("errsim %q exited 0, want a refusal", args)
+			}
+			if want := `experiment "` + name + `" does not support -trace-out`; !strings.Contains(string(stderr), want) {
+				t.Errorf("errsim %q stderr = %q, want it to contain %q", args, stderr, want)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("errsim %q left a trace file behind (stat err %v)", args, err)
+			}
+		})
+	}
+}
+
+// TestShardMergeAcrossWorkerCounts merges two scale shards written
+// under different -parallel values: the worker count is not part of
+// the grid signature. Both shards own no job of the 13-point grid, so
+// nothing is simulated.
+func TestShardMergeAcrossWorkerCounts(t *testing.T) {
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "b.jsonl")
+	for _, args := range [][]string{
+		{"-shard", "98", "-of", "100", "-checkpoint", a, "-parallel", "1"},
+		{"-shard", "99", "-of", "100", "-checkpoint", b, "-parallel", "2"},
+		{"-merge", a + "," + b, "-checkpoint", filepath.Join(dir, "merged.jsonl")},
+	} {
+		args = append([]string{"-exp", "scale", "-cycles", "24", "-quiet"}, args...)
+		if _, stderr, err := runCLI(t, args...); err != nil {
+			t.Fatalf("errsim %q: %v\n%s", args, err, stderr)
+		}
 	}
 }

@@ -4,8 +4,10 @@
 //
 // Usage:
 //
-//	errsim -exp table1|fig4a|fig4b|fig4c|fig4d|fig4|fig5a|fig5b|fig5|fig6|occupancy|screset [flags]
+//	errsim -exp <name> [flags]
 //
+// The names are those of the experiment table in internal/experiments
+// (errsim -h lists them).
 // Paper-scale parameters are the defaults; -cycles scales the main
 // run length down for quick looks. Output is an ASCII rendering of
 // the table/figure followed by a CSV block for external plotting.
@@ -33,22 +35,9 @@ import (
 	"repro/internal/trace"
 )
 
-// renderer is the common shape of every experiment result.
-type renderer interface {
-	Render(io.Writer) error
-}
-
-// textResult renders a fixed message (checkpoint-merge mode).
-type textResult string
-
-func (t textResult) Render(w io.Writer) error {
-	_, err := io.WriteString(w, string(t))
-	return err
-}
-
 // emit writes a result as its ASCII/CSV rendering or, with -json, as
 // an indented JSON document of the full result struct.
-func emit(w io.Writer, res renderer, asJSON bool) error {
+func emit(w io.Writer, res experiments.Result, asJSON bool) error {
 	if !asJSON {
 		return res.Render(w)
 	}
@@ -59,7 +48,7 @@ func emit(w io.Writer, res renderer, asJSON bool) error {
 
 func main() {
 	var (
-		exp       = flag.String("exp", "table1", "experiment: table1, fig4a..d, fig4, fig5a, fig5b, fig5, fig6, fig6ext, occupancy, screset, weighted, gap, nocsweep, nocsweep-torus, parkinglot, lr, bounds, scale")
+		exp       = flag.String("exp", "table1", "experiment: "+strings.Join(experiments.Names(), ", "))
 		cycles    = flag.Int64("cycles", 0, "override the experiment's main run length in cycles (0 = paper scale)")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		intervals = flag.Int("intervals", 0, "fig6: random intervals to average over (0 = paper's 10000)")
@@ -105,22 +94,32 @@ func main() {
 	if *manifest != "" || *pprofAddr != "" {
 		col = obs.NewCollector(obs.Default(), 254)
 	}
-	rb := experiments.Robustness{
-		Faults:     *faults,
-		Check:      *checkInv,
-		Checkpoint: *ckptPath,
-		Resume:     *resume,
-	}
 	var et *trace.EngineTrace
 	if *traceOut != "" {
 		et = trace.NewEngineTrace(rng.Derive(*seed, 0x7ace), *traceSamp, 1<<20)
 	}
-	start := time.Now()
-	var mergeSrcs []string
-	if *mergeCkpt != "" {
-		mergeSrcs = strings.Split(*mergeCkpt, ",")
+	e, ok := experiments.Lookup(*exp)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "errsim: unknown experiment %q\n", *exp)
+		os.Exit(1)
 	}
-	res, err := run(*exp, *cycles, *seed, *intervals, *repeats, *parallel, prog, col, rb, et, *shard, *shardOf, mergeSrcs)
+	cfg := experiments.Config{
+		Seed: *seed, Cycles: *cycles, Intervals: *intervals, Repeats: *repeats,
+		EngineOptions: experiments.EngineOptions{
+			Options: experiments.Options{
+				Workers: *parallel, Progress: prog,
+				Faults: *faults, Check: *checkInv,
+				Checkpoint: *ckptPath, Resume: *resume,
+			},
+			Collector: col, Trace: et,
+		},
+		Shard: *shard, Of: *shardOf,
+	}
+	if *mergeCkpt != "" {
+		cfg.Merge = strings.Split(*mergeCkpt, ",")
+	}
+	start := time.Now()
+	res, err := e.Run(*exp, cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "errsim: %v\n", err)
 		os.Exit(1)
@@ -158,221 +157,5 @@ func main() {
 			fmt.Fprintf(os.Stderr, "errsim: manifest: %v\n", err)
 			os.Exit(1)
 		}
-	}
-}
-
-func run(exp string, cycles int64, seed uint64, intervals, repeats, parallel int, prog exec.Progress, col *obs.Collector, rb experiments.Robustness, et *trace.EngineTrace, shard, of int, mergeSrcs []string) (renderer, error) {
-	if (of > 0 || len(mergeSrcs) > 0) && exp != "scale" {
-		return nil, fmt.Errorf("experiment %q does not support -shard/-of/-merge (scale only)", exp)
-	}
-	switch exp {
-	case "table1":
-		p := experiments.DefaultTable1Params()
-		p.Fig4.Seed = seed
-		p.Workers = parallel
-		p.Progress = prog
-		p.Fig4.Collector = col
-		p.Fig4.Trace = et
-		p.Fig4.Robustness = rb
-		if cycles > 0 {
-			p.Fig4.Cycles = cycles
-		}
-		return experiments.RunTable1(p)
-
-	case "fig4", "fig4a", "fig4b", "fig4c", "fig4d":
-		panel := "all"
-		if len(exp) == 5 {
-			panel = exp[4:]
-		}
-		p := experiments.DefaultFig4Params()
-		p.Seed = seed
-		p.Workers = parallel
-		p.Progress = prog
-		p.Collector = col
-		p.Trace = et
-		p.Robustness = rb
-		if cycles > 0 {
-			p.Cycles = cycles
-		}
-		return experiments.RunFig4(p, panel)
-
-	case "fig5", "fig5a", "fig5b":
-		panel := "all"
-		if len(exp) == 5 {
-			panel = exp[4:]
-		}
-		p := experiments.DefaultFig5Params()
-		p.Seed = seed
-		p.Workers = parallel
-		p.Progress = prog
-		p.Collector = col
-		p.Trace = et
-		p.Robustness = rb
-		if cycles > 0 {
-			p.BurstCycles = cycles
-		}
-		if repeats > 0 {
-			p.Repeats = repeats
-		}
-		return experiments.RunFig5(p, panel)
-
-	case "fig6":
-		p := experiments.DefaultFig6Params()
-		p.Seed = seed
-		p.Workers = parallel
-		p.Progress = prog
-		p.Collector = col
-		p.Trace = et
-		p.Robustness = rb
-		if cycles > 0 {
-			p.Cycles = cycles
-		}
-		if intervals > 0 {
-			p.Intervals = intervals
-		}
-		return experiments.RunFig6(p)
-
-	case "fig6ext":
-		p := experiments.DefaultFig6ExtParams()
-		p.Seed = seed
-		p.Workers = parallel
-		p.Progress = prog
-		p.Collector = col
-		p.Trace = et
-		p.Robustness = rb
-		if cycles > 0 {
-			p.Cycles = cycles
-		}
-		if intervals > 0 {
-			p.Intervals = intervals
-		}
-		return experiments.RunFig6Ext(p)
-
-	case "occupancy":
-		if rb != (experiments.Robustness{}) {
-			return nil, fmt.Errorf("experiment %q does not support -faults/-check/-checkpoint", exp)
-		}
-		p := experiments.DefaultAblationOccupancyParams()
-		p.Seed = seed
-		if cycles > 0 {
-			p.Cycles = cycles
-		}
-		return experiments.RunAblationOccupancy(p)
-
-	case "screset":
-		if rb != (experiments.Robustness{}) {
-			return nil, fmt.Errorf("experiment %q does not support -faults/-check/-checkpoint", exp)
-		}
-		p := experiments.DefaultAblationSurplusResetParams()
-		p.Seed = seed
-		if cycles > 0 {
-			p.Cycles = cycles
-		}
-		return experiments.RunAblationSurplusReset(p)
-
-	case "weighted":
-		p := experiments.DefaultWeightedParams()
-		p.Seed = seed
-		p.Workers = parallel
-		p.Progress = prog
-		p.Collector = col
-		p.Trace = et
-		p.Robustness = rb
-		if cycles > 0 {
-			p.Cycles = cycles
-		}
-		return experiments.RunWeighted(p)
-
-	case "gap":
-		p := experiments.DefaultGapParams()
-		p.Seed = seed
-		p.Workers = parallel
-		p.Progress = prog
-		p.Robustness = rb
-		if cycles > 0 {
-			p.Cycles = cycles
-		}
-		return experiments.RunGap(p)
-
-	case "nocsweep", "nocsweep-torus":
-		p := experiments.DefaultNoCSweepParams()
-		p.Seed = seed
-		p.Workers = parallel
-		p.Progress = prog
-		p.Robustness = rb
-		p.Torus = exp == "nocsweep-torus"
-		if cycles > 0 {
-			p.WarmCycles = cycles
-		}
-		return experiments.RunNoCSweep(p)
-
-	case "parkinglot":
-		p := experiments.DefaultParkingLotParams()
-		p.Workers = parallel
-		p.Progress = prog
-		p.Seed = seed
-		p.Robustness = rb
-		if cycles > 0 {
-			p.Cycles = cycles
-		}
-		return experiments.RunParkingLot(p)
-
-	case "bounds":
-		p := experiments.DefaultBoundsParams()
-		p.Seed = seed
-		p.Workers = parallel
-		p.Progress = prog
-		p.Robustness = rb
-		if cycles > 0 {
-			p.Cycles = cycles
-		}
-		return experiments.RunBounds(p)
-
-	case "scale":
-		p := experiments.DefaultScaleParams()
-		p.Seed = seed
-		p.Workers = parallel
-		p.Progress = prog
-		p.Robustness = rb
-		p.Shard, p.Of = shard, of
-		if cycles > 0 {
-			// Fixed per-point cycle count instead of the router-cycle
-			// budget (quick runs, CI smoke).
-			p.RouterCycles = 0
-			p.MinCycles = cycles
-		}
-		if len(mergeSrcs) > 0 {
-			// Merge per-shard checkpoints into -checkpoint and stop;
-			// a -resume run against the merged file renders the full
-			// sweep without re-executing anything.
-			if p.Checkpoint == "" {
-				return nil, fmt.Errorf("-merge requires -checkpoint (the merge destination)")
-			}
-			sig, err := exec.Signature("scale", p)
-			if err != nil {
-				return nil, err
-			}
-			n, err := exec.MergeCheckpoints(p.Checkpoint, sig, mergeSrcs...)
-			if err != nil {
-				return nil, err
-			}
-			return textResult(fmt.Sprintf("merged %d records from %d shard checkpoints into %s\n",
-				n, len(mergeSrcs), p.Checkpoint)), nil
-		}
-		return experiments.RunScale(p)
-
-	case "lr":
-		if rb != (experiments.Robustness{}) {
-			return nil, fmt.Errorf("experiment %q does not support -faults/-check/-checkpoint", exp)
-		}
-		p := experiments.DefaultLRParams()
-		p.Seed = seed
-		if cycles > 0 {
-			p.Cycles = cycles
-		}
-		return experiments.RunLR(p)
-
-	default:
-		return nil, fmt.Errorf("unknown experiment %q", exp)
 	}
 }

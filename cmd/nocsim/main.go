@@ -122,17 +122,7 @@ func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLe
 		rec = check.NewRecorder()
 		rec.Register(obs.Default())
 		m.CheckStreams(rec)
-		// Budget: longest fault window plus slack, so a transient
-		// freeze is ridden out but a true deadlock is flagged.
-		limit := int64(1 << 16)
-		if spec != nil {
-			for _, d := range spec.Directives {
-				if 4*d.Dur > limit {
-					limit = 4 * d.Dur
-				}
-			}
-		}
-		wd = check.NewWatchdog(limit)
+		wd = check.NewWatchdog(spec.WatchdogBudget())
 		m.WatchProgress(wd)
 	}
 	// wedgeReport renders the abort diagnostic for a mesh holding flits

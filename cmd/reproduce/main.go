@@ -24,18 +24,12 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/flit"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
-
-// renderer is the common shape of experiment results.
-type renderer interface {
-	Render(io.Writer) error
-}
 
 func main() {
 	var (
@@ -54,125 +48,35 @@ func main() {
 	}
 }
 
+// step is one artifact of the reproduction.
+type step struct {
+	file string
+	run  func(experiments.Config) (experiments.Result, error)
+}
+
 func run(outDir string, quick bool, seed uint64, parallel int, progress, manifest bool) error {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
-	scale := func(cycles int64) int64 {
-		if quick {
-			return cycles / 10
+	// Figure 3 is a hand-traced example; every other artifact is a
+	// table experiment, run under its canonical name.
+	steps := []step{{"fig3.txt", func(experiments.Config) (experiments.Result, error) { return fig3Trace(), nil }}}
+	for _, e := range experiments.Table() {
+		if e.File != "" {
+			e := e
+			steps = append(steps, step{e.File, func(c experiments.Config) (experiments.Result, error) {
+				return e.Run(e.Names[0], c)
+			}})
 		}
-		return cycles
 	}
-
-	steps := []struct {
-		file string
-		gen  func(prog exec.Progress) (renderer, error)
-	}{
-		{"fig3.txt", func(exec.Progress) (renderer, error) { return fig3Trace(), nil }},
-		{"table1.txt", func(prog exec.Progress) (renderer, error) {
-			p := experiments.DefaultTable1Params()
-			p.Fig4.Seed = seed
-			p.Workers = parallel
-			p.Progress = prog
-			p.Fig4.Cycles = scale(p.Fig4.Cycles)
-			return experiments.RunTable1(p)
-		}},
-		{"fig4.txt", func(prog exec.Progress) (renderer, error) {
-			p := experiments.DefaultFig4Params()
-			p.Seed = seed
-			p.Workers = parallel
-			p.Progress = prog
-			p.Cycles = scale(p.Cycles)
-			return experiments.RunFig4(p, "all")
-		}},
-		{"fig5.txt", func(prog exec.Progress) (renderer, error) {
-			p := experiments.DefaultFig5Params()
-			p.Seed = seed
-			p.Workers = parallel
-			p.Progress = prog
-			if quick {
-				p.Repeats = 2
-			}
-			return experiments.RunFig5(p, "all")
-		}},
-		{"fig6.txt", func(prog exec.Progress) (renderer, error) {
-			p := experiments.DefaultFig6Params()
-			p.Seed = seed
-			p.Workers = parallel
-			p.Progress = prog
-			p.Cycles = scale(p.Cycles)
-			if quick {
-				p.Intervals = 2000
-			}
-			return experiments.RunFig6(p)
-		}},
-		{"fig6ext.txt", func(prog exec.Progress) (renderer, error) {
-			p := experiments.DefaultFig6ExtParams()
-			p.Seed = seed
-			p.Workers = parallel
-			p.Progress = prog
-			p.Cycles = scale(p.Cycles)
-			return experiments.RunFig6Ext(p)
-		}},
-		{"occupancy.txt", func(exec.Progress) (renderer, error) {
-			p := experiments.DefaultAblationOccupancyParams()
-			p.Seed = seed
-			p.Cycles = scale(p.Cycles)
-			return experiments.RunAblationOccupancy(p)
-		}},
-		{"screset.txt", func(exec.Progress) (renderer, error) {
-			p := experiments.DefaultAblationSurplusResetParams()
-			p.Seed = seed
-			p.Cycles = scale(p.Cycles)
-			return experiments.RunAblationSurplusReset(p)
-		}},
-		{"weighted.txt", func(prog exec.Progress) (renderer, error) {
-			p := experiments.DefaultWeightedParams()
-			p.Seed = seed
-			p.Workers = parallel
-			p.Progress = prog
-			p.Cycles = scale(p.Cycles)
-			return experiments.RunWeighted(p)
-		}},
-		{"gap.txt", func(prog exec.Progress) (renderer, error) {
-			p := experiments.DefaultGapParams()
-			p.Seed = seed
-			p.Workers = parallel
-			p.Progress = prog
-			p.Cycles = scale(p.Cycles)
-			return experiments.RunGap(p)
-		}},
-		{"lr.txt", func(exec.Progress) (renderer, error) {
-			p := experiments.DefaultLRParams()
-			p.Seed = seed
-			p.Cycles = scale(p.Cycles)
-			return experiments.RunLR(p)
-		}},
-		{"parkinglot.txt", func(prog exec.Progress) (renderer, error) {
-			p := experiments.DefaultParkingLotParams()
-			p.Workers = parallel
-			p.Progress = prog
-			p.Cycles = scale(p.Cycles)
-			return experiments.RunParkingLot(p)
-		}},
-		{"nocsweep.txt", func(prog exec.Progress) (renderer, error) {
-			p := experiments.DefaultNoCSweepParams()
-			p.Seed = seed
-			p.Workers = parallel
-			p.Progress = prog
-			p.WarmCycles = scale(p.WarmCycles)
-			return experiments.RunNoCSweep(p)
-		}},
-	}
-
 	for _, s := range steps {
-		var prog exec.Progress
+		c := experiments.Config{Seed: seed, Quick: quick}
+		c.Workers = parallel
 		if progress {
-			prog = obs.NewProgress(os.Stderr, s.file)
+			c.Progress = obs.NewProgress(os.Stderr, s.file)
 		}
 		start := time.Now()
-		res, err := s.gen(prog)
+		res, err := s.run(c)
 		if err != nil {
 			return fmt.Errorf("%s: %w", s.file, err)
 		}
@@ -207,7 +111,7 @@ func run(outDir string, quick bool, seed uint64, parallel int, progress, manifes
 // fig3Renderer wraps the deterministic Figure 3 trace.
 type fig3Renderer struct{ rec *core.TraceRecorder }
 
-// Render implements renderer.
+// Render implements experiments.Result.
 func (f fig3Renderer) Render(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "Figure 3 — rounds of an Elastic Round Robin execution"); err != nil {
 		return err
@@ -216,7 +120,7 @@ func (f fig3Renderer) Render(w io.Writer) error {
 }
 
 // fig3Trace replays the DESIGN.md Figure 3 example.
-func fig3Trace() renderer {
+func fig3Trace() experiments.Result {
 	e := core.New()
 	rec := &core.TraceRecorder{}
 	e.SetTrace(rec)

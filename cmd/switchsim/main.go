@@ -147,15 +147,7 @@ func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP flo
 			wd.Progress(cycle)
 			prev(f, vc, cycle)
 		}
-		limit := int64(1 << 16)
-		if spec != nil {
-			for _, d := range spec.Directives {
-				if 4*d.Dur > limit {
-					limit = 4 * d.Dur
-				}
-			}
-		}
-		wd = check.NewWatchdog(limit)
+		wd = check.NewWatchdog(spec.WatchdogBudget())
 	}
 
 	// The flight recorder treats the switch as a single hop: the

@@ -72,10 +72,8 @@ type BoundsParams struct {
 	EnvRate float64
 	// Schedulers restricts the sweep (nil = BoundsSchedulers).
 	Schedulers []string
-	// Workers and Progress as in every grid runner.
-	Workers  int
-	Progress exec.Progress `json:"-"`
-	Robustness
+	// Options: Faults is refused, the bounds assume clean arrivals.
+	Options
 }
 
 // DefaultBoundsParams returns the standard sweep: every discipline at
@@ -217,7 +215,7 @@ func RunBounds(p BoundsParams) (*BoundsResult, error) {
 				Scheduler: s,
 				Source:    boundsSource(cfg, disc, p.Util, rng.Derive(p.Seed, uint64(i))),
 			}
-			inj, chk, err := applyRobustness(p.Robustness, p.faultSeed(p.Seed, i), 0, &ecfg)
+			inj, chk, err := EngineOptions{Options: p.Options}.wire(&ecfg, faultSeed(p.Seed, i), 0)
 			if err != nil {
 				return BoundsCell{}, err
 			}
@@ -249,12 +247,7 @@ func RunBounds(p BoundsParams) (*BoundsResult, error) {
 			return BoundsCell{Scheduler: k.sched, Flows: k.flows, Reports: bc.Report()}, nil
 		}
 	}
-	opts, closeCP, err := gridOptions("bounds", p, p.Checkpoint, p.Resume, p.Progress)
-	if err != nil {
-		return nil, err
-	}
-	defer closeCP()
-	cells, err := exec.Run(jobs, p.Workers, opts...)
+	cells, err := runGrid("bounds", p, p.Options, jobs)
 	if err != nil {
 		return nil, err
 	}

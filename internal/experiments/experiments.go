@@ -98,26 +98,8 @@ type SimConfig struct {
 	// untouched when Check is false.
 	Check bool
 	// WatchdogCycles is the checker's no-progress budget (0 = the
-	// default, max(1<<16, 4x the longest configured stall window)).
+	// fault spec's fault.Spec.WatchdogBudget).
 	WatchdogCycles int64
-}
-
-// watchdogLimit picks the watchdog budget: override when positive,
-// otherwise generous enough that a configured transient fault window
-// cannot trip it.
-func watchdogLimit(spec *fault.Spec, override int64) int64 {
-	if override > 0 {
-		return override
-	}
-	limit := int64(1 << 16)
-	if spec != nil {
-		for _, d := range spec.Directives {
-			if d.Kind == "stall" && d.Dur > 0 && 4*d.Dur > limit {
-				limit = 4 * d.Dur
-			}
-		}
-	}
-	return limit
 }
 
 // RunSim executes one simulation and collects the standard metrics.
@@ -160,15 +142,9 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		// as idle time, undercounting utilization derived from the log.
 		ecfg.OnStall = func(cycle int64, flow int) { res.Log.Record(metrics.Stalled) }
 	}
-	if cfg.Collector != nil {
-		cfg.Collector.Wire(&ecfg)
-	}
-	if cfg.Trace != nil {
-		cfg.Trace.Wire(&ecfg.OnInject, &ecfg.OnDeparture)
-	}
-
-	inj, chk, err := applyRobustness(Robustness{Faults: cfg.FaultSpec, Check: cfg.Check},
-		cfg.FaultSeed, cfg.WatchdogCycles, &ecfg)
+	o := EngineOptions{Options: Options{Faults: cfg.FaultSpec, Check: cfg.Check},
+		Collector: cfg.Collector, Trace: cfg.Trace}
+	inj, chk, err := o.wire(&ecfg, cfg.FaultSeed, cfg.WatchdogCycles)
 	if err != nil {
 		return nil, err
 	}
@@ -184,10 +160,7 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	finish := func() {
 		res.Faults = inj.Counters()
 		res.Rejected = e.Rejected()
-		registerFaultCounters(obs.Default(), res.Faults, res.Rejected)
-		if cfg.Collector != nil {
-			cfg.Collector.SourcePolls.Add(e.SourcePolls())
-		}
+		o.record(e, inj)
 	}
 	// fail ends the run with the checker's report, registering the
 	// fault counters first so a wedged run still shows what fired.
@@ -223,29 +196,21 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	return res, nil
 }
 
-// registerFaultCounters accumulates an injector's tallies (and the
-// engine's malformed-packet rejections) into the obs registry, so
-// fault activity shows up in run manifests and the debug endpoint
-// alongside every other metric.
-func registerFaultCounters(reg *obs.Registry, c fault.Counters, rejected int64) {
-	if c == (fault.Counters{}) && rejected == 0 {
-		return
-	}
-	reg.Counter("fault.stall_cycles").Add(c.StallCycles)
-	reg.Counter("fault.dropped_flits").Add(c.Dropped)
-	reg.Counter("fault.corrupted_flits").Add(c.Corrupted)
-	reg.Counter("fault.malformed_packets").Add(c.Malformed)
-	reg.Counter("fault.rejected_packets").Add(rejected)
-}
-
-// Robustness bundles the fault-injection, invariant-checking and
-// crash-resilience knobs shared by every grid runner; it is embedded
-// in each runner's params struct.
-type Robustness struct {
+// Options are the run options every grid runner shares, embedded in
+// its params. Workers, Progress, Checkpoint and Resume choose how a
+// grid runs, never what it computes, so only Faults and Check enter
+// the checkpoint grid signature (exec.Signature hashes the params'
+// JSON form): a checkpoint resumes under any worker count.
+type Options struct {
+	// Workers caps the worker pool running the grid's jobs (0 =
+	// GOMAXPROCS, 1 = serial). The result is byte-identical for every
+	// value: each job owns its workload and rng stream.
+	Workers int `json:"-"`
+	// Progress, if set, observes grid-job completions (see
+	// exec.WithProgress).
+	Progress exec.Progress `json:"-"`
 	// Faults is a fault directive string (see fault.Parse) injected
-	// into every simulation of the grid ("" = fault-free). Faults
-	// change results by design, so they participate in the checkpoint
-	// grid signature.
+	// into every simulation of the grid ("" = fault-free).
 	Faults string
 	// Check enables the runtime invariant checker in every simulation
 	// (see SimConfig.Check): a violation or a tripped deadlock
@@ -254,26 +219,52 @@ type Robustness struct {
 	// Checkpoint is a JSONL checkpoint path enabling crash-resilient
 	// grid execution: completed jobs are recorded as they finish, and
 	// with Resume set a rerun skips them, producing byte-identical
-	// aggregate output ("" = no checkpointing). Excluded from the
-	// grid signature: resuming is the point.
+	// aggregate output ("" = no checkpointing).
 	Checkpoint string `json:"-"`
 	Resume     bool   `json:"-"`
+}
+
+// EngineOptions adds the engine telemetry that the single-server
+// runners wire into every job; neither changes the result.
+type EngineOptions struct {
+	Options
+	// Collector, if set, accumulates registry metrics from every job
+	// (see SimConfig.Collector).
+	Collector *obs.Collector `json:"-"`
+	// Trace, if set, is the packet flight recorder wired into every
+	// job (see SimConfig.Trace); each job becomes one span track.
+	Trace *trace.EngineTrace `json:"-"`
 }
 
 // faultSeed derives the fault-randomness seed of grid job i, kept
 // separate from the job's traffic seed so enabling faults never
 // perturbs the arrival sequence.
-func (r Robustness) faultSeed(base uint64, job int) uint64 {
+func faultSeed(base uint64, job int) uint64 {
 	return rng.Derive(base, 0xfa0175, uint64(job))
 }
 
-// applyRobustness wires the fault injector and (when r.Check is set)
-// the invariant checker, with a watchdog budget of watchdog cycles
-// (0 = watchdogLimit's default), into a raw engine.Config. Call before
+// runSim runs cfg as job of a grid seeded with seed, under o's
+// telemetry, faults and checker.
+func (o EngineOptions) runSim(cfg SimConfig, seed uint64, job int) (*SimResult, error) {
+	cfg.Collector, cfg.Trace = o.Collector, o.Trace
+	cfg.FaultSpec, cfg.FaultSeed, cfg.Check = o.Faults, faultSeed(seed, job), o.Check
+	return RunSim(cfg)
+}
+
+// wire installs o's telemetry, fault injector and (with Check) the
+// invariant checker, with a watchdog budget of watchdog cycles (0 =
+// fault.Spec.WatchdogBudget), into a raw engine.Config. Call before
 // engine.NewEngine; afterwards attach the checker with
-// chk.Attach(e, cfg.Scheduler) and step with runChecked.
-func applyRobustness(r Robustness, faultSeed uint64, watchdog int64, cfg *engine.Config) (*fault.Injector, *check.EngineChecker, error) {
-	spec, err := fault.Parse(r.Faults)
+// chk.Attach(e, cfg.Scheduler), step with runChecked and finish with
+// record.
+func (o EngineOptions) wire(cfg *engine.Config, faultSeed uint64, watchdog int64) (*fault.Injector, *check.EngineChecker, error) {
+	if o.Collector != nil {
+		o.Collector.Wire(cfg)
+	}
+	if o.Trace != nil {
+		o.Trace.Wire(&cfg.OnInject, &cfg.OnDeparture)
+	}
+	spec, err := fault.Parse(o.Faults)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -289,16 +280,62 @@ func applyRobustness(r Robustness, faultSeed uint64, watchdog int64, cfg *engine
 	cfg.Stall = wrapped
 	cfg.Source = inj.WrapSource(cfg.Source, cfg.Flows)
 	var chk *check.EngineChecker
-	if r.Check {
+	if o.Check {
 		chk = check.NewEngineChecker(cfg.Flows)
 		chk.Recorder.Register(obs.Default())
-		chk.Watchdog = check.NewWatchdog(watchdogLimit(spec, watchdog))
+		if watchdog <= 0 {
+			watchdog = spec.WatchdogBudget()
+		}
+		chk.Watchdog = check.NewWatchdog(watchdog)
 		chk.Wire(cfg)
 		if errs, ok := cfg.Scheduler.(*core.ERR); ok {
 			errs.SetTrace(chk)
 		}
 	}
 	return inj, chk, nil
+}
+
+// runEngine runs an engine job built from cfg for the given cycles
+// under o (see wire), failing with the checker's report.
+func (o EngineOptions) runEngine(cfg engine.Config, faultSeed uint64, cycles int64) error {
+	inj, chk, err := o.wire(&cfg, faultSeed, 0)
+	if err != nil {
+		return err
+	}
+	e, err := engine.NewEngine(cfg)
+	if err != nil {
+		return err
+	}
+	if chk != nil {
+		chk.Attach(e, cfg.Scheduler)
+	}
+	_, err = runChecked(e, chk, cycles, false)
+	o.record(e, inj)
+	return err
+}
+
+// record accumulates what an engine job did: the injector's tallies
+// and the engine's malformed-packet rejections into the obs registry,
+// so fault activity shows up in run manifests and the debug endpoint,
+// and the engine's source polls into the collector.
+func (o EngineOptions) record(e *engine.Engine, inj *fault.Injector) {
+	registerFaultCounters(obs.Default(), inj.Counters(), e.Rejected())
+	if o.Collector != nil {
+		o.Collector.SourcePolls.Add(e.SourcePolls())
+	}
+}
+
+// registerFaultCounters accumulates an injector's tallies (and the
+// engine's malformed-packet rejections) into reg.
+func registerFaultCounters(reg *obs.Registry, c fault.Counters, rejected int64) {
+	if c == (fault.Counters{}) && rejected == 0 {
+		return
+	}
+	reg.Counter("fault.stall_cycles").Add(c.StallCycles)
+	reg.Counter("fault.dropped_flits").Add(c.Dropped)
+	reg.Counter("fault.corrupted_flits").Add(c.Corrupted)
+	reg.Counter("fault.malformed_packets").Add(c.Malformed)
+	reg.Counter("fault.rejected_packets").Add(rejected)
 }
 
 // runChecked steps the engine n cycles — with drain set, only until
@@ -326,30 +363,23 @@ func runChecked(e *engine.Engine, chk *check.EngineChecker, n int64, drain bool)
 	return i, chk.Err()
 }
 
-// gridOptions assembles the exec options every grid runner shares:
-// progress reporting plus, when a checkpoint path is configured,
-// crash-resilient checkpoint/resume keyed on the runner's name and
-// parameters (so a stale checkpoint from a different grid is
-// refused). The returned closer must be called (deferred) when
-// checkpointing is active; it is safe to call when nil is returned
-// for it.
-func gridOptions(name string, params any, checkpoint string, resume bool, progress exec.Progress) ([]exec.Option, func() error, error) {
-	var opts []exec.Option
-	if progress != nil {
-		opts = append(opts, exec.WithProgress(progress))
-	}
-	closer := func() error { return nil }
-	if checkpoint != "" {
+// runGrid runs a grid's jobs under its options: on the worker pool,
+// reporting progress and, when a checkpoint path is set, recording to
+// a checkpoint keyed on the grid's name and params, so a checkpoint of
+// a different grid is refused.
+func runGrid[T any](name string, params any, o Options, jobs []exec.Job[T], extra ...exec.Option) ([]T, error) {
+	opts := append([]exec.Option{exec.WithProgress(o.Progress)}, extra...)
+	if o.Checkpoint != "" {
 		sig, err := exec.Signature(name, params)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		cp, err := exec.OpenCheckpoint(checkpoint, sig, resume)
+		cp, err := exec.OpenCheckpoint(o.Checkpoint, sig, o.Resume)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
+		defer cp.Close()
 		opts = append(opts, exec.WithCheckpoint(cp))
-		closer = cp.Close
 	}
-	return opts, closer, nil
+	return exec.Run(jobs, o.Workers, opts...)
 }

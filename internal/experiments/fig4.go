@@ -6,11 +6,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/obs"
 	"repro/internal/plot"
 	"repro/internal/rng"
 	"repro/internal/sched"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -34,22 +32,7 @@ type Fig4Params struct {
 	// DRRQuantum is the quantum used by the DRR comparison; the
 	// classical O(1) provisioning is Max = 128.
 	DRRQuantum int64
-	// Workers caps the worker pool running the per-discipline jobs
-	// (0 = GOMAXPROCS, 1 = serial). The result is byte-identical for
-	// every value: each job owns its workload and rng stream.
-	Workers int
-	// Progress, if set, observes grid-job completions (see
-	// exec.WithProgress); it never affects the result.
-	Progress exec.Progress `json:"-"`
-	// Collector, if set, accumulates registry telemetry from every
-	// grid job (see SimConfig.Collector); it never affects the result.
-	Collector *obs.Collector `json:"-"`
-	// Trace, if set, is the packet flight recorder wired into every
-	// grid job (see SimConfig.Trace); each job becomes one span track.
-	Trace *trace.EngineTrace `json:"-"`
-	// Robustness carries the fault-injection, invariant-checking and
-	// checkpoint/resume knobs.
-	Robustness
+	EngineOptions
 }
 
 // DefaultFig4Params returns the paper's parameters (4 million
@@ -138,22 +121,13 @@ func RunFig4(p Fig4Params, panel string) (*Fig4Result, error) {
 	for i, r := range runs {
 		i, r := i, r
 		jobs[i] = func() ([]float64, error) {
-			cfg := SimConfig{
-				Flows:     p.Flows,
-				Source:    fig4Source(p),
-				Cycles:    p.Cycles,
-				Collector: p.Collector,
-				Trace:     p.Trace,
-				FaultSpec: p.Faults,
-				FaultSeed: p.faultSeed(p.Seed, i),
-				Check:     p.Check,
-			}
+			cfg := SimConfig{Flows: p.Flows, Source: fig4Source(p), Cycles: p.Cycles}
 			if r.pkt != nil {
 				cfg.Scheduler = r.pkt()
 			} else {
 				cfg.FlitSched = r.flit()
 			}
-			sim, err := RunSim(cfg)
+			sim, err := p.runSim(cfg, p.Seed, i)
 			if err != nil {
 				return nil, err
 			}
@@ -164,12 +138,7 @@ func RunFig4(p Fig4Params, panel string) (*Fig4Result, error) {
 			return kb, nil
 		}
 	}
-	opts, closeCP, err := gridOptions("fig4", p, p.Checkpoint, p.Resume, p.Progress)
-	if err != nil {
-		return nil, err
-	}
-	defer closeCP()
-	kbs, err := exec.Run(jobs, p.Workers, opts...)
+	kbs, err := runGrid("fig4", p, p.Options, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -6,11 +6,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/obs"
 	"repro/internal/plot"
 	"repro/internal/rng"
 	"repro/internal/sched"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -30,23 +28,7 @@ type Fig5Params struct {
 	Intensities []float64
 	// Repeats averages each point over this many seeds.
 	Repeats int
-	// Workers caps the worker pool running the discipline × intensity
-	// × repeat grid (0 = GOMAXPROCS, 1 = serial). The result is
-	// byte-identical for every value: each repeat derives its own seed
-	// with rng.Derive.
-	Workers int
-	// Progress, if set, observes grid-job completions (see
-	// exec.WithProgress); it never affects the result.
-	Progress exec.Progress `json:"-"`
-	// Collector, if set, accumulates registry telemetry from every
-	// grid job (see SimConfig.Collector); it never affects the result.
-	Collector *obs.Collector `json:"-"`
-	// Trace, if set, is the packet flight recorder wired into every
-	// grid job (see SimConfig.Trace); each job becomes one span track.
-	Trace *trace.EngineTrace `json:"-"`
-	// Robustness carries the fault-injection, invariant-checking and
-	// checkpoint/resume knobs.
-	Robustness
+	EngineOptions
 }
 
 // DefaultFig5Params returns the paper's parameters.
@@ -146,18 +128,13 @@ func RunFig5(p Fig5Params, panel string) (*Fig5Result, error) {
 						Source:     fig5Source(p, intensity, rng.Derive(p.Seed, uint64(r))),
 						Cycles:     p.BurstCycles,
 						DrainAfter: true,
-						Collector:  p.Collector,
-						Trace:      p.Trace,
-						FaultSpec:  p.Faults,
-						FaultSeed:  p.faultSeed(p.Seed, job),
-						Check:      p.Check,
 					}
 					if m.pkt != nil {
 						cfg.Scheduler = m.pkt()
 					} else {
 						cfg.FlitSched = m.flit()
 					}
-					sim, err := RunSim(cfg)
+					sim, err := p.runSim(cfg, p.Seed, job)
 					if err != nil {
 						return rep{}, err
 					}
@@ -169,12 +146,7 @@ func RunFig5(p Fig5Params, panel string) (*Fig5Result, error) {
 			}
 		}
 	}
-	opts, closeCP, err := gridOptions("fig5", p, p.Checkpoint, p.Resume, p.Progress)
-	if err != nil {
-		return nil, err
-	}
-	defer closeCP()
-	reps, err := exec.Run(jobs, p.Workers, opts...)
+	reps, err := runGrid("fig5", p, p.Options, jobs)
 	if err != nil {
 		return nil, err
 	}

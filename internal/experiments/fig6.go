@@ -6,11 +6,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/obs"
 	"repro/internal/plot"
 	"repro/internal/rng"
 	"repro/internal/sched"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -29,23 +27,7 @@ type Fig6Params struct {
 	MaxLen             int
 	Intervals          int
 	Seed               uint64
-	// Workers caps the worker pool running the discipline × flow-count
-	// grid (0 = GOMAXPROCS, 1 = serial). The result is byte-identical
-	// for every value: each point derives its own seed with
-	// rng.Derive.
-	Workers int
-	// Progress, if set, observes grid-job completions (see
-	// exec.WithProgress); it never affects the result.
-	Progress exec.Progress `json:"-"`
-	// Collector, if set, accumulates registry telemetry from every
-	// grid job (see SimConfig.Collector); it never affects the result.
-	Collector *obs.Collector `json:"-"`
-	// Trace, if set, is the packet flight recorder wired into every
-	// grid job (see SimConfig.Trace); each job becomes one span track.
-	Trace *trace.EngineTrace `json:"-"`
-	// Robustness carries the fault-injection, invariant-checking and
-	// checkpoint/resume knobs.
-	Robustness
+	EngineOptions
 }
 
 // DefaultFig6Params returns the paper's parameters (4 million cycles,
@@ -101,18 +83,13 @@ func RunFig6(p Fig6Params) (*Fig6Result, error) {
 				for f := 0; f < n; f++ {
 					sources = append(sources, traffic.NewBacklogged(f, 4, dist, src.Split()))
 				}
-				sim, err := RunSim(SimConfig{
+				sim, err := p.runSim(SimConfig{
 					Flows:     n,
 					Scheduler: m.mk(),
 					Source:    traffic.NewMulti(sources...),
 					Cycles:    p.Cycles,
 					WithLog:   true,
-					Collector: p.Collector,
-					Trace:     p.Trace,
-					FaultSpec: p.Faults,
-					FaultSeed: p.faultSeed(p.Seed, job),
-					Check:     p.Check,
-				})
+				}, p.Seed, job)
 				if err != nil {
 					return 0, err
 				}
@@ -121,12 +98,7 @@ func RunFig6(p Fig6Params) (*Fig6Result, error) {
 			})
 		}
 	}
-	opts, closeCP, err := gridOptions("fig6", p, p.Checkpoint, p.Resume, p.Progress)
-	if err != nil {
-		return nil, err
-	}
-	defer closeCP()
-	avgs, err := exec.Run(jobs, p.Workers, opts...)
+	avgs, err := runGrid("fig6", p, p.Options, jobs)
 	if err != nil {
 		return nil, err
 	}

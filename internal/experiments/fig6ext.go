@@ -6,11 +6,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/obs"
 	"repro/internal/plot"
 	"repro/internal/rng"
 	"repro/internal/sched"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -31,22 +29,7 @@ type Fig6ExtParams struct {
 	PLarges   []float64
 	Intervals int
 	Seed      uint64
-	// Workers caps the worker pool running the probability ×
-	// discipline grid (0 = GOMAXPROCS, 1 = serial). The result is
-	// byte-identical for every value.
-	Workers int
-	// Progress, if set, observes grid-job completions (see
-	// exec.WithProgress); it never affects the result.
-	Progress exec.Progress `json:"-"`
-	// Collector, if set, accumulates registry telemetry from every
-	// grid job (see SimConfig.Collector); it never affects the result.
-	Collector *obs.Collector `json:"-"`
-	// Trace, if set, is the packet flight recorder wired into every
-	// grid job (see SimConfig.Trace); each job becomes one span track.
-	Trace *trace.EngineTrace `json:"-"`
-	// Robustness carries the fault-injection, invariant-checking and
-	// checkpoint/resume knobs.
-	Robustness
+	EngineOptions
 }
 
 // DefaultFig6ExtParams returns defaults.
@@ -90,18 +73,13 @@ func RunFig6Ext(p Fig6ExtParams) (*Fig6ExtResult, error) {
 				for f := 0; f < p.Flows; f++ {
 					sources[f] = traffic.NewBacklogged(f, 4, dist, src.Split())
 				}
-				sim, err := RunSim(SimConfig{
+				sim, err := p.runSim(SimConfig{
 					Flows:     p.Flows,
 					Scheduler: mk(),
 					Source:    traffic.NewMulti(sources...),
 					Cycles:    p.Cycles,
 					WithLog:   true,
-					Collector: p.Collector,
-					Trace:     p.Trace,
-					FaultSpec: p.Faults,
-					FaultSeed: p.faultSeed(p.Seed, job),
-					Check:     p.Check,
-				})
+				}, p.Seed, job)
 				if err != nil {
 					return 0, err
 				}
@@ -109,12 +87,7 @@ func RunFig6Ext(p Fig6ExtParams) (*Fig6ExtResult, error) {
 			})
 		}
 	}
-	opts, closeCP, err := gridOptions("fig6ext", p, p.Checkpoint, p.Resume, p.Progress)
-	if err != nil {
-		return nil, err
-	}
-	defer closeCP()
-	fms, err := exec.Run(jobs, p.Workers, opts...)
+	fms, err := runGrid("fig6ext", p, p.Options, jobs)
 	if err != nil {
 		return nil, err
 	}

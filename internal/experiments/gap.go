@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/exec"
-	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/traffic"
@@ -26,16 +25,7 @@ type GapParams struct {
 	Flows  int
 	Cycles int64
 	Seed   uint64
-	// Progress, if set, observes grid-job completions (see
-	// exec.WithProgress); it never affects the result.
-	Progress exec.Progress `json:"-"`
-	// Workers caps the worker pool running the per-discipline jobs
-	// (0 = GOMAXPROCS, 1 = serial). The result is byte-identical for
-	// every value.
-	Workers int
-	// Robustness carries the fault-injection, invariant-checking and
-	// checkpoint/resume knobs.
-	Robustness
+	Options
 }
 
 // DefaultGapParams returns defaults.
@@ -98,21 +88,10 @@ func RunGap(p GapParams) (*GapResult, error) {
 					last[flow] = cycle
 				},
 			}
-			inj, chk, err := applyRobustness(p.Robustness, p.faultSeed(p.Seed, i), 0, &cfg)
-			if err != nil {
+			o := EngineOptions{Options: p.Options}
+			if err := o.runEngine(cfg, faultSeed(p.Seed, i), p.Cycles); err != nil {
 				return gaps{}, err
 			}
-			e, err := engine.NewEngine(cfg)
-			if err != nil {
-				return gaps{}, err
-			}
-			if chk != nil {
-				chk.Attach(e, cfg.Scheduler)
-			}
-			if _, err := runChecked(e, chk, p.Cycles, false); err != nil {
-				return gaps{}, err
-			}
-			registerFaultCounters(obs.Default(), inj.Counters(), e.Rejected())
 			var max int64
 			var sum float64
 			for _, w := range worst {
@@ -124,12 +103,7 @@ func RunGap(p GapParams) (*GapResult, error) {
 			return gaps{Max: max, Mean: sum / float64(p.Flows)}, nil
 		}
 	}
-	opts, closeCP, err := gridOptions("gap", p, p.Checkpoint, p.Resume, p.Progress)
-	if err != nil {
-		return nil, err
-	}
-	defer closeCP()
-	results, err := exec.Run(jobs, p.Workers, opts...)
+	results, err := runGrid("gap", p, p.Options, jobs)
 	if err != nil {
 		return nil, err
 	}

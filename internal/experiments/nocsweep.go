@@ -33,20 +33,11 @@ type NoCSweepParams struct {
 	MinLen     int
 	MaxLen     int
 	Seed       uint64
-	// Progress, if set, observes grid-job completions (see
-	// exec.WithProgress); it never affects the result.
-	Progress exec.Progress `json:"-"`
-	// Workers caps the worker pool running the discipline × rate grid
-	// (0 = GOMAXPROCS, 1 = serial). The result is byte-identical for
-	// every value: each point derives its own seed with rng.Derive.
-	Workers int
-	// Robustness carries the fault-injection, invariant-checking and
-	// checkpoint/resume knobs. Router-scoped fault directives
-	// (router=/port=) address mesh nodes and their five output ports;
-	// with Check set, every ejection sink validates wormhole flit
-	// streams and a deadlock watchdog dumps the channel-wait graph on
-	// a stall.
-	Robustness
+	// Options: router-scoped fault directives (router=/port=) address
+	// mesh nodes and their five output ports; with Check set, every
+	// ejection sink validates wormhole flit streams and a deadlock
+	// watchdog dumps the channel-wait graph on a stall.
+	Options
 }
 
 // DefaultNoCSweepParams returns defaults for a 4x4 mesh.
@@ -102,7 +93,7 @@ func RunNoCSweep(p NoCSweepParams) (*NoCSweepResult, error) {
 				if err != nil {
 					return point{}, err
 				}
-				finj := fault.New(spec, p.faultSeed(p.Seed, job))
+				finj := fault.New(spec, faultSeed(p.Seed, job))
 				mesh.InstallFaults(finj)
 				var rec *check.Recorder
 				var wd *check.Watchdog
@@ -110,7 +101,7 @@ func RunNoCSweep(p NoCSweepParams) (*NoCSweepResult, error) {
 					rec = check.NewRecorder()
 					rec.Register(obs.Default())
 					mesh.CheckStreams(rec)
-					wd = check.NewWatchdog(watchdogLimit(spec, 0))
+					wd = check.NewWatchdog(spec.WatchdogBudget())
 					mesh.WatchProgress(wd)
 				}
 				// wedged flags a mesh that holds flits but delivers
@@ -159,12 +150,7 @@ func RunNoCSweep(p NoCSweepParams) (*NoCSweepResult, error) {
 			})
 		}
 	}
-	opts, closeCP, err := gridOptions("nocsweep", p, p.Checkpoint, p.Resume, p.Progress)
-	if err != nil {
-		return nil, err
-	}
-	defer closeCP()
-	points, err := exec.Run(jobs, p.Workers, opts...)
+	points, err := runGrid("nocsweep", p, p.Options, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -29,7 +29,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		{"table1", func(w int) string {
 			p := DefaultTable1Params()
 			p.Fig4.Cycles = 60_000
-			p.Workers = w
+			p.Fig4.Workers = w
 			res, err := RunTable1(p)
 			if err != nil {
 				t.Fatal(err)

@@ -33,20 +33,12 @@ type ParkingLotParams struct {
 	Cycles int64
 	// PacketLen is the fixed packet length in flits.
 	PacketLen int
-	// Progress, if set, observes grid-job completions (see
-	// exec.WithProgress); it never affects the result.
-	Progress exec.Progress `json:"-"`
-	// Workers caps the worker pool running the two arbitration
-	// variants (0 = GOMAXPROCS, 1 = serial). The result is
-	// byte-identical for every value.
-	Workers int
 	// Seed seeds the fault injector's randomness (the workload itself
 	// is deterministic).
 	Seed uint64
-	// Robustness carries the fault-injection, invariant-checking and
-	// checkpoint/resume knobs. Router-scoped directives address chain
-	// switches 0..Hops-1; port 0 is the through/sink output.
-	Robustness
+	// Options: router-scoped fault directives address chain switches
+	// 0..Hops-1; port 0 is the through/sink output.
+	Options
 }
 
 // DefaultParkingLotParams returns defaults.
@@ -74,7 +66,7 @@ func RunParkingLot(p ParkingLotParams) (*ParkingLotResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		finj := fault.New(spec, p.faultSeed(p.Seed, job))
+		finj := fault.New(spec, faultSeed(p.Seed, job))
 		routers := make([]*wormhole.Router, p.Hops)
 		for i := 0; i < p.Hops; i++ {
 			i := i
@@ -137,7 +129,7 @@ func RunParkingLot(p ParkingLotParams) (*ParkingLotResult, error) {
 				wd.Progress(cycle)
 				prev(f, vc, cycle)
 			}
-			wd = check.NewWatchdog(watchdogLimit(spec, 0))
+			wd = check.NewWatchdog(spec.WatchdogBudget())
 		}
 
 		// Backlogged sources: source i injects at router i, port 1.
@@ -187,15 +179,10 @@ func RunParkingLot(p ParkingLotParams) (*ParkingLotResult, error) {
 	}
 	// The two arbitration variants are independent chains — run them
 	// as two jobs.
-	opts, closeCP, err := gridOptions("parkinglot", p, p.Checkpoint, p.Resume, p.Progress)
-	if err != nil {
-		return nil, err
-	}
-	defer closeCP()
-	shares, err := exec.Run([]exec.Job[[]float64]{
+	shares, err := runGrid("parkinglot", p, p.Options, []exec.Job[[]float64]{
 		func() ([]float64, error) { return run(false, 0) },
 		func() ([]float64, error) { return run(true, 1) },
-	}, p.Workers, opts...)
+	})
 	if err != nil {
 		return nil, err
 	}

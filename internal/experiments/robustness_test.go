@@ -153,6 +153,34 @@ func TestWatchdogAbortsPermanentStall(t *testing.T) {
 	}
 }
 
+// TestNoCSweepWatchdogRidesOutTransientFreeze pins the watchdog
+// budget rule (fault.Spec.WatchdogBudget) on the network runners: a
+// checked run rides out a router freeze longer than the 1<<16-cycle
+// floor, because the budget is four times the longest window, while a
+// permanent freeze still trips the watchdog.
+func TestNoCSweepWatchdogRidesOutTransientFreeze(t *testing.T) {
+	sweep := DefaultNoCSweepParams()
+	sweep.Rates = sweep.Rates[:1]
+	sweep.WarmCycles = 5_000
+	sweep.Check = true
+	sweep.Faults = "freeze(router=5,at=1000,dur=100000)"
+	if _, err := RunNoCSweep(sweep); err != nil {
+		t.Fatalf("nocsweep: transient freeze failed the run: %v", err)
+	}
+	sweep.Faults = "freeze(router=5,at=1000)"
+	if _, err := RunNoCSweep(sweep); err == nil || !strings.Contains(err.Error(), "wedged") {
+		t.Fatalf("nocsweep: permanent freeze: err = %v, want a wedge report", err)
+	}
+
+	lot := DefaultParkingLotParams()
+	lot.Cycles = 120_000
+	lot.Check = true
+	lot.Faults = "freeze(router=3,at=1000,dur=100000)"
+	if _, err := RunParkingLot(lot); err != nil {
+		t.Fatalf("parking lot: transient freeze failed the run: %v", err)
+	}
+}
+
 // TestGridCheckpointResumeByteIdentical is the acceptance scenario at
 // the experiments level: a grid runner killed mid-sweep and resumed
 // from its checkpoint renders byte-identical output.
@@ -211,6 +239,24 @@ func TestGridCheckpointResumeByteIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(full.MaxGap, resumed.MaxGap) || !reflect.DeepEqual(full.MeanWorst, resumed.MeanWorst) {
 		t.Fatal("resumed aggregates differ from the uninterrupted run")
+	}
+
+	// The worker count only schedules the grid: the checkpoint resumes
+	// under another one, byte-identically.
+	p = params()
+	p.Checkpoint = cpPath
+	p.Resume = true
+	p.Workers = 3
+	again, err := RunGap(p)
+	if err != nil {
+		t.Fatalf("resume under Workers=3: %v", err)
+	}
+	got.Reset()
+	if err := again.Render(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("output resumed under Workers=3 differs from uninterrupted run:\n%s\nvs\n%s", got.String(), want.String())
 	}
 
 	// Resuming the same checkpoint under different parameters must be

@@ -19,7 +19,7 @@ func (r *Table1Result) RunInfo() obs.RunInfo {
 	return obs.RunInfo{
 		Experiment: "table1",
 		Seeds:      []uint64{r.Params.Fig4.Seed},
-		Workers:    exec.Workers(r.Params.Workers),
+		Workers:    exec.Workers(r.Params.Fig4.Workers),
 		Cycles:     int64(len(r.Rows)) * r.Params.Fig4.Cycles,
 	}
 }

@@ -56,11 +56,6 @@ type ScaleParams struct {
 	// lanes, run on the smallest torus in Ks (1 = serial stepping).
 	StepWorkers []int
 	Seed        uint64
-	// Workers is the grid pool for the sweep points themselves. Keep
-	// it 1 when Ks includes a million-router lane: two such meshes
-	// alive at once doubles a multi-GB footprint.
-	Workers  int
-	Progress exec.Progress `json:"-"`
 	// Shard/Of split the point grid round-robin across processes
 	// (exec.WithShard): each process runs the same parameters with
 	// its own -checkpoint file, then exec.MergeCheckpoints and one
@@ -68,7 +63,11 @@ type ScaleParams struct {
 	// Excluded from the grid signature — every shard shares it.
 	Shard int `json:"-"`
 	Of    int `json:"-"`
-	Robustness
+	// Options: Check is refused. Workers is the grid pool for the
+	// sweep points themselves; keep it 1 when Ks includes a
+	// million-router lane, as two such meshes alive at once double a
+	// multi-GB footprint.
+	Options
 }
 
 // DefaultScaleParams returns the BENCH_scale.json configuration:
@@ -89,7 +88,7 @@ func DefaultScaleParams() ScaleParams {
 		HotFrac:      0.05,
 		StepWorkers:  []int{1, 2, 4, 8},
 		Seed:         1,
-		Workers:      1,
+		Options:      Options{Workers: 1},
 	}
 }
 
@@ -274,15 +273,11 @@ func RunScale(p ScaleParams) (*ScaleResult, error) {
 				rng.Derive(p.Seed, 0x577ab))
 		})
 	}
-	opts, closeCP, err := gridOptions("scale", p, p.Checkpoint, p.Resume, p.Progress)
-	if err != nil {
-		return nil, err
-	}
-	defer closeCP()
+	var shard []exec.Option
 	if p.Of > 1 {
-		opts = append(opts, exec.WithShard(p.Shard, p.Of))
+		shard = append(shard, exec.WithShard(p.Shard, p.Of))
 	}
-	points, err := exec.Run(jobs, p.Workers, opts...)
+	points, err := runGrid("scale", p, p.Options, jobs, shard...)
 	if err != nil {
 		return nil, err
 	}

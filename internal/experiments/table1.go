@@ -10,7 +10,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/flit"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -20,14 +19,9 @@ import (
 // the fairness measure is taken over the second half of the run,
 // after the warm-up transient, as the max over all sub-intervals.
 type Table1Params struct {
+	// Fig4 is the workload, and its options run the per-discipline
+	// jobs.
 	Fig4 Fig4Params
-	// Workers caps the worker pool running the per-discipline jobs
-	// (0 = GOMAXPROCS, 1 = serial). The result is byte-identical for
-	// every value.
-	Workers int
-	// Progress, if set, observes grid-job completions (see
-	// exec.WithProgress); it never affects the result.
-	Progress exec.Progress `json:"-"`
 }
 
 // DefaultTable1Params returns paper-scale parameters.
@@ -120,30 +114,13 @@ func RunTable1(p Table1Params) (*Table1Result, error) {
 			} else {
 				cfg.FlitSched = m.flit()
 			}
-			inj, chk, err := applyRobustness(p.Fig4.Robustness, p.Fig4.faultSeed(p.Fig4.Seed, i), 0, &cfg)
-			if err != nil {
+			if err := p.Fig4.runEngine(cfg, faultSeed(p.Fig4.Seed, i), p.Fig4.Cycles); err != nil {
 				return disc{}, err
 			}
-			e, err := engine.NewEngine(cfg)
-			if err != nil {
-				return disc{}, err
-			}
-			if chk != nil {
-				chk.Attach(e, cfg.Scheduler)
-			}
-			if _, err := runChecked(e, chk, p.Fig4.Cycles, false); err != nil {
-				return disc{}, err
-			}
-			registerFaultCounters(obs.Default(), inj.Counters(), e.Rejected())
 			return disc{FM: ft.FM(), MaxLen: maxLen}, nil
 		}
 	}
-	opts, closeCP, err := gridOptions("table1", p, p.Fig4.Checkpoint, p.Fig4.Resume, p.Progress)
-	if err != nil {
-		return nil, err
-	}
-	defer closeCP()
-	discs, err := exec.Run(jobs, p.Workers, opts...)
+	discs, err := runGrid("table1", p, p.Fig4.Options, jobs)
 	if err != nil {
 		return nil, err
 	}

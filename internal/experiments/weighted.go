@@ -7,9 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/obs"
 	"repro/internal/rng"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -25,25 +23,10 @@ type WeightedParams struct {
 	Cycles  int64
 	Weights []int64
 	Seed    uint64
-	// Workers caps the worker pool (0 = GOMAXPROCS, 1 = serial). The
-	// experiment is a single simulation, so the knob only exists for
-	// uniformity with the other runners; the result never depends on
-	// it.
-	Workers int
-	// Progress, if set, observes grid-job completions (see
-	// exec.WithProgress); it never affects the result.
-	Progress exec.Progress `json:"-"`
-	// Collector, if set, accumulates registry telemetry from every
-	// grid job (see SimConfig.Collector); it never affects the result.
-	Collector *obs.Collector `json:"-"`
-	// Trace, if set, is the packet flight recorder wired into every
-	// grid job (see SimConfig.Trace); each job becomes one span track.
-	Trace *trace.EngineTrace `json:"-"`
-	// Robustness carries the fault-injection and invariant-checking
-	// knobs. Checkpointing is not supported here: the experiment is a
-	// single simulation whose raw result does not round-trip JSON, and
-	// there is no grid to resume.
-	Robustness
+	// EngineOptions run the single simulation as a one-job grid.
+	// Checkpointing is refused: the raw result does not round-trip
+	// JSON, and there is no grid to resume.
+	EngineOptions
 }
 
 // DefaultWeightedParams returns defaults.
@@ -73,25 +56,20 @@ func RunWeighted(p WeightedParams) (*WeightedResult, error) {
 	if p.Checkpoint != "" {
 		return nil, fmt.Errorf("experiments: weighted run does not support checkpointing (single simulation, nothing to resume)")
 	}
-	sims, err := exec.Run([]exec.Job[*SimResult]{func() (*SimResult, error) {
+	sims, err := runGrid("weighted", p, p.Options, []exec.Job[*SimResult]{func() (*SimResult, error) {
 		e := core.NewWeighted(func(f int) int64 { return p.Weights[f] })
 		src := rng.New(p.Seed)
 		sources := make([]traffic.Source, n)
 		for f := 0; f < n; f++ {
 			sources[f] = traffic.NewBacklogged(f, 4, rng.NewUniform(1, 32), src.Split())
 		}
-		return RunSim(SimConfig{
+		return p.runSim(SimConfig{
 			Flows:     n,
 			Scheduler: e,
 			Source:    traffic.NewMulti(sources...),
 			Cycles:    p.Cycles,
-			Collector: p.Collector,
-			Trace:     p.Trace,
-			FaultSpec: p.Faults,
-			FaultSeed: p.faultSeed(p.Seed, 0),
-			Check:     p.Check,
-		})
-	}}, p.Workers, exec.WithProgress(p.Progress))
+		}, p.Seed, 0)
+	}})
 	if err != nil {
 		return nil, err
 	}

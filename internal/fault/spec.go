@@ -114,6 +114,23 @@ type Spec struct {
 	Source string
 }
 
+// WatchdogBudget is the no-progress budget a deadlock watchdog should
+// allow a run under s: max(1<<16, 4x the longest finite stall or
+// freeze window), so a transient window is ridden out while a
+// permanent one (dur=0) still trips it. A nil spec gets the floor.
+func (s *Spec) WatchdogBudget() int64 {
+	limit := int64(1 << 16)
+	if s == nil {
+		return limit
+	}
+	for _, d := range s.Directives {
+		if (d.Kind == "stall" || d.Kind == "freeze") && 4*d.Dur > limit {
+			limit = 4 * d.Dur
+		}
+	}
+	return limit
+}
+
 // Parse parses a fault spec. An empty string yields a nil Spec (no
 // faults), which every injector constructor accepts.
 func Parse(s string) (*Spec, error) {

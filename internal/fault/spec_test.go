@@ -182,3 +182,28 @@ func TestParseServeDirectiveErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestWatchdogBudget pins the one watchdog budget rule: four times the
+// longest finite stall or freeze window, never below 1<<16 cycles.
+func TestWatchdogBudget(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		want int64
+	}{
+		{"", 1 << 16},
+		{"stall(at=0,dur=100)", 1 << 16},
+		{"stall(port=1,at=0,dur=20000)", 80_000},
+		{"freeze(router=5,at=1000,dur=100000)", 400_000},
+		{"freeze(router=5,at=1000)", 1 << 16},
+		{"drop(p=0.5);stall(at=1,dur=30000);freeze(at=2,dur=20000)", 120_000},
+		{"burst(tenant=a,rps=5,at=0,dur=1000000)", 1 << 16},
+	} {
+		spec, err := fault.Parse(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := spec.WatchdogBudget(); got != c.want {
+			t.Errorf("%q: budget %d, want %d", c.spec, got, c.want)
+		}
+	}
+}
