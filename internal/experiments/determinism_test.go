@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -11,62 +10,21 @@ import (
 // necessary for benchmark applications"): identical parameters and
 // seed must render bit-identical artifacts, run to run.
 func TestRunsAreDeterministic(t *testing.T) {
-	render := func() string {
-		p := DefaultTable1Params()
-		p.Fig4.Cycles = 100_000
-		res, err := RunTable1(p)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		c    Config
+	}{
+		{"table1", Config{Seed: 1, Cycles: 100_000}},
+		{"fig6", Config{Seed: 1, Cycles: 50_000, Intervals: 300}},
+	} {
+		if render(t, tc.name, tc.c) != render(t, tc.name, tc.c) {
+			t.Fatalf("two identical %s runs rendered differently", tc.name)
 		}
-		var sb strings.Builder
-		if err := res.Render(&sb); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
-	}
-	if render() != render() {
-		t.Fatal("two identical Table 1 runs rendered differently")
-	}
-
-	fig6 := func() string {
-		p := smallFig6()
-		p.Cycles = 50_000
-		p.Intervals = 300
-		p.MaxFlows = 3
-		res, err := RunFig6(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sb strings.Builder
-		if err := res.Render(&sb); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
-	}
-	if fig6() != fig6() {
-		t.Fatal("two identical Figure 6 runs rendered differently")
 	}
 
 	// And a different seed must actually change the outcome (the seed
 	// is not being ignored).
-	p1 := smallFig4()
-	p1.Cycles = 50_000
-	a, err := RunFig4(p1, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1.Seed = 999
-	b, err := RunFig4(p1, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for f := range a.KBytes[0] {
-		if a.KBytes[0][f] != b.KBytes[0][f] {
-			same = false
-		}
-	}
-	if same {
+	if render(t, "fig4a", Config{Seed: 1, Cycles: 50_000}) == render(t, "fig4a", Config{Seed: 999, Cycles: 50_000}) {
 		t.Error("changing the seed did not change the workload")
 	}
 }
@@ -79,48 +37,21 @@ func TestRunsAreDeterministic(t *testing.T) {
 // simulation owns its RNG state — nothing is package-global).
 func TestDeterminismUnderConcurrency(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		t.Run(fmt.Sprintf("fig6-workers-%d", workers), func(t *testing.T) {
-			t.Parallel()
-			render := func() string {
-				p := smallFig6()
-				p.Cycles = 30_000
-				p.Intervals = 150
-				p.MaxFlows = 3
-				p.Workers = workers
-				res, err := RunFig6(p)
-				if err != nil {
-					t.Fatal(err)
+		for _, tc := range []struct {
+			name string
+			c    Config
+		}{
+			{"fig6", Config{Seed: 1, Cycles: 30_000, Intervals: 150}},
+			{"gap", Config{Seed: 1, Cycles: 30_000}},
+		} {
+			tc := tc
+			tc.c.Workers = workers
+			t.Run(fmt.Sprintf("%s-workers-%d", tc.name, workers), func(t *testing.T) {
+				t.Parallel()
+				if render(t, tc.name, tc.c) != render(t, tc.name, tc.c) {
+					t.Errorf("%s with Workers=%d rendered differently run to run", tc.name, tc.c.Workers)
 				}
-				var sb strings.Builder
-				if err := res.Render(&sb); err != nil {
-					t.Fatal(err)
-				}
-				return sb.String()
-			}
-			if render() != render() {
-				t.Errorf("fig6 with Workers=%d rendered differently run to run", workers)
-			}
-		})
-		t.Run(fmt.Sprintf("gap-workers-%d", workers), func(t *testing.T) {
-			t.Parallel()
-			render := func() string {
-				p := DefaultGapParams()
-				p.Cycles = 30_000
-				p.Workers = workers
-				res, err := RunGap(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var sb strings.Builder
-				if err := res.Render(&sb); err != nil {
-					t.Fatal(err)
-				}
-				return sb.String()
-			}
-			if render() != render() {
-				t.Errorf("gap with Workers=%d rendered differently run to run", workers)
-			}
-		})
+			})
+		}
 	}
 }

@@ -17,121 +17,48 @@ func renderString(t *testing.T, r interface{ Render(io.Writer) error }) string {
 	return sb.String()
 }
 
-// TestParallelMatchesSerial pins the worker-pool contract: every
-// refactored runner must render byte-identical artifacts with
-// Workers=1 (the legacy serial path) and Workers=4. Each job owns its
-// seed derivation, so scheduling order cannot leak into results.
-func TestParallelMatchesSerial(t *testing.T) {
-	cases := []struct {
-		name string
-		run  func(workers int) string
-	}{
-		{"table1", func(w int) string {
-			p := DefaultTable1Params()
-			p.Fig4.Cycles = 60_000
-			p.Fig4.Workers = w
-			res, err := RunTable1(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return renderString(t, res)
-		}},
-		{"fig4", func(w int) string {
-			p := smallFig4()
-			p.Cycles = 60_000
-			p.Workers = w
-			res, err := RunFig4(p, "all")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return renderString(t, res)
-		}},
-		{"fig5", func(w int) string {
-			p := smallFig5()
-			p.BurstCycles = 2_000
-			p.Repeats = 2
-			p.Workers = w
-			res, err := RunFig5(p, "all")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return renderString(t, res)
-		}},
-		{"fig6", func(w int) string {
-			p := smallFig6()
-			p.Cycles = 40_000
-			p.Intervals = 200
-			p.MaxFlows = 3
-			p.Workers = w
-			res, err := RunFig6(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return renderString(t, res)
-		}},
-		{"fig6ext", func(w int) string {
-			p := DefaultFig6ExtParams()
-			p.Cycles = 40_000
-			p.Intervals = 200
-			p.PLarges = []float64{0.5, 0.05}
-			p.Workers = w
-			res, err := RunFig6Ext(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return renderString(t, res)
-		}},
-		{"weighted", func(w int) string {
-			p := DefaultWeightedParams()
-			p.Cycles = 60_000
-			p.Workers = w
-			res, err := RunWeighted(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return renderString(t, res)
-		}},
-		{"gap", func(w int) string {
-			p := DefaultGapParams()
-			p.Cycles = 60_000
-			p.Workers = w
-			res, err := RunGap(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return renderString(t, res)
-		}},
-		{"parkinglot", func(w int) string {
-			p := DefaultParkingLotParams()
-			p.Cycles = 40_000
-			p.Workers = w
-			res, err := RunParkingLot(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return renderString(t, res)
-		}},
-		{"nocsweep", func(w int) string {
-			p := DefaultNoCSweepParams()
-			p.WarmCycles = 4_000
-			p.Rates = []float64{0.01, 0.03}
-			p.Workers = w
-			res, err := RunNoCSweep(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return renderString(t, res)
-		}},
+// render runs the -exp name through the experiment table under c and
+// renders the result.
+func render(t *testing.T, name string, c Config) string {
+	t.Helper()
+	e, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("no experiment %q", name)
 	}
-	for _, tc := range cases {
+	res, err := e.Run(name, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return renderString(t, res)
+}
+
+// TestParallelMatchesSerial pins the worker-pool contract: every
+// grid runner must render byte-identical artifacts with Workers=1
+// (the serial path) and Workers=4. Each job owns its seed derivation,
+// so scheduling order cannot leak into results.
+func TestParallelMatchesSerial(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c    Config
+	}{
+		{"table1", Config{Cycles: 60_000}},
+		{"fig4", Config{Cycles: 60_000}},
+		{"fig5", Config{Cycles: 2_000, Repeats: 2}},
+		{"fig6", Config{Cycles: 40_000, Intervals: 200}},
+		{"fig6ext", Config{Cycles: 40_000, Intervals: 200}},
+		{"weighted", Config{Cycles: 60_000}},
+		{"gap", Config{Cycles: 60_000}},
+		{"parkinglot", Config{Cycles: 40_000}},
+		{"nocsweep", Config{Cycles: 4_000}},
+	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			serial := tc.run(1)
-			parallel := tc.run(4)
-			if serial != parallel {
-				t.Errorf("Workers=1 and Workers=4 rendered differently:\n--- serial ---\n%s\n--- parallel ---\n%s",
-					serial, parallel)
+			tc.c.Seed = 1
+			serial, parallel := tc.c, tc.c
+			serial.Workers, parallel.Workers = 1, 4
+			if a, b := render(t, tc.name, serial), render(t, tc.name, parallel); a != b {
+				t.Errorf("Workers=1 and Workers=4 rendered differently:\n--- serial ---\n%s\n--- parallel ---\n%s", a, b)
 			}
 		})
 	}

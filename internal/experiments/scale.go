@@ -273,11 +273,7 @@ func RunScale(p ScaleParams) (*ScaleResult, error) {
 				rng.Derive(p.Seed, 0x577ab))
 		})
 	}
-	var shard []exec.Option
-	if p.Of > 1 {
-		shard = append(shard, exec.WithShard(p.Shard, p.Of))
-	}
-	points, err := runGrid("scale", p, p.Options, jobs, shard...)
+	points, err := runGrid("scale", p, p.Options, jobs, exec.WithShard(p.Shard, p.Of))
 	if err != nil {
 		return nil, err
 	}
