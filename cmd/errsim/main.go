@@ -51,7 +51,7 @@ func main() {
 		exp       = flag.String("exp", "table1", "experiment: "+strings.Join(experiments.Names(), ", "))
 		cycles    = flag.Int64("cycles", 0, "override the experiment's main run length in cycles (0 = paper scale)")
 		seed      = flag.Uint64("seed", 1, "random seed")
-		intervals = flag.Int("intervals", 0, "fig6: random intervals to average over (0 = paper's 10000)")
+		intervals = flag.Int("intervals", 0, "fig6, fig6ext: random intervals to average over (0 = the experiment's default)")
 		repeats   = flag.Int("repeats", 0, "fig5: seeds to average each point over (0 = default 5)")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for independent simulation jobs (1 = serial; output is identical for any value)")
 		jsonOut   = flag.Bool("json", false, "emit the result as JSON instead of ASCII/CSV")

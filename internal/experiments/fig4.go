@@ -138,7 +138,9 @@ func RunFig4(p Fig4Params, panel string) (*Fig4Result, error) {
 			return kb, nil
 		}
 	}
-	kbs, err := runGrid("fig4", p, p.Options, jobs)
+	// The panel picks the disciplines behind the job indices, so it
+	// names the grid.
+	kbs, err := runGrid("fig4/"+panel, p, p.Options, jobs)
 	if err != nil {
 		return nil, err
 	}

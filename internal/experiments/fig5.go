@@ -146,7 +146,7 @@ func RunFig5(p Fig5Params, panel string) (*Fig5Result, error) {
 			}
 		}
 	}
-	reps, err := runGrid("fig5", p, p.Options, jobs)
+	reps, err := runGrid("fig5/"+panel, p, p.Options, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -270,6 +270,23 @@ func TestGridCheckpointResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCheckpointRefusesOtherPanel pins that a figure's panel is part
+// of its grid: panels run different disciplines at the same job
+// indices, so a fig4a checkpoint resumed as fig4b must be refused
+// rather than relabel PBRR's results as FBRR's.
+func TestCheckpointRefusesOtherPanel(t *testing.T) {
+	p := smallFig4()
+	p.Cycles = 2_000
+	p.Checkpoint = filepath.Join(t.TempDir(), "fig4.jsonl")
+	if _, err := RunFig4(p, "a"); err != nil {
+		t.Fatal(err)
+	}
+	p.Resume = true
+	if _, err := RunFig4(p, "b"); err == nil || !strings.Contains(err.Error(), "signature") {
+		t.Fatalf("fig4a checkpoint resumed as fig4b: err = %v, want a signature refusal", err)
+	}
+}
+
 // TestWeightedRefusesCheckpoint pins the explicit unsupported-knob
 // error: a single-simulation runner has nothing to resume.
 func TestWeightedRefusesCheckpoint(t *testing.T) {

@@ -13,8 +13,9 @@ import (
 // options it honors. Both commands resolve names here and nowhere
 // else.
 
-// Result is what every experiment returns: a result that renders as
-// ASCII plus CSV (and reports its manifest facts through RunInfo).
+// Result is what every experiment returns: it renders as ASCII plus
+// CSV, and every result but a checkpoint merge's also reports its
+// manifest facts through a RunInfo method.
 type Result interface {
 	Render(io.Writer) error
 }
@@ -71,8 +72,8 @@ const (
 // Experiment is one entry of the table.
 type Experiment struct {
 	// Names are the -exp names that select the entry. The first is
-	// canonical: the runner's checkpoint grid name and the artifact's
-	// stem.
+	// canonical: the artifact's stem, and the grid name that -merge
+	// signs scale's checkpoints with.
 	Names []string
 	// File is the artifact cmd/reproduce writes ("" = errsim only).
 	File   string
