@@ -14,7 +14,8 @@
 //
 // plus the ablations called out in DESIGN.md. Every runner accepts a
 // scaled-down parameter set so the full suite also runs as tests; the
-// paper-scale parameters are the documented defaults of cmd/errsim.
+// paper-scale parameters are the defaults. The experiment table
+// (table.go) names every runner for cmd/errsim and cmd/reproduce.
 package experiments
 
 import (
