@@ -43,8 +43,8 @@ func runCLI(t *testing.T, args ...string) (stdout, stderr []byte, err error) {
 }
 
 // TestCLIGolden pins errsim's output for every experiment at a short
-// length, plus one faulted, checked run of the engine and of the NoC
-// and one -json document. Every case runs serially and on a
+// length, plus one faulted, checked run of the engine, of the NoC and
+// of the parking-lot chain, and one -json document. Every case runs serially and on a
 // two-worker pool against the same golden. Regenerate a golden with
 // `go run ./cmd/errsim <args> > cmd/errsim/testdata/<name>.golden`
 // and read the diff before committing it.
@@ -71,6 +71,8 @@ func TestCLIGolden(t *testing.T) {
 			"-faults", "stall(flow=2,at=5000,dur=10000)", "-check"}},
 		{"nocsweep-freeze-check", []string{"-exp", "nocsweep", "-cycles", "2000",
 			"-faults", "freeze(router=5,at=500,dur=300)", "-check"}},
+		{"parkinglot-freeze-check", []string{"-exp", "parkinglot", "-cycles", "4000",
+			"-faults", "freeze(router=2,at=500,dur=300)", "-check"}},
 		{"weighted-json", []string{"-exp", "weighted", "-cycles", "20000", "-json"}},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", c.name+".golden"))

@@ -44,7 +44,8 @@ const torusFaults = "stall(router=5,port=1,at=100,dur=400);freeze(router=6,at=30
 
 // TestCLIGolden pins nocsim's complete output, telemetry lines
 // included, on a fault-free mesh and a faulted torus, serial and on a
-// two-worker pool, and checks -reference against the same goldens.
+// two-worker pool, plus a checked run with and without the flight
+// recorder, and checks -reference against the same goldens.
 // Regenerate a golden with
 // `go run ./cmd/nocsim <args> > cmd/nocsim/testdata/<name>.golden`
 // and read the diff before committing it.
@@ -58,6 +59,8 @@ func TestCLIGolden(t *testing.T) {
 		{"default-parallel", "default", []string{"-parallel-mesh", "2"}},
 		{"torus-faults", "torus-faults", torus},
 		{"torus-faults-parallel", "torus-faults", append(torus[:len(torus):len(torus)], "-parallel-mesh", "2")},
+		{"check", "check", []string{"-check"}},
+		{"trace-check", "trace-check", []string{"-trace", "-check"}},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", c.golden+".golden"))
 		if err != nil {

@@ -41,8 +41,9 @@ func runCLI(t *testing.T, args ...string) []byte {
 }
 
 // TestCLIGolden pins switchsim's complete output: the default run, a
-// run whose contended output is stalled for 50k cycles, and the
-// full-scan reference. Regenerate a golden with
+// run whose contended output is stalled for 50k cycles, the full-scan
+// reference, a checked run through a switch freeze, a half-rate drain
+// under PBRR, and malformed injected packets. Regenerate a golden with
 // `go run ./cmd/switchsim <args> > cmd/switchsim/testdata/<name>.golden`
 // and read the diff before committing it.
 func TestCLIGolden(t *testing.T) {
@@ -53,6 +54,9 @@ func TestCLIGolden(t *testing.T) {
 		{"default", nil},
 		{"stall", []string{"-faults", "stall(port=0,at=1000,dur=50000)"}},
 		{"reference", []string{"-reference"}},
+		{"check-freeze", []string{"-check", "-faults", "freeze(router=0,at=1000,dur=3000)"}},
+		{"drain-pbrr", []string{"-drain", "0.5", "-arb", "pbrr"}},
+		{"malformed", []string{"-faults", "malformed(kind=duphead,p=0.001)"}},
 	} {
 		t.Run(c.golden, func(t *testing.T) {
 			t.Parallel()
