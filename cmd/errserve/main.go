@@ -67,11 +67,12 @@ func main() {
 		return
 	}
 
-	var spec *fault.Spec
-	if *faults != "" {
-		if spec, err = fault.Parse(*faults); err != nil {
-			fatal(err)
-		}
+	spec, err := fault.Parse(*faults)
+	if err == nil {
+		err = fault.Serve.Check(spec)
+	}
+	if err != nil {
+		fatal(err)
 	}
 	reg := obs.NewRegistry()
 	cfg := serve.Config{

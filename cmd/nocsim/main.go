@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/fault"
@@ -107,48 +106,13 @@ func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLe
 		m.SetPool(pool)
 	}
 
-	spec, err := fault.Parse(faults)
-	if err != nil {
-		return err
-	}
 	if faultSeed == 0 {
 		faultSeed = rng.Derive(seed, 0xfa0175)
 	}
-	finj := fault.New(spec, faultSeed)
-	m.InstallFaults(finj)
-	var rec *check.Recorder
-	var wd *check.Watchdog
-	if checkF {
-		rec = check.NewRecorder()
-		rec.Register(obs.Default())
-		m.CheckStreams(rec)
-		wd = check.NewWatchdog(spec.WatchdogBudget())
-		m.WatchProgress(wd)
+	g, err := m.Protect(faults, faultSeed, checkF)
+	if err != nil {
+		return err
 	}
-	// wedgeReport renders the abort diagnostic for a mesh holding flits
-	// that has delivered nothing for the watchdog budget: the
-	// channel-wait graph (who is blocked on which VC, and why) at the
-	// trip cycle.
-	wedgeReport := func(c int64) error {
-		return fmt.Errorf("wedged at cycle %d: %d flits in flight, no delivery for %d cycles (%d flits dropped by fault injection)\nchannel-wait graph:\n%s",
-			c, m.InFlight(), wd.Limit, finj.Counters().Dropped,
-			noc.FormatWaitGraph(m.WaitGraph(c), 32))
-	}
-	// The warm loop steps manually (the injector is cycle-driven), so
-	// it polls the watchdog itself; the drain runs through Mesh.Drain,
-	// which consults the watchdog every stepped cycle and at the trip
-	// point of any skipped gap, reporting through the OnWedged hook.
-	wedged := func() error {
-		if wd == nil || !wd.Expired(m.Cycle(), int64(m.InFlight())) {
-			return nil
-		}
-		return wedgeReport(m.Cycle())
-	}
-	var wedgeErr error
-	if wd != nil {
-		m.SetOnWedged(func(c int64) { wedgeErr = wedgeReport(c) })
-	}
-
 	var tr *trace.Trace
 	if topts.enabled {
 		tr = m.EnableTrace(noc.TraceConfig{
@@ -176,13 +140,13 @@ func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLe
 	for c := int64(0); c < cycles; c++ {
 		inj.Step()
 		m.Step()
-		if err := wedged(); err != nil {
+		if err := m.Wedged(); err != nil {
 			return err
 		}
 	}
 	drained := m.Drain(10 * cycles)
-	if wedgeErr != nil {
-		return wedgeErr
+	if err := m.Wedged(); err != nil {
+		return err
 	}
 
 	var injected, delivered int64
@@ -219,7 +183,7 @@ func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLe
 		}
 		cells := obs.Default().Counter("noc.cells_visited").Value()
 		fmt.Printf("arbitration: %s, %.1f arbitration sites visited/cycle (mesh holds %d ports*VCs cells); %d idle cycles skipped\n",
-			mode, float64(cells)/float64(cyc), m.Nodes()*noc.RouterPorts*vcs,
+			mode, float64(cells)/float64(cyc), m.Cells(),
 			obs.Default().Counter("noc.cycles_skipped").Value())
 		crossShare := 0.0
 		if comp > 0 {
@@ -228,60 +192,28 @@ func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLe
 		fmt.Printf("layout: %d B/router arena, %dx%d commit tiles (%d tiles), %.1f%% of router computes emitted cross-tile effects\n",
 			m.BytesPerRouter(), m.TileEdge(), m.TileEdge(), m.Tiles(), 100*crossShare)
 	}
-	if fc := finj.Counters(); fc != (fault.Counters{}) {
-		fmt.Printf("faults: %d stall cycles, %d dropped flits, %d corrupted flits\n",
+	if fc := g.Faults.Counters(); fc != (fault.Counters{}) {
+		fmt.Printf("faults: %d stall cycles, %d dropped flits, %d corrupted flits",
 			fc.StallCycles, fc.Dropped, fc.Corrupted)
+		if fc.Malformed > 0 {
+			fmt.Printf(", %d malformed packets", fc.Malformed)
+		}
+		fmt.Println()
 	}
 	fmt.Println()
 	if err := plot.Bar(os.Stdout, "Delivered flits per source node", labels, flits, 50); err != nil {
 		return err
 	}
 	if tr != nil {
-		tr.Finish(m.Cycle())
-		recs := tr.Records()
-		ws := trace.WindowsFromSpec(spec)
-		if err := writeTraceFile(topts.chrome, func(w *os.File) error {
-			return trace.WriteChrome(w, recs, ws)
-		}); err != nil {
+		if err := m.ExportTrace(os.Stdout, tr, topts.chrome, topts.jsonl); err != nil {
 			return err
-		}
-		if err := writeTraceFile(topts.jsonl, func(w *os.File) error {
-			return trace.WriteJSONL(w, recs, ws)
-		}); err != nil {
-			return err
-		}
-		fmt.Printf("\nflight recorder: %d spans (1-in-%d sampling, %d overwritten)\n",
-			len(recs), topts.sample, tr.Dropped())
-		if err := tr.Rollup().Render(os.Stdout); err != nil {
-			return err
-		}
-		if rec != nil {
-			// Span invariants report into the same recorder as the
-			// stream checks, so violations fail the run below.
-			trace.Audit(recs, rec.Report)
 		}
 	}
-	if rec != nil {
-		if err := rec.Err(); err != nil {
+	if g.Check != nil {
+		if err := g.Check.Err(); err != nil {
 			return fmt.Errorf("invariant checking failed: %w", err)
 		}
-		fmt.Printf("\ninvariant checking: %d violations\n", rec.Count())
+		fmt.Printf("\ninvariant checking: %d violations\n", g.Check.Count())
 	}
 	return nil
-}
-
-// writeTraceFile writes one trace export to path ("" = skip).
-func writeTraceFile(path string, write func(*os.File) error) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -11,16 +11,14 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/flit"
+	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/plot"
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/trace"
-	"repro/internal/wormhole"
 )
 
 func main() {
@@ -80,180 +78,73 @@ func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP flo
 	default:
 		return fmt.Errorf("unknown arbiter %q", arb)
 	}
-	ports := inputs + 1 // port 0 is the contended output
-	r, err := wormhole.NewRouter(0, wormhole.Config{
-		Ports:    ports,
-		VCs:      vcs,
-		BufFlits: buf,
-		NewArb:   newArb,
-		Route:    func(dst int) int { return dst },
-	})
+	// One router; terminal t is its port t. Terminal 0 is the contended
+	// output, draining through an 8-flit sink; terminals 1..inputs are
+	// the inputs, whose packets all route to it.
+	src := rng.New(seed)
+	ports := inputs + 1
+	g := noc.Graph{
+		Radix:  []int{ports},
+		Route:  func(_, dst int) int { return dst },
+		NewArb: func(int) func() sched.Scheduler { return newArb },
+		VCs:    vcs, BufFlits: buf,
+		Terminals: []noc.Terminal{{Router: 0, Inject: -1, Eject: 0, DrainFlits: 8,
+			Drain: func(int64) bool { return src.Bernoulli(drainP) }}},
+	}
+	for in := 1; in <= inputs; in++ {
+		g.Terminals = append(g.Terminals, noc.Terminal{Router: 0, Inject: in, Eject: -1})
+	}
+	m, err := noc.NewGraph(g)
 	if err != nil {
 		return err
 	}
-	r.SetFullScan(reference)
-	spec, err := fault.Parse(faults)
-	if err != nil {
-		return err
-	}
+	m.SetReference(reference)
 	if faultSeed == 0 {
 		faultSeed = rng.Derive(seed, 0xfa0175)
 	}
-	finj := fault.New(spec, faultSeed)
-	if f := finj.FreezeFunc(0); f != nil {
-		r.SetFreeze(f)
-	}
-	for port := 0; port < ports; port++ {
-		if f := finj.OutputFault(0, port); f != nil {
-			r.SetOutputFault(port, f)
-		}
-	}
-	// Flit-level malformed directives (notail, duphead, ...) replace a
-	// whole injected packet's flit stream; they exercise the switch's
-	// tolerance and, with -check, the stream validator's detection.
-	var mdirs []fault.Directive
-	if spec != nil {
-		for _, d := range spec.Directives {
-			if d.Kind == "malformed" {
-				mdirs = append(mdirs, d)
-			}
-		}
-	}
-	msrc := rng.New(rng.Derive(faultSeed, 0xfa02))
-	var malformed int64
-
-	src := rng.New(seed)
-	sink := wormhole.NewStallSink(8, func(cycle int64) bool { return src.Bernoulli(drainP) })
-	wormhole.ConnectEndpoint(r, 0, sink)
-	sink.Bind(r, 0)
-	served := make([]float64, inputs)
-	// Malformed streams can carry out-of-range flow ids; tolerate them
-	// rather than indexing blindly.
-	sink.Inner.OnFlit = func(f flit.Flit, vc int, cycle int64) {
-		if f.Flow >= 1 && f.Flow <= inputs {
-			served[f.Flow-1]++
-		}
-	}
-
-	var rec *check.Recorder
-	var wd *check.Watchdog
-	if checkF {
-		rec = check.NewRecorder()
-		rec.Register(obs.Default())
-		stream := check.NewFlitStream(rec, "output 0")
-		prev := sink.Inner.OnFlit
-		sink.Inner.OnFlit = func(f flit.Flit, vc int, cycle int64) {
-			stream.Observe(f, vc, cycle)
-			wd.Progress(cycle)
-			prev(f, vc, cycle)
-		}
-		wd = check.NewWatchdog(spec.WatchdogBudget())
-	}
-
-	// The flight recorder treats the switch as a single hop: the
-	// router-side tracer records the arbitration span, and the CLI
-	// emits inject (packet drawn into the backlog) and deliver (true
-	// tail observed at the sink) around it. Malformed packets are not
-	// flight-recorded — they have no well-defined span.
-	type pktMeta struct {
-		t0     int64
-		length int
+	guard, err := m.Protect(faults, faultSeed, checkF)
+	if err != nil {
+		return err
 	}
 	var tr *trace.Trace
-	var inflight map[int64]pktMeta
-	var nextID int64 = 1
 	if topts.enabled {
-		tr = trace.New(trace.Config{
+		tr = m.EnableTrace(noc.TraceConfig{
 			Seed:        rng.Derive(seed, 0x7ace),
 			SampleEvery: topts.sample,
-			Flows:       ports,
 			Reg:         obs.Default(),
 		})
-		r.SetTracer(tr.AddRouter(0, ports, vcs, buf))
-		inflight = make(map[int64]pktMeta)
-		prev := sink.Inner.OnFlit
-		sink.Inner.OnFlit = func(f flit.Flit, vc int, cycle int64) {
-			if f.Kind == flit.Tail || f.Kind == flit.HeadTail {
-				if meta, ok := inflight[f.PktID]; ok && f.Seq == meta.length-1 {
-					tr.Deliver(f, meta.length, cycle-meta.t0+1, cycle)
-					delete(inflight, f.PktID)
-				}
-			}
-			prev(f, vc, cycle)
-		}
 	}
 
-	// Keep every input backlogged, feeding whole packets when space
-	// allows.
-	dists := make([]rng.LengthDist, inputs)
-	for i := range dists {
-		if i+1 == bigIn {
-			dists[i] = rng.NewUniform(minLen*4, maxLen*4)
+	// Keep every input backlogged: a new packet whenever the last one
+	// has entered the switch.
+	dists := make([]rng.LengthDist, ports)
+	for in := 1; in <= inputs; in++ {
+		if in == bigIn {
+			dists[in] = rng.NewUniform(minLen*4, maxLen*4)
 		} else {
-			dists[i] = rng.NewUniform(minLen, maxLen)
+			dists[in] = rng.NewUniform(minLen, maxLen)
 		}
 	}
-	pending := make([][]flit.Flit, inputs)
 	for c := int64(0); c < cycles; c++ {
-		for in := 0; in < inputs; in++ {
-			port := in + 1
-			if pending[in] == nil {
-				p := flit.Packet{Flow: port, Length: dists[in].Draw(src), Dst: 0, ID: nextID}
-				nextID++
-				fs := p.Flits()
-				wellFormed := true
-				for _, d := range mdirs {
-					if msrc.Bernoulli(d.P) {
-						fs = fault.MalformedFlits(d.MKind, port, p.Length, malformed)
-						malformed++
-						wellFormed = false
-						break
-					}
-				}
-				if len(fs) == 0 {
-					continue // zero-length malformation: nothing to inject
-				}
-				pending[in] = fs
-				if tr != nil && wellFormed {
-					if tr.Sampler().Sample(p.ID) {
-						for i := range fs {
-							fs[i].Traced = true
-						}
-					}
-					tr.Inject(p.ID, port, 0, port, p.Length, c)
-					inflight[p.ID] = pktMeta{t0: c, length: p.Length}
-				}
-			}
-			// Inject on VC 0: a packet's flits must stay contiguous
-			// within one VC.
-			if r.Inject(port, 0, pending[in][0], c) {
-				pending[in] = pending[in][1:]
-				if len(pending[in]) == 0 {
-					pending[in] = nil
-				}
+		for in := 1; in <= inputs; in++ {
+			if m.PendingAt(in) == 0 {
+				m.Send(in, 0, dists[in].Draw(src))
 			}
 		}
-		r.Step(c)
-		sink.Step(c)
-		// Inputs are permanently backlogged, so a silent output for the
-		// whole watchdog budget means the switch is wedged: abort with
-		// the channel-wait graph at the trip cycle.
-		if wd != nil && wd.Expired(c, 1) {
-			dump := ""
-			for _, e := range r.WaitEdges(c) {
-				dump += "  " + e.String() + "\n"
-			}
-			return fmt.Errorf("wedged at cycle %d (no delivery for %d cycles)\nchannel-wait graph:\n%s",
-				c, wd.Limit, dump)
+		m.Step()
+		if err := m.Wedged(); err != nil {
+			return err
 		}
 	}
 
 	labels := make([]string, inputs)
+	served := make([]float64, inputs)
 	for i := range labels {
 		labels[i] = fmt.Sprintf("input %d", i+1)
 		if i+1 == bigIn {
 			labels[i] += " (4x len)"
 		}
+		served[i] = float64(m.DeliveredFlits[i+1])
 	}
 	fmt.Printf("switch: %d inputs -> 1 output, arb=%s, drain p=%.2f, %d cycles\n",
 		inputs, arb, drainP, cycles)
@@ -262,61 +153,25 @@ func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP flo
 		mode = "full-scan"
 	}
 	fmt.Printf("arbitration: %s, %.2f arbitration sites visited/cycle (switch holds %d ports*VCs cells)\n",
-		mode, float64(r.TakeCellsVisited())/float64(cycles), ports*vcs)
-	if fc := finj.Counters(); fc != (fault.Counters{}) || malformed > 0 {
+		mode, float64(m.Router(0).TakeCellsVisited())/float64(cycles), m.Cells())
+	if fc := guard.Faults.Counters(); fc != (fault.Counters{}) {
 		fmt.Printf("faults: %d stall cycles, %d dropped flits, %d corrupted flits, %d malformed packets\n",
-			fc.StallCycles, fc.Dropped, fc.Corrupted, malformed)
+			fc.StallCycles, fc.Dropped, fc.Corrupted, fc.Malformed)
 	}
 	fmt.Println()
 	if err := plot.Bar(os.Stdout, "Flits delivered per input on the contended output", labels, served, 50); err != nil {
 		return err
 	}
 	if tr != nil {
-		tr.Finish(cycles)
-		recs := tr.Records()
-		ws := trace.WindowsFromSpec(spec)
-		if err := writeTraceFile(topts.chrome, func(w *os.File) error {
-			return trace.WriteChrome(w, recs, ws)
-		}); err != nil {
+		if err := m.ExportTrace(os.Stdout, tr, topts.chrome, topts.jsonl); err != nil {
 			return err
-		}
-		if err := writeTraceFile(topts.jsonl, func(w *os.File) error {
-			return trace.WriteJSONL(w, recs, ws)
-		}); err != nil {
-			return err
-		}
-		fmt.Printf("\nflight recorder: %d spans (1-in-%d sampling, %d overwritten)\n",
-			len(recs), topts.sample, tr.Dropped())
-		if err := tr.Rollup().Render(os.Stdout); err != nil {
-			return err
-		}
-		if rec != nil {
-			// Span invariants report into the same recorder as the
-			// stream checks, so violations fail the run below.
-			trace.Audit(recs, rec.Report)
 		}
 	}
-	if rec != nil {
-		if err := rec.Err(); err != nil {
+	if guard.Check != nil {
+		if err := guard.Check.Err(); err != nil {
 			return fmt.Errorf("invariant checking failed: %w", err)
 		}
-		fmt.Printf("\ninvariant checking: %d violations\n", rec.Count())
+		fmt.Printf("\ninvariant checking: %d violations\n", guard.Check.Count())
 	}
 	return nil
-}
-
-// writeTraceFile writes one trace export to path ("" = skip).
-func writeTraceFile(path string, write func(*os.File) error) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

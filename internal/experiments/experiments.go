@@ -269,6 +269,9 @@ func (o EngineOptions) wire(cfg *engine.Config, faultSeed uint64, watchdog int64
 	if err != nil {
 		return nil, nil, err
 	}
+	if err := fault.Engine.Check(spec); err != nil {
+		return nil, nil, err
+	}
 	inj := fault.New(spec, faultSeed)
 	wrapped := inj.WrapStall(cfg.Stall)
 	if wrapped != nil && cfg.Stall == nil {

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/fault"
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/plot"
@@ -33,10 +31,10 @@ type NoCSweepParams struct {
 	MinLen     int
 	MaxLen     int
 	Seed       uint64
-	// Options: router-scoped fault directives (router=/port=) address
-	// mesh nodes and their five output ports; with Check set, every
-	// ejection sink validates wormhole flit streams and a deadlock
-	// watchdog dumps the channel-wait graph on a stall.
+	// Options: fault directives address mesh nodes and their five
+	// output ports (noc.Mesh.Protect); with Check set, every ejection
+	// sink validates wormhole flit streams and a deadlock watchdog
+	// dumps the channel-wait graph on a stall.
 	Options
 }
 
@@ -89,56 +87,27 @@ func RunNoCSweep(p NoCSweepParams) (*NoCSweepResult, error) {
 				if err != nil {
 					return point{}, err
 				}
-				spec, err := fault.Parse(p.Faults)
+				g, err := mesh.Protect(p.Faults, faultSeed(p.Seed, job), p.Check)
 				if err != nil {
 					return point{}, err
-				}
-				finj := fault.New(spec, faultSeed(p.Seed, job))
-				mesh.InstallFaults(finj)
-				var rec *check.Recorder
-				var wd *check.Watchdog
-				if p.Check {
-					rec = check.NewRecorder()
-					rec.Register(obs.Default())
-					mesh.CheckStreams(rec)
-					wd = check.NewWatchdog(spec.WatchdogBudget())
-					mesh.WatchProgress(wd)
-				}
-				// wedged flags a mesh that holds flits but delivers
-				// nothing for the watchdog budget — the wormhole
-				// deadlock signature — and dumps who waits on what.
-				wedged := func() error {
-					if wd == nil || !wd.Expired(mesh.Cycle(), int64(mesh.InFlight())) {
-						return nil
-					}
-					return fmt.Errorf("experiments: nocsweep wedged at cycle %d (%d flits in flight, no delivery for %d cycles); channel-wait graph:\n%s",
-						mesh.Cycle(), mesh.InFlight(), wd.Limit,
-						noc.FormatWaitGraph(mesh.WaitGraph(mesh.Cycle()), 16))
 				}
 				src := rng.New(rng.Derive(p.Seed, uint64(i)))
 				inj := noc.NewInjector(mesh, rate, noc.Uniform{Nodes: mesh.Nodes()},
 					rng.NewUniform(p.MinLen, p.MaxLen), src)
 				inj.MaxPending = 4
-				for c := int64(0); c < p.WarmCycles; c++ {
+				for c := int64(0); c < p.WarmCycles && mesh.Wedged() == nil; c++ {
 					inj.Step()
 					mesh.Step()
-					if err := wedged(); err != nil {
-						return point{}, err
-					}
 				}
-				if wd == nil {
+				if mesh.Wedged() == nil {
 					mesh.Drain(20 * p.WarmCycles)
-				} else {
-					for c := int64(0); c < 20*p.WarmCycles && mesh.InFlight() > 0; c++ {
-						mesh.Step()
-						if err := wedged(); err != nil {
-							return point{}, err
-						}
-					}
 				}
-				registerFaultCounters(obs.Default(), finj.Counters(), 0)
-				if rec != nil {
-					if err := rec.Err(); err != nil {
+				if err := mesh.Wedged(); err != nil {
+					return point{}, fmt.Errorf("experiments: nocsweep %w", err)
+				}
+				registerFaultCounters(obs.Default(), g.Faults.Counters(), 0)
+				if g.Check != nil {
+					if err := g.Check.Err(); err != nil {
 						return point{}, fmt.Errorf("experiments: nocsweep failed invariant checking: %w", err)
 					}
 				}

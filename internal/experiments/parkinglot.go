@@ -5,15 +5,11 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/fault"
-	"repro/internal/flit"
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/sched"
-	"repro/internal/wormhole"
 )
 
 // ParkingLotParams parameterises the parking-lot experiment: a chain
@@ -36,8 +32,8 @@ type ParkingLotParams struct {
 	// Seed seeds the fault injector's randomness (the workload itself
 	// is deterministic).
 	Seed uint64
-	// Options: router-scoped fault directives address chain switches
-	// 0..Hops-1; port 0 is the through/sink output.
+	// Options: fault directives address chain switches 0..Hops-1; port
+	// 0 is the through/sink output, port 1 the local one.
 	Options
 }
 
@@ -62,21 +58,31 @@ func RunParkingLot(p ParkingLotParams) (*ParkingLotResult, error) {
 		return nil, fmt.Errorf("experiments: parking lot needs >= 2 hops")
 	}
 	run := func(weighted bool, job int) ([]float64, error) {
-		spec, err := fault.Parse(p.Faults)
-		if err != nil {
-			return nil, err
-		}
-		finj := fault.New(spec, faultSeed(p.Seed, job))
-		routers := make([]*wormhole.Router, p.Hops)
-		for i := 0; i < p.Hops; i++ {
-			i := i
-			newArb := func() sched.Scheduler { return core.New() }
-			if weighted {
-				// Flow ids at output 0's arbiter: 0 = through input
-				// (port 0), 1 = local input (port 1). The through
-				// aggregate carries i upstream sources.
+		// Router i has the through port 0 (fed by router i-1) and the
+		// local port 1, where source i — terminal i — injects; terminal
+		// Hops is the sink past the last switch. Every packet heads down
+		// the chain; port 1 ejects only packets addressed to the local
+		// terminal, which nothing sends.
+		sink := p.Hops
+		g := noc.Graph{
+			Radix:    make([]int, p.Hops),
+			VCs:      1,
+			BufFlits: 16,
+			Route: func(r, dst int) int {
+				if dst == r {
+					return 1
+				}
+				return 0
+			},
+			// Flow ids at output 0's arbiter: 0 = through input (port
+			// 0), 1 = local input (port 1). Weighted ERR weights the
+			// through aggregate at router i by its i upstream sources.
+			NewArb: func(i int) func() sched.Scheduler {
 				upstream := int64(i)
-				newArb = func() sched.Scheduler {
+				return func() sched.Scheduler {
+					if !weighted {
+						return core.New()
+					}
 					return core.NewWeighted(func(flow int) int64 {
 						if flow == 0 && upstream > 0 {
 							return upstream
@@ -84,89 +90,46 @@ func RunParkingLot(p ParkingLotParams) (*ParkingLotResult, error) {
 						return 1
 					})
 				}
-			}
-			r, err := wormhole.NewRouter(i, wormhole.Config{
-				Ports:    2,
-				VCs:      1,
-				BufFlits: 16,
-				NewArb:   newArb,
-				Route:    func(dst int) int { return 0 },
-			})
-			if err != nil {
-				return nil, err
-			}
-			if f := finj.FreezeFunc(i); f != nil {
-				r.SetFreeze(f)
-			}
-			for port := 0; port < 2; port++ {
-				if f := finj.OutputFault(i, port); f != nil {
-					r.SetOutputFault(port, f)
-				}
-			}
-			routers[i] = r
+			},
 		}
-		for i := 0; i+1 < p.Hops; i++ {
-			wormhole.Connect(routers[i], 0, routers[i+1], 0)
-			// Port 1 is injection-only, but its output must not dangle
-			// in case of misrouting; give it a sink.
-			wormhole.ConnectEndpoint(routers[i], 1, &wormhole.Sink{})
-		}
-		wormhole.ConnectEndpoint(routers[p.Hops-1], 1, &wormhole.Sink{})
-		sink := &wormhole.Sink{}
-		served := make([]int64, p.Hops)
-		sink.OnFlit = func(f flit.Flit, vc int, cycle int64) { served[f.Flow]++ }
-		wormhole.ConnectEndpoint(routers[p.Hops-1], 0, sink)
-
-		var rec *check.Recorder
-		var wd *check.Watchdog
-		if p.Check {
-			rec = check.NewRecorder()
-			rec.Register(obs.Default())
-			stream := check.NewFlitStream(rec, "parking-lot sink")
-			prev := sink.OnFlit
-			sink.OnFlit = func(f flit.Flit, vc int, cycle int64) {
-				stream.Observe(f, vc, cycle)
-				wd.Progress(cycle)
-				prev(f, vc, cycle)
+		for i := 0; i < p.Hops; i++ {
+			g.Radix[i] = 2
+			g.Terminals = append(g.Terminals, noc.Terminal{Router: i, Inject: 1, Eject: 1})
+			if i+1 < p.Hops {
+				g.Links = append(g.Links, noc.Link{From: i, Out: 0, To: i + 1, In: 0})
 			}
-			wd = check.NewWatchdog(spec.WatchdogBudget())
 		}
-
-		// Backlogged sources: source i injects at router i, port 1.
-		pending := make([][]flit.Flit, p.Hops)
-		for c := int64(0); c < p.Cycles; c++ {
+		g.Terminals = append(g.Terminals, noc.Terminal{Router: p.Hops - 1, Inject: -1, Eject: 0})
+		m, err := noc.NewGraph(g)
+		if err != nil {
+			return nil, err
+		}
+		guard, err := m.Protect(p.Faults, faultSeed(p.Seed, job), p.Check)
+		if err != nil {
+			return nil, err
+		}
+		// Backlogged sources: each always has a packet queued or
+		// entering the network.
+		for c := int64(0); c < p.Cycles && m.Wedged() == nil; c++ {
 			for i := 0; i < p.Hops; i++ {
-				if pending[i] == nil {
-					pk := flit.Packet{Flow: i, Length: p.PacketLen, Dst: 999}
-					pending[i] = pk.Flits()
-				}
-				if routers[i].Inject(1, 0, pending[i][0], c) {
-					pending[i] = pending[i][1:]
-					if len(pending[i]) == 0 {
-						pending[i] = nil
-					}
+				if m.PendingAt(i) == 0 {
+					m.Send(i, sink, p.PacketLen)
 				}
 			}
-			for _, r := range routers {
-				r.Step(c)
-			}
-			// The sources are permanently backlogged, so the sink going
-			// silent for the watchdog budget means the chain is wedged.
-			if wd != nil && wd.Expired(c, 1) {
-				var edges []wormhole.WaitEdge
-				for _, r := range routers {
-					edges = append(edges, r.WaitEdges(c)...)
-				}
-				return nil, fmt.Errorf("experiments: parking lot wedged at cycle %d (no delivery for %d cycles); channel-wait graph:\n%s",
-					c, wd.Limit, noc.FormatWaitGraph(edges, 16))
-			}
+			m.Step()
 		}
-		registerFaultCounters(obs.Default(), finj.Counters(), 0)
-		if rec != nil {
-			if err := rec.Err(); err != nil {
+		if err := m.Wedged(); err != nil {
+			return nil, fmt.Errorf("experiments: parking lot %w", err)
+		}
+		registerFaultCounters(obs.Default(), guard.Faults.Counters(), 0)
+		if guard.Check != nil {
+			if err := guard.Check.Err(); err != nil {
 				return nil, fmt.Errorf("experiments: parking lot failed invariant checking: %w", err)
 			}
 		}
+		// Only the sink receives flits, so the per-source delivery
+		// counters are the sink's.
+		served := m.DeliveredFlits[:p.Hops]
 		var total int64
 		for _, s := range served {
 			total += s

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/fault"
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -180,12 +179,8 @@ func runScalePoint(p ScaleParams, k, workers int, lane string,
 	heapPer := int64(after.HeapAlloc-before.HeapAlloc) / int64(k*k)
 
 	m.RegisterObs(obs.Default())
-	if p.Faults != "" {
-		spec, err := fault.Parse(p.Faults)
-		if err != nil {
-			return ScalePoint{}, err
-		}
-		m.InstallFaults(fault.New(spec, rng.Derive(seed, 0xfa)))
+	if _, err := m.Protect(p.Faults, rng.Derive(seed, 0xfa), false); err != nil {
+		return ScalePoint{}, err
 	}
 	if workers > 1 {
 		pool := exec.NewPool(workers)

@@ -408,11 +408,53 @@ func (in *Injector) FreezeFunc(router int) func(cycle int64) bool {
 	}
 }
 
+// Malformer decides, packet by packet, which packets entering a
+// network the spec's malformed(...) directives replace with a
+// malformed flit stream (MalformedFlits). It is the flit-level
+// counterpart of WrapSource, used by the noc kernel's injection front
+// ends; its draws follow the order in which packets are offered.
+type Malformer struct {
+	in   *Injector
+	dirs []Directive
+	src  *rng.Source
+}
+
+// Malformer returns the injector's malformer, or nil when the spec
+// has no malformed directives (or the injector is nil).
+func (in *Injector) Malformer() *Malformer {
+	dirs := in.Spec().only("malformed")
+	if len(dirs) == 0 {
+		return nil
+	}
+	// One stream for the whole network, labelled streamCorrupt with no
+	// router or port: the label the flit-level malformer has always
+	// drawn from, and distinct from every (router, port) corrupt
+	// stream.
+	return &Malformer{in: in, dirs: dirs, src: rng.New(rng.Derive(in.seed, streamCorrupt))}
+}
+
+// Draw returns the malformed kind of the next packet offered, or ""
+// to leave it well-formed. The directives are tried in spec order and
+// the first that fires wins; each malformed packet is counted. A nil
+// Malformer leaves every packet well-formed.
+func (mf *Malformer) Draw() string {
+	if mf == nil {
+		return ""
+	}
+	for _, d := range mf.dirs {
+		if mf.src.Bernoulli(d.P) {
+			mf.in.counters.malformed.Add(1)
+			return d.MKind
+		}
+	}
+	return ""
+}
+
 // MalformedFlits materialises a deliberately malformed flit stream
 // for a packet — the flit-level counterpart of WrapSource's malformed
-// packets, used by the switch front-end and the validation tests to
-// exercise flit.ValidateFlits and the routers' tolerance. kind is one
-// of the Malformed* constants:
+// packets, used by the noc kernel's injection front ends (Malformer)
+// and the validation tests to exercise flit.ValidateFlits and the
+// routers' tolerance. kind is one of the Malformed* constants:
 //
 //	zerolen: an empty stream
 //	badflow: a well-formed stream tagged with flow -1

@@ -17,12 +17,15 @@
 //
 // Directives (keys in any order; unlisted keys take the defaults):
 //
-//	stall(at=C, dur=D, flow=F, port=P)
+//	stall(at=C, dur=D, flow=F, router=R, port=P)
 //	    Link stall: nothing traverses the link during [at, at+dur).
-//	    dur=0 (the default) means permanent. In the single-server
-//	    engine, flow=F stalls only packets of that flow (flow=-1, the
-//	    default, stalls every flow); in a wormhole router the stall
-//	    applies to output port P (port=-1 = every output).
+//	    dur=0 (the default) means permanent. A stall that names
+//	    neither router= nor port= is a single-server engine stall:
+//	    flow=F stalls only packets of that flow (flow=-1, the default,
+//	    stalls every flow). A stall that names either is a network
+//	    stall of output port P of router R, where -1 stands for every
+//	    router or every output: stall(port=0) stalls output 0 of every
+//	    router, stall(router=5) every output of router 5.
 //	freeze(router=R, at=C, dur=D)
 //	    Router freeze: router R (router=-1 = every router) does
 //	    nothing during [at, at+dur); dur=0 means permanent.
@@ -45,6 +48,10 @@
 //	burst(tenant=T, rps=R, at=S, dur=D) / flood(tenant=T, rps=R)
 //	    Load-generator directives for adversarial tenants: see
 //	    serve.go. In serve mode at/dur are milliseconds of run time.
+//
+// Each driver family applies its own subset of the directives and
+// refuses a spec holding any other (Family.Check): a directive that
+// would be parsed and then ignored fails the run instead.
 //
 // All randomness is drawn from streams derived with rng.Derive from
 // the experiment seed, so a faulted run is exactly as repeatable as a
@@ -129,6 +136,89 @@ func (s *Spec) WatchdogBudget() int64 {
 		}
 	}
 	return limit
+}
+
+// Family is a kind of simulation driver. Each family applies a fixed
+// subset of the directives.
+type Family int
+
+const (
+	// Network is the noc kernel behind nocsim, switchsim, the parking
+	// lot, nocsweep and scale: router and port stalls, freezes, drops,
+	// corruption, and malformed packets at the injection front ends.
+	Network Family = iota
+	// Engine is the single-server engine behind the paper's figures:
+	// stalls that name no router or port, and zero-length or
+	// bad-flow malformed packets (a packet-level source cannot emit
+	// the flit-level notail and duphead kinds).
+	Engine
+	// Serve is the live front end of errserve: handler slow and stuck
+	// faults and the load generator's burst and flood tenants.
+	Serve
+)
+
+var familyNames = [...]string{
+	Network: "network kernel",
+	Engine:  "single-server engine",
+	Serve:   "serve front end",
+}
+
+var familyApplies = [...]string{
+	Network: "stall with router= or port=, freeze, drop, corrupt, malformed",
+	Engine:  "stall without router= or port=, malformed of kind zerolen or badflow",
+	Serve:   "slow, stuck, burst, flood",
+}
+
+// applies reports whether the family applies d.
+func (f Family) applies(d Directive) bool {
+	switch f {
+	case Network:
+		switch d.Kind {
+		case "stall":
+			return d.Router != -1 || d.Port != -1
+		case "freeze", "drop", "corrupt", "malformed":
+			return true
+		}
+	case Engine:
+		switch d.Kind {
+		case "stall":
+			return d.Router == -1 && d.Port == -1
+		case "malformed":
+			return d.MKind == MalformedZeroLen || d.MKind == MalformedBadFlow
+		}
+	case Serve:
+		switch d.Kind {
+		case "slow", "stuck", "burst", "flood":
+			return true
+		}
+	}
+	return false
+}
+
+// Check refuses a spec holding any directive the family does not
+// apply, naming the directive and the family. A nil spec passes.
+// Drivers call it where they build their injector.
+func (f Family) Check(s *Spec) error {
+	if s == nil {
+		return nil
+	}
+	var texts []string
+	for _, raw := range strings.Split(s.Source, ";") {
+		if raw = strings.TrimSpace(raw); raw != "" {
+			texts = append(texts, raw)
+		}
+	}
+	for i, d := range s.Directives {
+		if !f.applies(d) {
+			text := d.Kind
+			if i < len(texts) {
+				text = texts[i]
+			}
+			return fmt.Errorf("fault: the %s does not apply %q (it applies %s)",
+				familyNames[f], text, familyApplies[f])
+		}
+	}
+	return nil
 }
 
 // Parse parses a fault spec. An empty string yields a nil Spec (no

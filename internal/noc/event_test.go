@@ -93,10 +93,10 @@ func TestFaultWindowInsideIdleGapNoOp(t *testing.T) {
 
 // wedgeRun wedges a mesh quietly — a permanent output stall strands a
 // worm with nothing runnable and no event pending — and drains with a
-// watchdog attached. Returns the watchdog trip cycle (-1 = never
-// tripped), the wait-graph dump captured at the trip, whether the
+// watchdog attached. Returns the wedge report (nil = never tripped:
+// the trip cycle and the wait-graph dump at the trip), whether the
 // drain claimed success, the final cycle, and the skipped count.
-func wedgeRun(t *testing.T, reference bool) (trip int64, dump string, drained bool, cycle, skipped int64) {
+func wedgeRun(t *testing.T, reference bool) (wedge error, drained bool, cycle, skipped int64) {
 	t.Helper()
 	m, err := NewMesh(meshCfg(false, 0))
 	if err != nil {
@@ -107,21 +107,15 @@ func wedgeRun(t *testing.T, reference bool) (trip int64, dump string, drained bo
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.InstallFaults(fault.New(spec, 3))
-	wd := check.NewWatchdog(200)
-	m.WatchProgress(wd)
-	trip = -1
-	m.SetOnWedged(func(c int64) {
-		trip = c
-		dump = FormatWaitGraph(m.WaitGraph(c), 8)
-	})
+	m.installFaults(fault.New(spec, 3))
+	m.watchProgress(check.NewWatchdog(200))
 	// One packet that delivers cleanly (advancing the watchdog clock)
 	// and one that wedges against router 5's permanently stalled east
 	// output.
 	m.SendAt(0, m.NodeID(0, 0), m.NodeID(1, 0), 3)
 	m.SendAt(0, m.NodeID(0, 1), m.NodeID(3, 1), 3)
 	drained = m.Drain(3_000)
-	return trip, dump, drained, m.Cycle(), m.Skipped()
+	return m.Wedged(), drained, m.Cycle(), m.Skipped()
 }
 
 // TestDrainWedgedQuietTripsWatchdog closes the watchdog/time-skip
@@ -132,36 +126,37 @@ func wedgeRun(t *testing.T, reference bool) (trip int64, dump string, drained bo
 // the exact cycle the reference would, fire the OnWedged hook with a
 // non-empty channel-wait dump, and only then skip to the horizon.
 func TestDrainWedgedQuietTripsWatchdog(t *testing.T) {
-	sTrip, sDump, sDrained, sCycle, sSkipped := wedgeRun(t, true)
+	sWedge, sDrained, sCycle, sSkipped := wedgeRun(t, true)
 	if sDrained {
 		t.Fatal("reference drained a permanently wedged network")
 	}
-	if sTrip < 0 {
+	if sWedge == nil {
 		t.Fatal("reference never tripped the watchdog")
 	}
 	if sSkipped != 0 {
 		t.Fatalf("reference skipped %d cycles", sSkipped)
 	}
-	eTrip, eDump, eDrained, eCycle, eSkipped := wedgeRun(t, false)
+	eWedge, eDrained, eCycle, eSkipped := wedgeRun(t, false)
 	if eDrained {
 		t.Fatal("event-driven Drain drained a permanently wedged network")
 	}
 	if eSkipped == 0 {
 		t.Fatal("event-driven Drain never skipped: the wedged-quiet tail was stepped literally")
 	}
-	if eTrip != sTrip {
-		t.Errorf("watchdog trip cycles diverge: reference %d, event %d", sTrip, eTrip)
+	if eWedge == nil {
+		t.Fatal("event-driven Drain never tripped the watchdog")
 	}
 	if eCycle != sCycle {
 		t.Errorf("final cycles diverge: reference %d, event %d", sCycle, eCycle)
 	}
-	for name, dump := range map[string]string{"reference": sDump, "event": eDump} {
-		if dump == "" || strings.Contains(dump, "no blocked channels") {
+	for name, w := range map[string]error{"reference": sWedge, "event": eWedge} {
+		if dump := w.Error(); !strings.Contains(dump, "channel-wait graph:\n  router") {
 			t.Errorf("%s run tripped without a channel-wait dump: %q", name, dump)
 		}
 	}
-	if eDump != sDump {
-		t.Errorf("wait-graph dumps diverge:\nreference:\n%s\nevent:\n%s", sDump, eDump)
+	// The reports carry the trip cycle and the wait-graph dump.
+	if eWedge.Error() != sWedge.Error() {
+		t.Errorf("wedge reports diverge:\nreference: %v\nevent:     %v", sWedge, eWedge)
 	}
 }
 
@@ -205,7 +200,7 @@ func TestDrainHorizonClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.InstallFaults(fault.New(spec, 3))
+	m.installFaults(fault.New(spec, 3))
 	m.SendAt(0, m.NodeID(0, 1), m.NodeID(2, 1), 3)
 	m.SendAt(math.MaxInt64-3, 0, 1, 1)
 	if m.Drain(math.MaxInt64) {

@@ -1,10 +1,15 @@
-// Package noc builds a k-ary 2-mesh network-on-chip out of the
-// wormhole routers of package wormhole: dimension-order (XY) routing,
-// per-node injection and ejection, synthetic traffic patterns, and
-// end-to-end latency/throughput metrics. It is the multi-switch
-// substrate demonstrating the paper's scheduler inside the system it
-// was designed for: every router output port is arbitrated by a
-// pluggable discipline (ERR by default) billed in occupancy cycles.
+// Package noc is the network kernel: it builds wormhole networks out
+// of the routers of package wormhole — a k-ary 2-mesh or torus with
+// dimension-order routing (NewMesh), or any explicit router graph
+// (NewGraph), such as cmd/switchsim's single switch or the parking-lot
+// chain — and steps them with one core: per-terminal injection and
+// ejection, the active set, two-phase commit, the event core, the
+// reference mode, worker pools, fault injection, stream checks, the
+// deadlock watchdog and the flight recorder. Synthetic traffic
+// patterns and end-to-end latency/throughput metrics ride along.
+// Every router output port is arbitrated by a pluggable discipline
+// (ERR by default) billed in occupancy cycles: the paper's scheduler
+// inside the system it was designed for.
 package noc
 
 import (
@@ -15,6 +20,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/exec"
+	"repro/internal/fault"
 	"repro/internal/flit"
 	"repro/internal/obs"
 	"repro/internal/queue"
@@ -33,11 +39,6 @@ const (
 	PortSouth
 	numPorts
 )
-
-// RouterPorts is each mesh router's radix (local + the four mesh
-// directions) — the ports-x-VCs product callers need to relate
-// noc.cells_visited to what a full scan would inspect.
-const RouterPorts = numPorts
 
 // Config configures a Mesh.
 type Config struct {
@@ -74,8 +75,9 @@ type Config struct {
 	Tile int
 }
 
-// injState is the per-node injection front end: one packet is fed
-// into the local input port at one flit per cycle. The queue is a
+// injState is the per-terminal injection front end: one packet is fed
+// into the terminal's input port (port of r) at one flit per cycle.
+// The queue is a
 // ring-buffer FIFO (not a slice popped with q = q[1:], which keeps
 // every delivered packet reachable at the run's high-water mark) so
 // a burst's memory is returned as it drains. buf is the reusable
@@ -83,6 +85,8 @@ type Config struct {
 // mid-injection (nil otherwise), so the steady state allocates
 // nothing per packet.
 type injState struct {
+	r      *wormhole.Router
+	port   int
 	queue  queue.PacketQueue
 	buf    []flit.Flit
 	flits  []flit.Flit
@@ -238,7 +242,10 @@ func (s *idSet) prune(keep func(id int) bool) {
 
 func (s *idSet) len() int { return s.n }
 
-// Mesh is a K x K wormhole mesh (or torus, when Config.Torus is set).
+// Mesh is a wormhole network: a K x K mesh or torus (NewMesh) or an
+// explicit router graph (NewGraph). Node ids — Send's sources and
+// destinations, packet flows, the delivery counters — are terminal
+// ids; on a mesh terminal, router and node id coincide.
 //
 // Stepping is quiescence-aware, two-phase, and tile-sharded. Routers
 // register on an active set when a flit arrives
@@ -261,14 +268,28 @@ func (s *idSet) len() int { return s.n }
 // tile, interior before boundary — has no worker-count term anywhere,
 // so artifacts are byte-identical at any parallelism (DESIGN.md §14).
 type Mesh struct {
-	cfg     Config
-	routers []*wormhole.Router // node-id (row-major external) order
-	sinks   []*wormhole.Sink
-	inj     []injState
+	cfg     Config             // NewMesh's configuration (zero for a graph)
+	routers []*wormhole.Router // router-id (on a mesh, row-major node-id) order
+	sinks   []*wormhole.Sink   // per terminal; nil without an ejection port
+	inj     []injState         // per terminal
 	cycle   int64
 	nextID  int64
 
+	// Router dimensions (Graph.VCs, BufFlits, SharedBufFlits > 0) and
+	// the VCs injection rotates across.
+	vcs, bufFlits, injVCs int
+	shared                bool
+	// drains are the bounded ejection sinks of terminals with a drain
+	// pattern (Terminal.Drain), stepped after each commit.
+	drains []*wormhole.StallSink
+
 	inflight map[int64]pktMeta
+	// mal, when non-nil (Protect), draws which sent packets are
+	// malformed; malformed maps each such packet still queued to its
+	// kind. Malformed packets are kept out of inflight, latency and the
+	// flight recorder.
+	mal       *fault.Malformer
+	malformed map[int64]string
 
 	// tr, when non-nil, is the packet flight recorder (EnableTrace):
 	// injects are recorded in Send, deliveries in onTail — both on
@@ -285,17 +306,13 @@ type Mesh struct {
 	reference bool
 
 	// Tile-major layout: physR lists the routers in physical (tile-
-	// major) order; ext2phys/phys2ext translate between node ids (the
-	// public, row-major id space every API keeps) and physical ids
-	// (the storage and commit order). tileStart[t] is the first
+	// major) order, the storage and commit order; router ids stay the
+	// public id space every API keeps. tileStart[t] is the first
 	// physical id of tile t, so a tile is one contiguous id range.
-	physR       []*wormhole.Router
-	ext2phys    []int32
-	phys2ext    []int32
-	tileEdge    int
-	tilesPerRow int
-	numTiles    int
-	tileStart   []int32
+	physR     []*wormhole.Router
+	tileEdge  int
+	numTiles  int
+	tileStart []int32
 
 	// Per-cycle tile scratch, grow-only so the steady state allocates
 	// nothing and nothing is keyed to a worker count (a pool of any
@@ -339,14 +356,16 @@ type Mesh struct {
 	// skipped counts cycles jumped over by time skipping.
 	skipped int64
 
-	// wd, when non-nil (WatchProgress), is the deadlock watchdog
-	// Run/Drain consult each stepped cycle — and at the trip point of
-	// any skipped gap, so a wedged-but-quiet network trips with its
+	// wd, when non-nil (Protect), is the deadlock watchdog Step
+	// consults every cycle — and Run/Drain at the trip point of any
+	// skipped gap, so a wedged-but-quiet network trips with its
 	// diagnostic instead of being jumped silently to the horizon.
-	wd *check.Watchdog
-	// onWedged, when non-nil, fires once with the trip cycle when wd
-	// expires inside Run/Drain (the channel-wait dump hook).
-	onWedged func(cycle int64)
+	// wedged holds the report of its single trip (Wedged).
+	wd     *check.Watchdog
+	wedged error
+	// guard is what Protect wired (nil before): ExportTrace reads its
+	// fault windows and audits into its recorder.
+	guard *Guard
 
 	// obs handles (nil unless RegisterObs was called).
 	obsCycles          *obs.Counter
@@ -363,9 +382,10 @@ type Mesh struct {
 	// Latency accumulates end-to-end packet latencies (inject of head
 	// flit enqueued -> tail flit ejected).
 	Latency stats.Welford
-	// DeliveredFlits counts ejected flits per source node.
+	// DeliveredFlits counts ejected flits per source terminal
+	// (malformed packets' flits included, out-of-range flows skipped).
 	DeliveredFlits []int64
-	// DeliveredPackets counts ejected packets per source node.
+	// DeliveredPackets counts ejected packets per source terminal.
 	DeliveredPackets []int64
 }
 
@@ -396,10 +416,11 @@ func autoTile(k int) int {
 // coordinate math per head flit.
 const routeTableNodes = 4096
 
-// NewMesh validates cfg and builds the network. All per-router state
+// NewMesh validates cfg and builds the mesh or torus as a router
+// graph (NewGraph's builder) laid out tile-major: all per-router state
 // is carved out of one flat arena in tile-major order (see
-// BytesPerRouter), so construction cost and footprint stay linear and a
-// commit tile is contiguous in memory.
+// BytesPerRouter), so construction cost and footprint stay linear and
+// a commit tile is contiguous in memory.
 func NewMesh(cfg Config) (*Mesh, error) {
 	if cfg.K < 2 {
 		return nil, fmt.Errorf("noc: mesh radix %d < 2", cfg.K)
@@ -418,139 +439,66 @@ func NewMesh(cfg Config) (*Mesh, error) {
 		return nil, fmt.Errorf("noc: tile edge %d outside [1, %d]", tile, cfg.K)
 	}
 	n := cfg.K * cfg.K
-	tw := (cfg.K + tile - 1) / tile
-	numTiles := tw * tw
-	m := &Mesh{
-		cfg:              cfg,
-		routers:          make([]*wormhole.Router, n),
-		sinks:            make([]*wormhole.Sink, n),
-		inj:              make([]injState, n),
-		inflight:         make(map[int64]pktMeta),
-		activeR:          newIDSet(n),
-		activeI:          newIDSet(n),
-		fx:               make([]wormhole.Effects, n),
-		allIDs:           make([]int, n),
-		physR:            make([]*wormhole.Router, n),
-		ext2phys:         make([]int32, n),
-		phys2ext:         make([]int32, n),
-		tileEdge:         tile,
-		tilesPerRow:      tw,
-		numTiles:         numTiles,
-		tileStart:        make([]int32, numTiles+1),
-		tileOff:          make([]int32, numTiles+1),
-		rest:             make([]wormhole.Effects, numTiles),
-		DeliveredFlits:   make([]int64, n),
-		DeliveredPackets: make([]int64, n),
+	g := Graph{
+		Radix:          make([]int, n),
+		Terminals:      make([]Terminal, n),
+		Route:          cfg.route,
+		NewArb:         func(int) func() sched.Scheduler { return cfg.NewArb },
+		VCs:            cfg.VCs,
+		BufFlits:       cfg.BufFlits,
+		SharedBufFlits: cfg.SharedBufFlits,
+		SharedBufCap:   cfg.SharedBufCap,
+	}
+	if cfg.Torus {
+		// Packets start in the lower (pre-dateline) half of the VCs.
+		g.OutVC, g.InjectVCs = cfg.torusOutVC, cfg.VCs/2
+	}
+	link := func(a, pa, b, pb int) {
+		g.Links = append(g.Links, Link{From: a, Out: pa, To: b, In: pb}, Link{From: b, Out: pb, To: a, In: pa})
+	}
+	for y := 0; y < cfg.K; y++ {
+		for x := 0; x < cfg.K; x++ {
+			id := y*cfg.K + x
+			g.Radix[id] = numPorts
+			g.Terminals[id] = Terminal{Router: id, Inject: PortLocal, Eject: PortLocal}
+			switch {
+			case x+1 < cfg.K:
+				link(id, PortEast, id+1, PortWest)
+			case cfg.Torus:
+				link(id, PortEast, id-x, PortWest) // wraparound (K-1, y) <-> (0, y)
+			}
+			switch {
+			case y+1 < cfg.K:
+				link(id, PortSouth, id+cfg.K, PortNorth)
+			case cfg.Torus:
+				link(id, PortSouth, x, PortNorth) // wraparound (x, K-1) <-> (x, 0)
+			}
+		}
 	}
 	// Tile-major physical layout: tiles in row-major tile order, rows
 	// row-major within each tile. Edge tiles are smaller when K % tile
 	// != 0. Node ids (y*K+x) stay the public id space everywhere —
 	// Send, Coords, fault specs, traffic patterns — only storage and
 	// commit order use physical ids.
-	p := 0
+	tw := (cfg.K + tile - 1) / tile
+	order := make([]int32, 0, n)
+	tileStart := make([]int32, 0, tw*tw+1)
 	for ty := 0; ty < tw; ty++ {
 		for tx := 0; tx < tw; tx++ {
-			t := ty*tw + tx
-			m.tileStart[t] = int32(p)
-			yEnd := min((ty+1)*tile, cfg.K)
-			xEnd := min((tx+1)*tile, cfg.K)
-			for y := ty * tile; y < yEnd; y++ {
-				for x := tx * tile; x < xEnd; x++ {
-					ext := y*cfg.K + x
-					m.ext2phys[ext] = int32(p)
-					m.phys2ext[p] = int32(ext)
-					p++
+			tileStart = append(tileStart, int32(len(order)))
+			for y := ty * tile; y < min((ty+1)*tile, cfg.K); y++ {
+				for x := tx * tile; x < min((tx+1)*tile, cfg.K); x++ {
+					order = append(order, int32(y*cfg.K+x))
 				}
 			}
 		}
 	}
-	m.tileStart[numTiles] = int32(n)
-	base := wormhole.Config{
-		Ports:          numPorts,
-		VCs:            cfg.VCs,
-		BufFlits:       cfg.BufFlits,
-		SharedBufFlits: cfg.SharedBufFlits,
-		SharedBufCap:   cfg.SharedBufCap,
-		NewArb:         cfg.NewArb,
+	tileStart = append(tileStart, int32(n))
+	m, err := build(g, order, tileStart)
+	if err != nil {
+		return nil, err
 	}
-	arena := wormhole.NewArena(base, n)
-	m.arenaBytes = arena.Bytes()
-	useTables := n <= routeTableNodes
-	for t := 0; t < numTiles; t++ {
-		for pid := int(m.tileStart[t]); pid < int(m.tileStart[t+1]); pid++ {
-			pid := pid
-			ext := int(m.phys2ext[pid])
-			m.allIDs[pid] = pid
-			rcfg := base
-			if useTables {
-				// Dimension-order routing is static, so each router
-				// gets a precomputed dst -> output-port table instead
-				// of redoing the coordinate math per head flit.
-				tab := make([]uint8, n)
-				for dst := 0; dst < n; dst++ {
-					tab[dst] = uint8(m.route(ext, dst))
-				}
-				rcfg.Route = func(dst int) int { return int(tab[dst]) }
-			} else {
-				rcfg.Route = func(dst int) int { return m.route(ext, dst) }
-			}
-			if cfg.Torus {
-				rcfg.OutVC = func(outPort int, head flit.Flit, inPort, inVC int) int {
-					return m.torusOutVC(ext, outPort, inPort, inVC)
-				}
-			}
-			r, err := arena.NewRouter(ext, rcfg)
-			if err != nil {
-				return nil, err
-			}
-			r.SetDomain(t)
-			r.SetOnActive(func() {
-				if m.parCommit {
-					m.activeR.addAtomic(pid)
-				} else {
-					m.activeR.add(pid)
-				}
-			})
-			m.physR[pid] = r
-			m.routers[ext] = r
-		}
-	}
-	// Wire neighbours and ejection sinks.
-	for y := 0; y < cfg.K; y++ {
-		for x := 0; x < cfg.K; x++ {
-			id := m.NodeID(x, y)
-			if x+1 < cfg.K {
-				east := m.NodeID(x+1, y)
-				wormhole.Connect(m.routers[id], PortEast, m.routers[east], PortWest)
-				wormhole.Connect(m.routers[east], PortWest, m.routers[id], PortEast)
-			}
-			if y+1 < cfg.K {
-				south := m.NodeID(x, y+1)
-				wormhole.Connect(m.routers[id], PortSouth, m.routers[south], PortNorth)
-				wormhole.Connect(m.routers[south], PortNorth, m.routers[id], PortSouth)
-			}
-			sink := &wormhole.Sink{}
-			sink.OnTail = m.onTail
-			sink.OnFlit = m.onFlit
-			m.sinks[id] = sink
-			wormhole.ConnectEndpoint(m.routers[id], PortLocal, sink)
-		}
-	}
-	if cfg.Torus {
-		// Wraparound links: (K-1, y) <-> (0, y) and (x, K-1) <-> (x, 0).
-		for y := 0; y < cfg.K; y++ {
-			east := m.NodeID(cfg.K-1, y)
-			west := m.NodeID(0, y)
-			wormhole.Connect(m.routers[east], PortEast, m.routers[west], PortWest)
-			wormhole.Connect(m.routers[west], PortWest, m.routers[east], PortEast)
-		}
-		for x := 0; x < cfg.K; x++ {
-			south := m.NodeID(x, cfg.K-1)
-			north := m.NodeID(x, 0)
-			wormhole.Connect(m.routers[south], PortSouth, m.routers[north], PortNorth)
-			wormhole.Connect(m.routers[north], PortNorth, m.routers[south], PortSouth)
-		}
-	}
+	m.cfg, m.tileEdge = cfg, tile
 	return m, nil
 }
 
@@ -560,16 +508,16 @@ func NewMesh(cfg Config) (*Mesh, error) {
 // upper half. Within each unidirectional ring this breaks the channel
 // dependency cycle, so minimal dimension-order routing on the torus
 // is deadlock-free.
-func (m *Mesh) torusOutVC(at, outPort, inPort, inVC int) int {
+func (c Config) torusOutVC(at, outPort int, _ flit.Flit, inPort, inVC int) int {
 	if outPort == PortLocal {
 		return inVC // ejection: VC is immaterial
 	}
-	half := m.cfg.VCs / 2
+	half := c.VCs / 2
 	vc := inVC
 	if dimOf(outPort) != dimOf(inPort) || inPort == PortLocal {
 		vc = inVC % half // fresh dimension: back to the lower half
 	}
-	if m.crossesWrap(at, outPort) && vc < half {
+	if c.crossesWrap(at, outPort) && vc < half {
 		vc += half
 	}
 	return vc
@@ -590,15 +538,15 @@ func dimOf(port int) int {
 
 // crossesWrap reports whether forwarding out of the given port of
 // node at traverses a wraparound link.
-func (m *Mesh) crossesWrap(at, outPort int) bool {
-	x, y := m.Coords(at)
+func (c Config) crossesWrap(at, outPort int) bool {
+	x, y := at%c.K, at/c.K
 	switch outPort {
 	case PortEast:
-		return x == m.cfg.K-1
+		return x == c.K-1
 	case PortWest:
 		return x == 0
 	case PortSouth:
-		return y == m.cfg.K-1
+		return y == c.K-1
 	case PortNorth:
 		return y == 0
 	default:
@@ -612,33 +560,33 @@ func (m *Mesh) NodeID(x, y int) int { return y*m.cfg.K + x }
 // Coords maps a node id to mesh coordinates.
 func (m *Mesh) Coords(id int) (x, y int) { return id % m.cfg.K, id / m.cfg.K }
 
-// Nodes returns the node count.
-func (m *Mesh) Nodes() int { return m.cfg.K * m.cfg.K }
+// Nodes returns the node (terminal) count.
+func (m *Mesh) Nodes() int { return len(m.inj) }
 
 // route implements dimension-order (XY) routing: on the mesh it is
 // deadlock-free outright; on the torus it picks the minimal ring
 // direction per dimension and relies on dateline VC switching for
 // deadlock freedom.
-func (m *Mesh) route(at, dst int) int {
-	ax, ay := m.Coords(at)
-	dx, dy := m.Coords(dst)
+func (c Config) route(at, dst int) int {
+	ax, ay := at%c.K, at/c.K
+	dx, dy := dst%c.K, dst/c.K
 	if dx != ax {
-		if !m.cfg.Torus {
+		if !c.Torus {
 			if dx > ax {
 				return PortEast
 			}
 			return PortWest
 		}
-		return ringDir(ax, dx, m.cfg.K, PortEast, PortWest)
+		return ringDir(ax, dx, c.K, PortEast, PortWest)
 	}
 	if dy != ay {
-		if !m.cfg.Torus {
+		if !c.Torus {
 			if dy > ay {
 				return PortSouth
 			}
 			return PortNorth
 		}
-		return ringDir(ay, dy, m.cfg.K, PortSouth, PortNorth)
+		return ringDir(ay, dy, c.K, PortSouth, PortNorth)
 	}
 	return PortLocal
 }
@@ -655,7 +603,10 @@ func ringDir(a, d, k, pos, neg int) int {
 }
 
 func (m *Mesh) onFlit(f flit.Flit, vc int, cycle int64) {
-	m.DeliveredFlits[f.Flow]++
+	// A malformed packet's flow may lie outside the terminals.
+	if uint(f.Flow) < uint(len(m.DeliveredFlits)) {
+		m.DeliveredFlits[f.Flow]++
+	}
 }
 
 func (m *Mesh) onTail(f flit.Flit, cycle int64) {
@@ -678,10 +629,16 @@ func (m *Mesh) onTail(f flit.Flit, cycle int64) {
 
 // Send queues a packet for injection at node src toward node dst.
 // The packet's Flow is overwritten with src so per-source fairness is
-// measurable at the ejection sinks.
+// measurable at the ejection sinks. Under malformed(...) faults
+// (Protect) the packet may instead be injected as a malformed flit
+// stream, which the fault injector counts and the network keeps out
+// of InFlight, Latency and the flight recorder.
 func (m *Mesh) Send(src, dst, length int) {
 	if src < 0 || src >= m.Nodes() || dst < 0 || dst >= m.Nodes() {
 		panic("noc: node id out of range")
+	}
+	if m.inj[src].port < 0 {
+		panic("noc: node has no injection port")
 	}
 	if length < 1 {
 		panic("noc: packet length < 1")
@@ -689,9 +646,13 @@ func (m *Mesh) Send(src, dst, length int) {
 	id := m.nextID
 	m.nextID++
 	p := flit.Packet{Flow: src, Length: length, Dst: dst, ID: id}
-	m.inflight[id] = pktMeta{t0: m.cycle, length: length}
-	if m.tr != nil {
-		m.tr.Inject(id, src, dst, src, length, m.cycle)
+	if kind := m.mal.Draw(); kind != "" {
+		m.malformed[id] = kind
+	} else {
+		m.inflight[id] = pktMeta{t0: m.cycle, length: length}
+		if m.tr != nil {
+			m.tr.Inject(id, src, dst, src, length, m.cycle)
+		}
 	}
 	m.inj[src].queue.Push(p)
 	m.activeI.add(src)
@@ -788,7 +749,7 @@ func (m *Mesh) SetPool(p *exec.Pool) { m.pool = p }
 
 // SetReference, when on, runs the mesh as its own literal oracle: Run
 // and Drain step every cycle instead of jumping provably idle gaps,
-// every Step computes all K² routers instead of the active set, and
+// every Step computes all routers instead of the active set, and
 // every router arbitrates with full ports-x-VCs scans instead of the
 // event-driven work-lists (wormhole.Router.SetFullScan). Each fast
 // path skips only work that is a strict no-op, so every simulation
@@ -829,8 +790,9 @@ const (
 )
 
 // canActNow reports whether stepping the mesh at the current cycle
-// could change simulation state: some active router can act now, or
-// some injection front end can make progress. With no fault-window
+// could change simulation state: some active router can act now, some
+// injection front end can make progress, or some drain sink holds
+// flits. With no fault-window
 // edges registered (m.dormancy off) an active router always counts as
 // actable — the dormancy probe is skipped, keeping the fault-free
 // path O(1) per cycle.
@@ -871,6 +833,12 @@ func (m *Mesh) canActNow() bool {
 			}
 		}
 	}
+	// A drain sink holding flits draws its drain pattern every cycle.
+	for _, d := range m.drains {
+		if d.Len() > 0 {
+			return true
+		}
+	}
 	return false
 }
 
@@ -883,7 +851,7 @@ func (m *Mesh) injCanProgress(id int) bool {
 	if st.flits == nil {
 		return !st.queue.Empty()
 	}
-	return m.routers[id].CanAccept(PortLocal, st.vc)
+	return st.r.CanAccept(st.port, st.vc)
 }
 
 // nextEventCycle returns the cycle Run/Drain should handle next: the
@@ -947,20 +915,11 @@ func (m *Mesh) skipGap(next int64) {
 	m.skipTo(next)
 }
 
-// stepChecked is Step plus the per-cycle watchdog consult Run/Drain
-// perform when WatchProgress attached a watchdog.
-func (m *Mesh) stepChecked() {
-	m.Step()
-	if m.wd != nil {
-		m.checkWedge(m.cycle)
-	}
-}
-
-// checkWedge consults the watchdog at cycle c and fires the OnWedged
-// hook on the (single) tripping call.
+// checkWedge consults the watchdog at cycle c and, on its single
+// tripping call, records the wedge report Wedged returns.
 func (m *Mesh) checkWedge(c int64) {
-	if m.wd.Expired(c, int64(len(m.inflight))) && m.onWedged != nil {
-		m.onWedged(c)
+	if m.wd.Expired(c, int64(len(m.inflight))) {
+		m.wedged = m.wedgeReport(c)
 	}
 }
 
@@ -1011,7 +970,8 @@ func (m *Mesh) RegisterObs(reg *obs.Registry) {
 
 // Step advances the whole mesh by one cycle, sharding the compute
 // and tile-interior commit phases across the pool installed with
-// SetPool, if any. The result is byte-identical at any worker count:
+// SetPool, if any, and then consults the watchdog Protect armed. The
+// result is byte-identical at any worker count:
 // computes touch only router-own state; each tile's interior effects
 // are applied by the worker owning the tile, in a fixed tile-ascending
 // order; and the only effects committed by the serial phase are the
@@ -1027,7 +987,7 @@ func (m *Mesh) Step() {
 	// Shared-buffer (DAMQ) gates read downstream occupancy, so they
 	// are sampled serially before any compute pops a flit; a no-op on
 	// meshes without shared buffers.
-	if m.cfg.SharedBufFlits > 0 {
+	if m.shared {
 		for _, id := range ids {
 			m.physR[id].SnapshotGates(m.cycle)
 		}
@@ -1064,6 +1024,11 @@ func (m *Mesh) Step() {
 		rest.Reset()
 	}
 	m.crossFx += cross
+	// Bounded drain sinks pass a flit on after the commit; a credit they
+	// return may re-activate the router feeding them.
+	for _, d := range m.drains {
+		d.Step(m.cycle)
+	}
 	// Retire routers with nothing runnable. A router still holding
 	// hard-blocked worms is pruned too, because
 	// every hard block resolves through an instrumented event
@@ -1094,6 +1059,9 @@ func (m *Mesh) Step() {
 			wl += int64(m.physR[id].WorklistLen())
 		})
 		m.obsWorklistLen.Set(wl)
+	}
+	if m.wd != nil {
+		m.checkWedge(m.cycle)
 	}
 }
 
@@ -1206,26 +1174,10 @@ func (m *Mesh) injectPhase() {
 	for _, id := range m.activeI.sorted() {
 		st := &m.inj[id]
 		if st.flits == nil && !st.queue.Empty() {
-			p := st.queue.Pop()
-			st.buf = p.AppendFlits(st.buf[:0])
-			if m.tr != nil && m.tr.Sampler().Sample(p.ID) {
-				for i := range st.buf {
-					st.buf[i].Traced = true
-				}
-			}
-			st.flits = st.buf
-			st.next = 0
-			// Torus packets must start in the lower (pre-dateline)
-			// half of the VCs.
-			injVCs := m.cfg.VCs
-			if m.cfg.Torus {
-				injVCs = m.cfg.VCs / 2
-			}
-			st.vc = st.nextVC % injVCs
-			st.nextVC = (st.nextVC + 1) % injVCs
+			m.materialise(st, st.queue.Pop())
 		}
 		if st.flits != nil {
-			if m.routers[id].Inject(PortLocal, st.vc, st.flits[st.next], m.cycle) {
+			if st.r.Inject(st.port, st.vc, st.flits[st.next], m.cycle) {
 				st.next++
 				if st.next == len(st.flits) {
 					st.flits = nil
@@ -1237,6 +1189,34 @@ func (m *Mesh) injectPhase() {
 		st := &m.inj[id]
 		return st.flits != nil || !st.queue.Empty()
 	})
+}
+
+// materialise turns the next queued packet into st's flit stream and
+// assigns it the next injection VC. A malformed packet becomes its
+// malformed stream (none at all for a zero-length one, which leaves
+// the front end idle this cycle).
+func (m *Mesh) materialise(st *injState, p flit.Packet) {
+	if kind, ok := m.malformed[p.ID]; ok {
+		delete(m.malformed, p.ID)
+		st.buf = append(st.buf[:0], fault.MalformedFlits(kind, p.Flow, p.Length, p.ID)...)
+		for i := range st.buf {
+			st.buf[i].Dst = p.Dst
+		}
+		if len(st.buf) == 0 {
+			return
+		}
+	} else {
+		st.buf = p.AppendFlits(st.buf[:0])
+		if m.tr != nil && m.tr.Sampler().Sample(p.ID) {
+			for i := range st.buf {
+				st.buf[i].Traced = true
+			}
+		}
+	}
+	st.flits = st.buf
+	st.next = 0
+	st.vc = st.nextVC % m.injVCs
+	st.nextVC = (st.nextVC + 1) % m.injVCs
 }
 
 // Run advances the mesh by n cycles (clamped to HorizonCap),
@@ -1253,7 +1233,7 @@ func (m *Mesh) Run(n int64) {
 			m.skipGap(next)
 			continue
 		}
-		m.stepChecked()
+		m.Step()
 	}
 }
 
@@ -1276,17 +1256,28 @@ func (m *Mesh) Drain(maxCycles int64) bool {
 			m.skipGap(next)
 			continue
 		}
-		m.stepChecked()
+		m.Step()
 	}
 	return m.InFlight() == 0 && len(m.sched) == 0
 }
 
-// Router returns the router of a node (tests, instrumentation).
+// Router returns router id (tests, instrumentation); on a mesh it is
+// node id's router.
 func (m *Mesh) Router(id int) *wormhole.Router { return m.routers[id] }
 
-// TileEdge returns the commit tile edge length in routers (Config.Tile
-// or the autoTile default).
+// TileEdge returns a mesh's commit tile edge length in routers
+// (Config.Tile or the autoTile default); 0 for a graph network.
 func (m *Mesh) TileEdge() int { return m.tileEdge }
+
+// Cells returns the network's arbitration sites: the ports x VCs
+// output queues of every router, at each router's own radix.
+func (m *Mesh) Cells() int {
+	n := 0
+	for _, r := range m.routers {
+		n += r.Ports() * m.vcs
+	}
+	return n
+}
 
 // Tiles returns the number of commit tiles.
 func (m *Mesh) Tiles() int { return m.numTiles }
@@ -1294,7 +1285,7 @@ func (m *Mesh) Tiles() int { return m.numTiles }
 // BytesPerRouter returns the router arena footprint per router — the
 // flat preallocated storage all per-router state is carved from
 // (excludes schedulers and DAMQ buffers; see wormhole.Arena.Bytes).
-func (m *Mesh) BytesPerRouter() int64 { return m.arenaBytes / int64(m.Nodes()) }
+func (m *Mesh) BytesPerRouter() int64 { return m.arenaBytes / int64(len(m.routers)) }
 
 // CrossShardEffects returns the cumulative number of router-target
 // effects committed across a tile boundary — the serialized share of

@@ -62,7 +62,7 @@ func TestXYRouting(t *testing.T) {
 	}
 	at := m.NodeID(1, 1)
 	for _, c := range cases {
-		if got := m.route(at, c.dst); got != c.want {
+		if got := m.cfg.route(at, c.dst); got != c.want {
 			t.Errorf("route(%d -> %d) = %d, want %d", at, c.dst, got, c.want)
 		}
 	}

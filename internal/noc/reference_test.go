@@ -140,7 +140,7 @@ func runScenario(t *testing.T, s scenario, reference bool, pools ...int) runArti
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.InstallFaults(fault.New(spec, 99))
+		m.installFaults(fault.New(spec, 99))
 		ws = trace.WindowsFromSpec(spec)
 	}
 	var tr *trace.Trace

@@ -6,15 +6,58 @@ import (
 	"repro/internal/check"
 	"repro/internal/fault"
 	"repro/internal/flit"
+	"repro/internal/obs"
 	"repro/internal/wormhole"
 )
 
-// InstallFaults installs an injector's router-scoped faults on every
-// router of the mesh: output-link stalls, flit drop/corruption, and
-// router freezes, all addressed by node id and output port. A nil
-// injector installs nothing, so the call needs no fault/no-fault
-// branching at the call site.
-func (m *Mesh) InstallFaults(inj *fault.Injector) {
+// Guard is what Protect wired into a network for one run.
+type Guard struct {
+	// Spec is the parsed fault spec (nil on a fault-free run).
+	Spec *fault.Spec
+	// Faults is the installed injector (nil on a fault-free run); its
+	// Counters report what fired.
+	Faults *fault.Injector
+	// Check is the recorder the flit-stream checks report into (nil
+	// unless checking); a driver audits its own invariants into it too
+	// and fails the run on Check.Err.
+	Check *check.Recorder
+}
+
+// Protect wires a run's robustness options into the network, in the
+// one call every network driver makes. It parses the fault spec,
+// refuses any directive a network does not apply (fault.Network), and
+// installs the rest with the given seed: link stalls, drops and
+// corruption on router outputs, router freezes, and malformed packets
+// at the injection front ends (Send). With checked set it also
+// validates every ejected flit stream into a recorder registered with
+// obs.Default, and arms the deadlock watchdog with the spec's budget:
+// Step, Run and Drain consult it, and Wedged reports its trip.
+func (m *Mesh) Protect(faults string, seed uint64, checked bool) (*Guard, error) {
+	spec, err := fault.Parse(faults)
+	if err != nil {
+		return nil, err
+	}
+	if err := fault.Network.Check(spec); err != nil {
+		return nil, err
+	}
+	g := &Guard{Spec: spec, Faults: fault.New(spec, seed)}
+	m.installFaults(g.Faults)
+	if checked {
+		g.Check = check.NewRecorder()
+		g.Check.Register(obs.Default())
+		m.checkStreams(g.Check)
+		m.watchProgress(check.NewWatchdog(spec.WatchdogBudget()))
+	}
+	m.guard = g
+	return g, nil
+}
+
+// installFaults installs an injector's faults on every router of the
+// network — output-link stalls, flit drop/corruption, and router
+// freezes, all addressed by router id and output port — and its
+// malformed packets at the injection front ends. A nil injector
+// installs nothing.
+func (m *Mesh) installFaults(inj *fault.Injector) {
 	if inj == nil {
 		return
 	}
@@ -22,11 +65,14 @@ func (m *Mesh) InstallFaults(inj *fault.Injector) {
 		if f := inj.FreezeFunc(id); f != nil {
 			r.SetFreeze(f)
 		}
-		for port := 0; port < numPorts; port++ {
+		for port := 0; port < r.Ports(); port++ {
 			if f := inj.OutputFault(id, port); f != nil {
 				r.SetOutputFault(port, f)
 			}
 		}
+	}
+	if m.mal = inj.Malformer(); m.mal != nil {
+		m.malformed = make(map[int64]string)
 	}
 	// Register every stall/freeze window edge as a wake event and
 	// declare the edges known, so event-driven Run/Drain may treat
@@ -42,81 +88,72 @@ func (m *Mesh) InstallFaults(inj *fault.Injector) {
 	}
 }
 
-// CheckStreams attaches a flit-stream validator (wormhole contiguity,
+// checkStreams attaches a flit-stream validator (wormhole contiguity,
 // per-VC packet wellformedness) to every ejection sink, reporting
-// into rec. The returned streams allow a post-drain audit: a stream
-// with OpenPackets() > 0 received a head whose tail never arrived —
-// the signature of a dropped or corrupted tail flit.
-func (m *Mesh) CheckStreams(rec *check.Recorder) []*check.FlitStream {
+// into rec. The returned streams, indexed by terminal (nil without an
+// ejection port), allow a post-drain audit: a stream with
+// OpenPackets() > 0 received a head whose tail never arrived — the
+// signature of a dropped or corrupted tail flit.
+func (m *Mesh) checkStreams(rec *check.Recorder) []*check.FlitStream {
 	streams := make([]*check.FlitStream, len(m.sinks))
-	for id := range m.sinks {
-		s := m.sinks[id]
+	for id, s := range m.sinks {
+		if s == nil {
+			continue
+		}
 		stream := check.NewFlitStream(rec, fmt.Sprintf("sink %d", id))
 		prev := s.OnFlit
 		s.OnFlit = func(f flit.Flit, vc int, cycle int64) {
 			stream.Observe(f, vc, cycle)
-			if prev != nil {
-				prev(f, vc, cycle)
-			}
+			prev(f, vc, cycle)
 		}
 		streams[id] = stream
 	}
 	return streams
 }
 
-// WatchProgress feeds every flit delivery to the watchdog, so a mesh
-// with in-flight packets that delivers nothing for the watchdog's
-// budget is flagged as deadlocked (check the wait graph) or
-// livelocked. The watchdog is also attached to Run/Drain, which
-// consult it every stepped cycle AND at the exact trip cycle inside
-// any skipped gap — closing the blind spot where event-driven
-// advancement would jump a wedged-but-quiet network (in-flight
-// packets, nothing runnable) straight to the horizon without ever
-// tripping it.
-func (m *Mesh) WatchProgress(wd *check.Watchdog) {
+// watchProgress feeds every flit delivery to the watchdog and attaches
+// it to the stepping core, so a network with in-flight packets that
+// delivers nothing for the watchdog's budget is flagged as deadlocked
+// (check the wait graph) or livelocked. Step consults it every cycle,
+// and Run/Drain also at the exact trip cycle inside any skipped gap —
+// closing the blind spot where event-driven advancement would jump a
+// wedged-but-quiet network (in-flight packets, nothing runnable)
+// straight to the horizon without ever tripping it.
+func (m *Mesh) watchProgress(wd *check.Watchdog) {
 	m.wd = wd
-	for id := range m.sinks {
-		s := m.sinks[id]
+	for _, s := range m.sinks {
+		if s == nil {
+			continue
+		}
 		prev := s.OnFlit
 		s.OnFlit = func(f flit.Flit, vc int, cycle int64) {
 			wd.Progress(cycle)
-			if prev != nil {
-				prev(f, vc, cycle)
-			}
+			prev(f, vc, cycle)
 		}
 	}
 }
 
-// SetOnWedged installs a hook fired at most once — on the watchdog's
-// single tripping call inside Run/Drain — with the trip cycle, for
-// channel-wait diagnostics (WaitGraph / FormatWaitGraph) at the
-// moment of the wedge. WatchProgress must have attached the watchdog
-// first.
-func (m *Mesh) SetOnWedged(fn func(cycle int64)) { m.onWedged = fn }
+// Wedged returns the watchdog's wedge report once the watchdog Protect
+// armed has tripped, and nil before: the trip cycle, the packets in
+// flight, the flits dropped by fault injection, and the channel-wait
+// graph at the trip — who is blocked on which VC, and why.
+func (m *Mesh) Wedged() error { return m.wedged }
 
-// WaitGraph returns the channel-wait edges of every router — who is
-// blocked on what, and why — for deadlock diagnosis after a watchdog
-// trip.
-func (m *Mesh) WaitGraph(cycle int64) []wormhole.WaitEdge {
+// wedgeReport renders the wedge report for a trip at cycle c.
+func (m *Mesh) wedgeReport(c int64) error {
 	var edges []wormhole.WaitEdge
+	var dropped int64
 	for _, r := range m.routers {
-		edges = append(edges, r.WaitEdges(cycle)...)
+		edges = append(edges, r.WaitEdges(c)...)
+		dropped += r.FaultDropped
 	}
-	return edges
+	return fmt.Errorf("wedged at cycle %d: %d packets in flight, no delivery for %d cycles (%d flits dropped by fault injection)\nchannel-wait graph:\n%s",
+		c, len(m.inflight), m.wd.Limit, dropped, formatWaitGraph(edges, 32))
 }
 
-// FaultDropped sums the flits the routers' fault injectors dropped.
-func (m *Mesh) FaultDropped() int64 {
-	var n int64
-	for _, r := range m.routers {
-		n += r.FaultDropped
-	}
-	return n
-}
-
-// FormatWaitGraph renders a wait graph for an error message or a
-// diagnostic dump, capped at max edges (0 = all).
-func FormatWaitGraph(edges []wormhole.WaitEdge, max int) string {
+// formatWaitGraph renders a wait graph for the wedge report, capped
+// at max edges (0 = all).
+func formatWaitGraph(edges []wormhole.WaitEdge, max int) string {
 	if len(edges) == 0 {
 		return "  (no blocked channels)"
 	}

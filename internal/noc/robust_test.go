@@ -8,7 +8,7 @@ import (
 )
 
 // TestCheckStreamsCleanOnMultiVCMesh runs nocsim's -vcs 2 -rate 0.06
-// scenario through CheckStreams: on a fault-free mesh, two packets
+// scenario through checkStreams: on a fault-free mesh, two packets
 // from one source to one sink that travel on different VCs interleave
 // at the ejection link, and the stream check must not mistake that
 // for a wormhole violation.
@@ -18,7 +18,7 @@ func TestCheckStreamsCleanOnMultiVCMesh(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := check.NewRecorder()
-	streams := m.CheckStreams(rec)
+	streams := m.checkStreams(rec)
 	inj := NewInjector(m, 0.06, Uniform{Nodes: m.Nodes()}, rng.NewUniform(1, 16), rng.New(1))
 	inj.MaxPending = 8
 	for c := 0; c < 20_000; c++ {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/flit"
 	"repro/internal/rng"
 	"repro/internal/sched"
 )
@@ -46,7 +47,7 @@ func TestTorusMinimalRouting(t *testing.T) {
 		{at, PortLocal},
 	}
 	for _, c := range cases {
-		if got := m.route(at, c.dst); got != c.want {
+		if got := m.cfg.route(at, c.dst); got != c.want {
 			t.Errorf("route(0 -> %d) = %d, want %d", c.dst, got, c.want)
 		}
 	}
@@ -54,16 +55,16 @@ func TestTorusMinimalRouting(t *testing.T) {
 
 func TestTorusWrapDetection(t *testing.T) {
 	m := testTorus(t, 4)
-	if !m.crossesWrap(m.NodeID(3, 1), PortEast) {
+	if !m.cfg.crossesWrap(m.NodeID(3, 1), PortEast) {
 		t.Error("east from x=3 should wrap")
 	}
-	if m.crossesWrap(m.NodeID(2, 1), PortEast) {
+	if m.cfg.crossesWrap(m.NodeID(2, 1), PortEast) {
 		t.Error("east from x=2 should not wrap")
 	}
-	if !m.crossesWrap(m.NodeID(1, 0), PortNorth) {
+	if !m.cfg.crossesWrap(m.NodeID(1, 0), PortNorth) {
 		t.Error("north from y=0 should wrap")
 	}
-	if m.crossesWrap(m.NodeID(1, 0), PortLocal) {
+	if m.cfg.crossesWrap(m.NodeID(1, 0), PortLocal) {
 		t.Error("local never wraps")
 	}
 }
@@ -71,20 +72,20 @@ func TestTorusWrapDetection(t *testing.T) {
 func TestTorusDatelineVC(t *testing.T) {
 	m := testTorus(t, 4)
 	// Crossing the wrap moves VC 0 -> 1.
-	if got := m.torusOutVC(m.NodeID(3, 0), PortEast, PortWest, 0); got != 1 {
+	if got := m.cfg.torusOutVC(m.NodeID(3, 0), PortEast, flit.Flit{}, PortWest, 0); got != 1 {
 		t.Errorf("wrap crossing kept VC %d", got)
 	}
 	// Continuing in-dimension on the high VC stays high.
-	if got := m.torusOutVC(m.NodeID(1, 0), PortEast, PortWest, 1); got != 1 {
+	if got := m.cfg.torusOutVC(m.NodeID(1, 0), PortEast, flit.Flit{}, PortWest, 1); got != 1 {
 		t.Errorf("post-dateline VC dropped to %d", got)
 	}
 	// Turning into Y resets to the low half.
-	if got := m.torusOutVC(m.NodeID(1, 0), PortSouth, PortWest, 1); got != 0 {
+	if got := m.cfg.torusOutVC(m.NodeID(1, 0), PortSouth, flit.Flit{}, PortWest, 1); got != 0 {
 		t.Errorf("dimension turn kept VC %d", got)
 	}
 	// Injection (local input) starts low even if the caller passes a
 	// high VC.
-	if got := m.torusOutVC(m.NodeID(1, 1), PortEast, PortLocal, 1); got != 0 {
+	if got := m.cfg.torusOutVC(m.NodeID(1, 1), PortEast, flit.Flit{}, PortLocal, 1); got != 0 {
 		t.Errorf("fresh injection VC = %d, want 0", got)
 	}
 }

@@ -76,7 +76,7 @@ func TestFaultFrozenRouterWorklist(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.InstallFaults(fault.New(spec, 3))
+		m.installFaults(fault.New(spec, 3))
 		// Route worms straight through the frozen router (node 5 =
 		// (1,1)): row 1 traffic crossing it while it is down.
 		src := rng.New(9)

@@ -75,13 +75,12 @@ type SelfDriveReport struct {
 // is complete even when OK is false; the error covers only setup
 // failures (a bad fault spec).
 func SelfDrive(cfg SelfDriveConfig, shutdown func(*Server) error) (*SelfDriveReport, error) {
-	var spec *fault.Spec
-	if cfg.FaultSpec != "" {
-		var err error
-		spec, err = fault.Parse(cfg.FaultSpec)
-		if err != nil {
-			return nil, fmt.Errorf("selfdrive: %w", err)
-		}
+	spec, err := fault.Parse(cfg.FaultSpec)
+	if err == nil {
+		err = fault.Serve.Check(spec)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("selfdrive: %w", err)
 	}
 	if cfg.Dur <= 0 {
 		cfg.Dur = 2 * time.Second

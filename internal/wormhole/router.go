@@ -335,6 +335,9 @@ func NewRouter(id int, cfg Config) (*Router, error) {
 // ID returns the router's node id.
 func (r *Router) ID() int { return r.id }
 
+// Ports returns the router's radix (Config.Ports).
+func (r *Router) Ports() int { return r.cfg.Ports }
+
 // SetDomain assigns the router to a commit domain. Package noc uses
 // contiguous 2D tiles as domains: during the commit phase each tile
 // owner applies its routers' domain-interior effects concurrently via
@@ -1221,6 +1224,10 @@ func (s *StallSink) BufFlits() int { return s.Capacity }
 func (s *StallSink) Bind(r *Router, po int) {
 	s.credUp = func(vc int, cycle int64) { r.creditArrived(po, vc, cycle) }
 }
+
+// Len returns the number of flits the sink holds. Step consults the
+// drain pattern only while it holds some.
+func (s *StallSink) Len() int { return len(s.buffered) }
 
 // Step drains at most one flit if the drain pattern allows.
 func (s *StallSink) Step(cycle int64) {
