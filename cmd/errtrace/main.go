@@ -4,7 +4,9 @@
 // surplus count SC_i(r), plus the round's MaxSC.
 //
 // By default it traces the deterministic 3-flow example documented in
-// DESIGN.md; with -random it traces a seeded random workload instead.
+// DESIGN.md (experiments.RunFig3, which cmd/reproduce writes to
+// results/fig3.txt); with -random it traces a seeded random workload
+// instead.
 package main
 
 import (
@@ -12,9 +14,8 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/flit"
-	"repro/internal/harness"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -46,40 +47,25 @@ func main() {
 		}
 	}
 
-	e := core.New()
-	rec := &core.TraceRecorder{}
-	e.SetTrace(rec)
-
+	var res *experiments.Fig3Result
 	if *random {
-		d := harness.New(*flows, e)
 		src := rng.New(*seed)
 		dist := rng.NewUniform(1, *maxLen)
+		var arrivals []flit.Packet
 		for i := 0; i < *packets; i++ {
 			for f := 0; f < *flows; f++ {
-				d.Arrive(flit.Packet{Flow: f, Length: dist.Draw(src)})
+				arrivals = append(arrivals, flit.Packet{Flow: f, Length: dist.Draw(src)})
 			}
 		}
-		d.Drain()
+		res = experiments.TraceERR(*flows, arrivals)
 	} else {
-		// The fixed example from DESIGN.md / the Figure 3 golden test:
-		// three backlogged flows with deterministic packet lengths.
-		d := harness.New(3, e)
-		for _, l := range []int{32, 8, 8, 8, 8} {
-			d.Arrive(flit.Packet{Flow: 0, Length: l})
-		}
-		for _, l := range []int{16, 8, 8, 8, 8} {
-			d.Arrive(flit.Packet{Flow: 1, Length: l})
-		}
-		for _, l := range []int{12, 20, 4, 4, 4} {
-			d.Arrive(flit.Packet{Flow: 2, Length: l})
-		}
-		d.Drain()
+		res = experiments.RunFig3()
 	}
 
-	fmt.Println("Figure 3 — rounds of an Elastic Round Robin execution")
+	fmt.Println(experiments.Fig3Title)
 	fmt.Println("A_i(r) = 1 + MaxSC(r-1) - SC_i(r-1);  SC_i(r) = Sent_i(r) - A_i(r)")
 	fmt.Println()
-	if err := trace.WriteRecorderTable(os.Stdout, rec); err != nil {
+	if err := trace.WriteRecorderTable(os.Stdout, res.Rec); err != nil {
 		fmt.Fprintf(os.Stderr, "errtrace: %v\n", err)
 		os.Exit(1)
 	}

@@ -5,6 +5,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -94,4 +96,29 @@ func withoutWork(out []byte) []byte {
 		}
 	}
 	return bytes.Join(kept, nil)
+}
+
+// TestRefusesUnappliedFaults pins the network family's fault rule: a
+// directive the network kernel does not apply — a service-side slow
+// fault, or a stall naming neither router nor port, which only the
+// single-server engine applies — fails the run, naming the directive
+// and the driver family.
+func TestRefusesUnappliedFaults(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"slow(p=0.5,ms=20)", "stall(at=100,dur=1500)"} {
+		cmd := exec.Command(exe, "-cycles", "2000", "-faults", spec)
+		cmd.Args[0] = "nocsim"
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err == nil {
+			t.Errorf("nocsim accepted %s, which it cannot apply", spec)
+			continue
+		}
+		if msg := stderr.String(); !strings.Contains(msg, strconv.Quote(spec)) || !strings.Contains(msg, "network kernel") {
+			t.Errorf("refusal of %s does not name the directive and the driver: %q", spec, msg)
+		}
+	}
 }

@@ -17,18 +17,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/flit"
-	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -60,7 +55,7 @@ func run(outDir string, quick bool, seed uint64, parallel int, progress, manifes
 	}
 	// Figure 3 is a hand-traced example; every other artifact is a
 	// table experiment, run under its canonical name.
-	steps := []step{{"fig3.txt", func(experiments.Config) (experiments.Result, error) { return fig3Trace(), nil }}}
+	steps := []step{{"fig3.txt", func(experiments.Config) (experiments.Result, error) { return experiments.RunFig3(), nil }}}
 	for _, e := range experiments.Table() {
 		if e.File != "" {
 			e := e
@@ -106,34 +101,4 @@ func run(outDir string, quick bool, seed uint64, parallel int, progress, manifes
 		fmt.Printf("wrote %-16s (%.1fs)\n", s.file, wall.Seconds())
 	}
 	return nil
-}
-
-// fig3Renderer wraps the deterministic Figure 3 trace.
-type fig3Renderer struct{ rec *core.TraceRecorder }
-
-// Render implements experiments.Result.
-func (f fig3Renderer) Render(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "Figure 3 — rounds of an Elastic Round Robin execution"); err != nil {
-		return err
-	}
-	return trace.WriteRecorderTable(w, f.rec)
-}
-
-// fig3Trace replays the DESIGN.md Figure 3 example.
-func fig3Trace() experiments.Result {
-	e := core.New()
-	rec := &core.TraceRecorder{}
-	e.SetTrace(rec)
-	d := harness.New(3, e)
-	for _, l := range []int{32, 8, 8, 8, 8} {
-		d.Arrive(flit.Packet{Flow: 0, Length: l})
-	}
-	for _, l := range []int{16, 8, 8, 8, 8} {
-		d.Arrive(flit.Packet{Flow: 1, Length: l})
-	}
-	for _, l := range []int{12, 20, 4, 4, 4} {
-		d.Arrive(flit.Packet{Flow: 2, Length: l})
-	}
-	d.Drain()
-	return fig3Renderer{rec: rec}
 }

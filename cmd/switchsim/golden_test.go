@@ -70,3 +70,24 @@ func TestCLIGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestVCsCarryTraffic pins that -vcs spreads each input's packets
+// across the VCs, as every network's injection front end does: with two
+// VCs the delivered flits differ from the one-VC run, not only the
+// arbitration line's cell count.
+func TestVCsCarryTraffic(t *testing.T) {
+	withoutArbitration := func(out []byte) []byte {
+		var kept [][]byte
+		for _, line := range bytes.SplitAfter(out, []byte("\n")) {
+			if !bytes.HasPrefix(line, []byte("arbitration:")) {
+				kept = append(kept, line)
+			}
+		}
+		return bytes.Join(kept, nil)
+	}
+	one := withoutArbitration(runCLI(t, "-cycles", "20000", "-vcs", "1"))
+	two := withoutArbitration(runCLI(t, "-cycles", "20000", "-vcs", "2"))
+	if bytes.Equal(one, two) {
+		t.Fatalf("-vcs 2 delivers exactly what -vcs 1 does: every packet used VC 0\n%s", two)
+	}
+}

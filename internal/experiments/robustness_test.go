@@ -153,6 +153,29 @@ func TestWatchdogAbortsPermanentStall(t *testing.T) {
 	}
 }
 
+// TestEngineRefusesUnappliedFaults pins the engine family's fault
+// rule: the single-server engine has no routers, ports or flit
+// streams, so router-scoped directives and the flit-level malformed
+// kinds fail the run, naming the directive and the driver family,
+// instead of running as if fault-free.
+func TestEngineRefusesUnappliedFaults(t *testing.T) {
+	for _, spec := range []string{
+		"freeze(router=0,at=100,dur=5000)", "drop(p=0.5)", "stall(port=0,at=10)",
+		"malformed(kind=notail,p=0.5)", "slow(p=0.5,ms=20)",
+	} {
+		cfg := backloggedCfg(2, 1_000, core.New(), 1)
+		cfg.FaultSpec = spec
+		_, err := RunSim(cfg)
+		if err == nil {
+			t.Errorf("%s accepted", spec)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, spec) || !strings.Contains(msg, "single-server engine") {
+			t.Errorf("refusal of %s does not name the directive and the driver: %v", spec, err)
+		}
+	}
+}
+
 // TestNoCSweepWatchdogRidesOutTransientFreeze pins the watchdog
 // budget rule (fault.Spec.WatchdogBudget) on the network runners: a
 // checked run rides out a router freeze longer than the 1<<16-cycle

@@ -207,3 +207,64 @@ func TestWatchdogBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestFamilyCheck pins the one rule of which directives each driver
+// family applies: every directive kind is applied by exactly the
+// families listed, and a refusal names the directive and the family.
+func TestFamilyCheck(t *testing.T) {
+	families := map[fault.Family]string{fault.Network: "network kernel", fault.Engine: "single-server engine", fault.Serve: "serve front end"}
+	for _, c := range []struct {
+		spec    string
+		applied []fault.Family
+	}{
+		{"stall(router=1,at=5)", []fault.Family{fault.Network}},
+		{"stall(port=0,at=5)", []fault.Family{fault.Network}},
+		{"stall(at=5,dur=10)", []fault.Family{fault.Engine}},
+		{"stall(flow=2,at=5)", []fault.Family{fault.Engine}},
+		{"freeze(router=0,at=5)", []fault.Family{fault.Network}},
+		{"drop(p=0.1)", []fault.Family{fault.Network}},
+		{"corrupt(p=0.1)", []fault.Family{fault.Network}},
+		{"malformed(kind=zerolen,p=0.1)", []fault.Family{fault.Network, fault.Engine}},
+		{"malformed(kind=badflow,p=0.1)", []fault.Family{fault.Network, fault.Engine}},
+		{"malformed(kind=notail,p=0.1)", []fault.Family{fault.Network}},
+		{"malformed(kind=duphead,p=0.1)", []fault.Family{fault.Network}},
+		{"slow(p=0.1,ms=5)", []fault.Family{fault.Serve}},
+		{"stuck(p=0.1,ms=5)", []fault.Family{fault.Serve}},
+		{"burst(tenant=a,rps=10,at=0,dur=5)", []fault.Family{fault.Serve}},
+		{"flood(tenant=a,rps=10)", []fault.Family{fault.Serve}},
+	} {
+		spec, err := fault.Parse(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f, name := range families {
+			applies := false
+			for _, a := range c.applied {
+				applies = applies || a == f
+			}
+			err := f.Check(spec)
+			switch {
+			case applies && err != nil:
+				t.Errorf("%s refuses %s: %v", name, c.spec, err)
+			case !applies && err == nil:
+				t.Errorf("%s accepts %s", name, c.spec)
+			case !applies && (!strings.Contains(err.Error(), `"`+c.spec+`"`) || !strings.Contains(err.Error(), name)):
+				t.Errorf("%s's refusal of %s does not name both: %v", name, c.spec, err)
+			}
+		}
+	}
+	for f := range families {
+		if err := f.Check(nil); err != nil {
+			t.Errorf("a nil spec is refused: %v", err)
+		}
+	}
+	// A refusal quotes the offending directive's own text, wherever it
+	// stands in the spec.
+	spec, err := fault.Parse("drop(p=0.1); freeze(router=2,at=5) ;slow(p=0.1,ms=5)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fault.Network.Check(spec); err == nil || !strings.Contains(err.Error(), `"slow(p=0.1,ms=5)"`) {
+		t.Errorf("network refusal = %v, want it to quote the slow directive", err)
+	}
+}

@@ -45,6 +45,39 @@ func TestEventMatchesSteppedTorusFaults(t *testing.T) {
 	}
 }
 
+// TestEventMatchesSteppedSwitchDrain runs the single switch through
+// the kernel: a drain sink at p = 0.4 whose pattern draws randomness
+// in every cycle it holds flits (so the event core must step those
+// cycles), a stall window on the contended output and a switch freeze.
+func TestEventMatchesSteppedSwitchDrain(t *testing.T) {
+	_, fast := assertMatchesReference(t, "event-switch-drain", scenario{
+		graph: switchGraph,
+		spec:  "stall(port=0,at=700,dur=300);freeze(router=0,at=5100,dur=200)",
+		sends: sendsTo([]int{1, 2, 3, 4}, 0, 21, []int64{0, 5000, 10000}, 40),
+		run:   12_000,
+		drain: 6_000,
+	}, poolVariants...)
+	if fast.skipped == 0 {
+		t.Fatal("event core never skipped a cycle on a bursty scenario")
+	}
+}
+
+// TestEventMatchesSteppedChain runs the parking-lot chain through the
+// kernel, with per-router weighted arbiters and a freeze of an
+// interior router while its upstream worms wait.
+func TestEventMatchesSteppedChain(t *testing.T) {
+	_, fast := assertMatchesReference(t, "event-chain", scenario{
+		graph: chainGraph,
+		spec:  "freeze(router=2,at=5010,dur=400)",
+		sends: sendsTo([]int{0, 1, 2, 3}, 4, 21, []int64{0, 5000, 10000}, 30),
+		run:   12_000,
+		drain: 6_000,
+	}, poolVariants...)
+	if fast.skipped == 0 {
+		t.Fatal("event core never skipped a cycle on a bursty scenario")
+	}
+}
+
 // TestEventMatchesSteppedDAMQ pins the event core on shared-buffer
 // (DAMQ) inputs, whose stop/go gates must keep routers polling (never
 // dormant) even under a stall window with known edges.

@@ -65,8 +65,12 @@ type send struct {
 
 // scenario is one differential workload.
 type scenario struct {
-	cfg  Config
-	spec string // fault spec ("" = fault-free), installed with seed 99
+	cfg Config
+	// graph, when set, builds a graph network (NewGraph) instead of
+	// NewMesh(cfg). It is called once per run, so stateful parts — a
+	// drain pattern's rng — start afresh each time.
+	graph func() Graph
+	spec  string // fault spec ("" = fault-free), installed with seed 99
 	// inject > 0 selects the injector workload: uniform traffic of 1-6
 	// flit packets at 0.15 packets/node/cycle, stepped manually for
 	// inject cycles, then a manual drain of at most 6000 cycles (fault
@@ -91,6 +95,75 @@ func meshCfg(torus bool, tile int) Config {
 		cfg.Torus, cfg.VCs = true, 4
 	}
 	return cfg
+}
+
+// switchGraph is cmd/switchsim's network: one router whose terminal
+// t is port t, with inputs 1..4 contending for output 0, which drains
+// through an 8-flit sink passing a flit on with probability 0.4 per
+// cycle (drawn from its own seeded stream).
+func switchGraph() Graph {
+	drain := rng.New(5)
+	g := Graph{
+		Radix:  []int{5},
+		Route:  func(_, dst int) int { return dst },
+		NewArb: func(int) func() sched.Scheduler { return newERR },
+		VCs:    2, BufFlits: 4,
+		Terminals: []Terminal{{Router: 0, Inject: -1, Eject: 0, DrainFlits: 8,
+			Drain: func(int64) bool { return drain.Bernoulli(0.4) }}},
+	}
+	for in := 1; in <= 4; in++ {
+		g.Terminals = append(g.Terminals, Terminal{Router: 0, Inject: in, Eject: -1})
+	}
+	return g
+}
+
+// chainGraph is the parking-lot chain of four two-port routers:
+// terminal i injects at router i's port 1, terminal 4 is the sink past
+// the last router, and router i's weighted ERR arbiters weight the
+// through port by its i upstream sources.
+func chainGraph() Graph {
+	g := Graph{
+		Route: func(r, dst int) int {
+			if dst == r {
+				return 1
+			}
+			return 0
+		},
+		NewArb: func(r int) func() sched.Scheduler {
+			return func() sched.Scheduler {
+				return core.NewWeighted(func(flow int) int64 {
+					if flow == 0 && r > 0 {
+						return int64(r)
+					}
+					return 1
+				})
+			}
+		},
+		VCs: 1, BufFlits: 4,
+	}
+	for r := 0; r < 4; r++ {
+		g.Radix = append(g.Radix, 2)
+		g.Terminals = append(g.Terminals, Terminal{Router: r, Inject: 1, Eject: 1})
+		if r < 3 {
+			g.Links = append(g.Links, Link{From: r, Out: 0, To: r + 1, In: 0})
+		}
+	}
+	g.Terminals = append(g.Terminals, Terminal{Router: 3, Inject: -1, Eject: 0})
+	return g
+}
+
+// sendsTo draws perBurst random packets of 1-6 flits from the sources
+// srcs to terminal dst inside a 20-cycle window at each burst start,
+// from traffic seed seed.
+func sendsTo(srcs []int, dst int, seed uint64, bursts []int64, perBurst int) []send {
+	src := rng.New(seed)
+	var out []send
+	for _, at := range bursts {
+		for i := 0; i < perBurst; i++ {
+			out = append(out, send{at + int64(src.Intn(20)), srcs[src.Intn(len(srcs))], dst, src.IntRange(1, 6)})
+		}
+	}
+	return out
 }
 
 // burstSends draws perBurst random packets of 1-6 flits inside a
@@ -118,6 +191,9 @@ func burstSends(n int, seed uint64, bursts []int64, perBurst int) []send {
 func runScenario(t *testing.T, s scenario, reference bool, pools ...int) runArtifacts {
 	t.Helper()
 	m, err := NewMesh(s.cfg)
+	if s.graph != nil {
+		m, err = NewGraph(s.graph())
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,9 +224,11 @@ func runScenario(t *testing.T, s scenario, reference bool, pools ...int) runArti
 		tr = m.EnableTrace(*s.trace)
 	}
 	var log []delivRec
-	for id := range m.sinks {
-		id := id
-		sink := m.sinks[id]
+	for id, sink := range m.sinks {
+		if sink == nil {
+			continue
+		}
+		id, sink := id, sink
 		prev := sink.OnFlit
 		sink.OnFlit = func(f flit.Flit, vc int, cycle int64) {
 			log = append(log, delivRec{node: id, flow: f.Flow, seq: f.Seq,

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -47,6 +48,23 @@ func TestSelfDriveSmoke(t *testing.T) {
 func TestSelfDriveBadSpec(t *testing.T) {
 	if _, err := SelfDrive(SelfDriveConfig{FaultSpec: "bogus(p=1)"}, nil); err == nil {
 		t.Fatal("bad fault spec accepted")
+	}
+}
+
+// TestSelfDriveRefusesUnappliedFaults pins the serve family's fault
+// rule: a directive the front end does not apply (a router stall, a
+// flit drop) fails the run, naming the directive and the driver
+// family, instead of running as if fault-free.
+func TestSelfDriveRefusesUnappliedFaults(t *testing.T) {
+	for _, spec := range []string{"stall(port=0,at=10)", "drop(p=0.5)"} {
+		_, err := SelfDrive(SelfDriveConfig{FaultSpec: spec, Workers: 1, Dur: 50 * time.Millisecond}, nil)
+		if err == nil {
+			t.Errorf("%s accepted", spec)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, spec) || !strings.Contains(msg, "serve front end") {
+			t.Errorf("refusal of %s does not name the directive and the driver: %v", spec, err)
+		}
 	}
 }
 

@@ -1189,7 +1189,9 @@ func (s *Sink) BufFlits() int { return 0 }
 // StallSink is an ejection endpoint with a bounded buffer that drains
 // at a configurable pattern, creating downstream congestion on
 // demand: Drain is consulted each cycle; when it returns true one
-// buffered flit leaves. Use Step to advance it.
+// buffered flit leaves, in arrival order across VCs. Use Step to
+// advance it. Like a router input, it buffers Capacity flits per VC:
+// that is the credit count ConnectEndpoint grants each VC.
 type StallSink struct {
 	Capacity int
 	Drain    func(cycle int64) bool
@@ -1197,6 +1199,7 @@ type StallSink struct {
 	buffered []flit.Flit
 	credUp   creditReturn
 	vcs      []int
+	perVC    []int
 }
 
 // NewStallSink returns a stall sink with the given buffer capacity.
@@ -1209,9 +1212,13 @@ func NewStallSink(capacity int, drain func(cycle int64) bool) *StallSink {
 
 // AcceptFlit implements Endpoint.
 func (s *StallSink) AcceptFlit(f flit.Flit, vc int, cycle int64) {
-	if len(s.buffered) >= s.Capacity {
+	for vc >= len(s.perVC) {
+		s.perVC = append(s.perVC, 0)
+	}
+	if s.perVC[vc] >= s.Capacity {
 		panic("wormhole: StallSink overflow (credit protocol violated)")
 	}
+	s.perVC[vc]++
 	s.buffered = append(s.buffered, f)
 	s.vcs = append(s.vcs, vc)
 }
@@ -1237,6 +1244,7 @@ func (s *StallSink) Step(cycle int64) {
 	f, vc := s.buffered[0], s.vcs[0]
 	s.buffered = s.buffered[1:]
 	s.vcs = s.vcs[1:]
+	s.perVC[vc]--
 	if s.credUp != nil {
 		s.credUp(vc, cycle)
 	}
