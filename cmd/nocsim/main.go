@@ -19,7 +19,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -37,16 +36,10 @@ func main() {
 		torus   = flag.Bool("torus", false, "wraparound links with dateline VC switching")
 		tile    = flag.Int("tile", 0, "commit tile edge in routers (0 = K-derived default); part of the simulated configuration — artifacts depend on it, never on -parallel-mesh")
 		pprofA  = flag.String("pprof", "", "serve net/http/pprof and the obs registry expvar on this address (e.g. localhost:6060)")
-		faults  = flag.String("faults", "", "fault-injection spec, e.g. \"freeze(router=5,at=1000,dur=500);drop(router=0,port=1,p=0.01)\" (\"\" = fault-free; see internal/fault)")
-		checkF  = flag.Bool("check", false, "validate ejected flit streams and run a deadlock watchdog that dumps the channel-wait graph on a stall")
-		fseed   = flag.Uint64("faultseed", 0, "fault-randomness seed, independent of -seed (0 = derive from -seed)")
 		par     = flag.Int("parallel-mesh", 1, "shard mesh stepping across this many workers (1 = serial, 0 = GOMAXPROCS); output is identical at any setting")
-		refF    = flag.Bool("reference", false, "run the literal oracle: step every cycle and every router with full ports-x-VCs scans (deliveries and latency are identical, but the stepping:, arbitration: and layout: lines count the costlier run's work)")
-		traceF  = flag.Bool("trace", false, "attach the packet flight recorder and print per-flow latency tails, hop-time decomposition, and Jain fairness epochs")
-		traceS  = flag.Int("trace-sample", 64, "trace one in this many packets (1 = every packet); sampling is seed-derived per packet id, so trace output is byte-identical across stepping modes")
-		traceC  = flag.String("trace-out", "", "write sampled-packet spans as Chrome trace-event JSON (Perfetto-loadable) to this file (implies -trace)")
-		traceJ  = flag.String("trace-jsonl", "", "write sampled-packet spans as JSONL to this file (implies -trace)")
+		rf      noc.RunFlags
 	)
+	rf.Register(flag.CommandLine)
 	flag.Parse()
 	if *pprofA != "" {
 		addr, err := obs.ServeDebug(*pprofA, obs.Default())
@@ -56,23 +49,13 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "nocsim: pprof on http://%s/debug/pprof/ (registry at /debug/vars)\n", addr)
 	}
-	topts := traceOpts{enabled: *traceF || *traceC != "" || *traceJ != "",
-		sample: *traceS, chrome: *traceC, jsonl: *traceJ}
-	if err := run(*k, *vcs, *buf, *tile, *arb, *pattern, *rate, *minLen, *maxLen, *cycles, *seed, *torus, *faults, *fseed, *checkF, *par, *refF, topts); err != nil {
+	if err := run(*k, *vcs, *buf, *tile, *arb, *pattern, *rate, *minLen, *maxLen, *cycles, *seed, *torus, *par, &rf); err != nil {
 		fmt.Fprintf(os.Stderr, "nocsim: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// traceOpts bundles the flight-recorder flags.
-type traceOpts struct {
-	enabled bool
-	sample  int
-	chrome  string
-	jsonl   string
-}
-
-func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLen int, cycles int64, seed uint64, torus bool, faults string, faultSeed uint64, checkF bool, parallel int, reference bool, topts traceOpts) error {
+func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLen int, cycles int64, seed uint64, torus bool, parallel int, rf *noc.RunFlags) error {
 	var newArb func() sched.Scheduler
 	switch arb {
 	case "err":
@@ -99,27 +82,14 @@ func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLe
 		return err
 	}
 	m.RegisterObs(obs.Default())
-	m.SetReference(reference)
 	if parallel != 1 {
 		pool := exec.NewPool(parallel)
 		defer pool.Close()
 		m.SetPool(pool)
 	}
-
-	if faultSeed == 0 {
-		faultSeed = rng.Derive(seed, 0xfa0175)
-	}
-	g, err := m.Protect(faults, faultSeed, checkF)
+	g, err := rf.Arm(m, seed)
 	if err != nil {
 		return err
-	}
-	var tr *trace.Trace
-	if topts.enabled {
-		tr = m.EnableTrace(noc.TraceConfig{
-			Seed:        rng.Derive(seed, 0x7ace),
-			SampleEvery: topts.sample,
-			Reg:         obs.Default(),
-		})
 	}
 
 	var pat noc.Pattern
@@ -178,7 +148,7 @@ func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLe
 			float64(comp)/float64(cyc), m.Nodes(),
 			obs.Default().Gauge("noc.active_routers_high_water").Value())
 		mode := "work-list"
-		if reference {
+		if rf.Reference {
 			mode = "full-scan"
 		}
 		cells := obs.Default().Counter("noc.cells_visited").Value()
@@ -204,16 +174,5 @@ func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLe
 	if err := plot.Bar(os.Stdout, "Delivered flits per source node", labels, flits, 50); err != nil {
 		return err
 	}
-	if tr != nil {
-		if err := m.ExportTrace(os.Stdout, tr, topts.chrome, topts.jsonl); err != nil {
-			return err
-		}
-	}
-	if g.Check != nil {
-		if err := g.Check.Err(); err != nil {
-			return fmt.Errorf("invariant checking failed: %w", err)
-		}
-		fmt.Printf("\ninvariant checking: %d violations\n", g.Check.Count())
-	}
-	return nil
+	return rf.Report(os.Stdout, m)
 }

@@ -18,7 +18,6 @@ import (
 	"repro/internal/plot"
 	"repro/internal/rng"
 	"repro/internal/sched"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -34,15 +33,9 @@ func main() {
 		cycles = flag.Int64("cycles", 200_000, "simulation cycles")
 		seed   = flag.Uint64("seed", 1, "random seed")
 		pprofA = flag.String("pprof", "", "serve net/http/pprof and the obs registry expvar on this address (e.g. localhost:6060)")
-		faults = flag.String("faults", "", "fault-injection spec, e.g. \"stall(port=0,at=1000,dur=500);malformed(kind=notail,p=0.001)\" (\"\" = fault-free; see internal/fault)")
-		checkF = flag.Bool("check", false, "validate the output flit stream and run a deadlock watchdog; violations fail the run with a cycle-stamped report")
-		fseed  = flag.Uint64("faultseed", 0, "fault-randomness seed, independent of -seed (0 = derive from -seed)")
-		refF   = flag.Bool("reference", false, "arbitrate with full ports-x-VCs scans instead of the event-driven work-lists (oracle mode; output is identical except the arbitration line, which counts the costlier run's work)")
-		traceF = flag.Bool("trace", false, "attach the packet flight recorder and print per-input latency tails, hop-time decomposition, and Jain fairness epochs")
-		traceS = flag.Int("trace-sample", 64, "trace one in this many packets (1 = every packet); sampling is seed-derived per packet id, so trace output is byte-identical across stepping modes")
-		traceC = flag.String("trace-out", "", "write sampled-packet spans as Chrome trace-event JSON (Perfetto-loadable) to this file (implies -trace)")
-		traceJ = flag.String("trace-jsonl", "", "write sampled-packet spans as JSONL to this file (implies -trace)")
+		rf     noc.RunFlags
 	)
+	rf.Register(flag.CommandLine)
 	flag.Parse()
 	if *pprofA != "" {
 		addr, err := obs.ServeDebug(*pprofA, obs.Default())
@@ -52,23 +45,13 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "switchsim: pprof on http://%s/debug/pprof/ (registry at /debug/vars)\n", addr)
 	}
-	topts := traceOpts{enabled: *traceF || *traceC != "" || *traceJ != "",
-		sample: *traceS, chrome: *traceC, jsonl: *traceJ}
-	if err := run(*inputs, *vcs, *buf, *arb, *minLen, *maxLen, *bigIn, *drainP, *cycles, *seed, *faults, *fseed, *checkF, *refF, topts); err != nil {
+	if err := run(*inputs, *vcs, *buf, *arb, *minLen, *maxLen, *bigIn, *drainP, *cycles, *seed, &rf); err != nil {
 		fmt.Fprintf(os.Stderr, "switchsim: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// traceOpts bundles the flight-recorder flags.
-type traceOpts struct {
-	enabled bool
-	sample  int
-	chrome  string
-	jsonl   string
-}
-
-func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP float64, cycles int64, seed uint64, faults string, faultSeed uint64, checkF bool, reference bool, topts traceOpts) error {
+func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP float64, cycles int64, seed uint64, rf *noc.RunFlags) error {
 	var newArb func() sched.Scheduler
 	switch arb {
 	case "err":
@@ -84,7 +67,7 @@ func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP flo
 	src := rng.New(seed)
 	ports := inputs + 1
 	g := noc.Graph{
-		Radix:  []int{ports},
+		Routers: 1, Ports: ports,
 		Route:  func(_, dst int) int { return dst },
 		NewArb: func(int) func() sched.Scheduler { return newArb },
 		VCs:    vcs, BufFlits: buf,
@@ -98,21 +81,9 @@ func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP flo
 	if err != nil {
 		return err
 	}
-	m.SetReference(reference)
-	if faultSeed == 0 {
-		faultSeed = rng.Derive(seed, 0xfa0175)
-	}
-	guard, err := m.Protect(faults, faultSeed, checkF)
+	guard, err := rf.Arm(m, seed)
 	if err != nil {
 		return err
-	}
-	var tr *trace.Trace
-	if topts.enabled {
-		tr = m.EnableTrace(noc.TraceConfig{
-			Seed:        rng.Derive(seed, 0x7ace),
-			SampleEvery: topts.sample,
-			Reg:         obs.Default(),
-		})
 	}
 
 	// Keep every input backlogged: a new packet whenever the last one
@@ -149,7 +120,7 @@ func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP flo
 	fmt.Printf("switch: %d inputs -> 1 output, arb=%s, drain p=%.2f, %d cycles\n",
 		inputs, arb, drainP, cycles)
 	mode := "work-list"
-	if reference {
+	if rf.Reference {
 		mode = "full-scan"
 	}
 	fmt.Printf("arbitration: %s, %.2f arbitration sites visited/cycle (switch holds %d ports*VCs cells)\n",
@@ -162,16 +133,5 @@ func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP flo
 	if err := plot.Bar(os.Stdout, "Flits delivered per input on the contended output", labels, served, 50); err != nil {
 		return err
 	}
-	if tr != nil {
-		if err := m.ExportTrace(os.Stdout, tr, topts.chrome, topts.jsonl); err != nil {
-			return err
-		}
-	}
-	if guard.Check != nil {
-		if err := guard.Check.Err(); err != nil {
-			return fmt.Errorf("invariant checking failed: %w", err)
-		}
-		fmt.Printf("\ninvariant checking: %d violations\n", guard.Check.Count())
-	}
-	return nil
+	return rf.Report(os.Stdout, m)
 }

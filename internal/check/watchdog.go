@@ -5,8 +5,9 @@ package check
 // channel-wait (deadlock, e.g. a dropped tail flit leaving a
 // downstream packet open forever) or starvation (livelock). The
 // watchdog only detects; the caller decides how to abort and what to
-// dump (the wormhole substrate offers Router.WaitEdges /
-// noc.Mesh.WaitGraph for the channel-wait graph).
+// dump (the wormhole substrate offers Router.WaitEdges, which the noc
+// kernel's wedge report, noc.Mesh.Wedged, gathers into the
+// channel-wait graph).
 //
 // Usage: call Progress on every forwarded/delivered flit and Expired
 // once per cycle with the current backlog. Expired trips at most

@@ -65,7 +65,8 @@ func RunParkingLot(p ParkingLotParams) (*ParkingLotResult, error) {
 		// terminal, which nothing sends.
 		sink := p.Hops
 		g := noc.Graph{
-			Radix:    make([]int, p.Hops),
+			Routers:  p.Hops,
+			Ports:    2,
 			VCs:      1,
 			BufFlits: 16,
 			Route: func(r, dst int) int {
@@ -93,7 +94,6 @@ func RunParkingLot(p ParkingLotParams) (*ParkingLotResult, error) {
 			},
 		}
 		for i := 0; i < p.Hops; i++ {
-			g.Radix[i] = 2
 			g.Terminals = append(g.Terminals, noc.Terminal{Router: i, Inject: 1, Eject: 1})
 			if i+1 < p.Hops {
 				g.Links = append(g.Links, noc.Link{From: i, Out: 0, To: i + 1, In: 0})

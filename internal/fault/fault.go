@@ -53,6 +53,12 @@ type Injector struct {
 	spec *Spec
 	seed uint64
 
+	// malformed and malSrc drive Malformed: one stream for the whole
+	// network, labelled streamCorrupt with no router or port — distinct
+	// from every (router, port) corrupt stream.
+	malformed []Directive
+	malSrc    *rng.Source
+
 	// Counter cells are atomic because outputFault hooks fire from the
 	// routers' compute phase, which the mesh may shard across workers;
 	// each hook still draws from its own per-(router,port) rng stream,
@@ -74,7 +80,8 @@ func New(spec *Spec, seed uint64) *Injector {
 	if spec == nil {
 		return nil
 	}
-	return &Injector{spec: spec, seed: seed}
+	return &Injector{spec: spec, seed: seed, malformed: spec.only("malformed"),
+		malSrc: rng.New(rng.Derive(seed, streamCorrupt))}
 }
 
 // Counters returns a snapshot of what the injector has done so far.
@@ -408,42 +415,18 @@ func (in *Injector) FreezeFunc(router int) func(cycle int64) bool {
 	}
 }
 
-// Malformer decides, packet by packet, which packets entering a
-// network the spec's malformed(...) directives replace with a
-// malformed flit stream (MalformedFlits). It is the flit-level
-// counterpart of WrapSource, used by the noc kernel's injection front
-// ends; its draws follow the order in which packets are offered.
-type Malformer struct {
-	in   *Injector
-	dirs []Directive
-	src  *rng.Source
-}
-
-// Malformer returns the injector's malformer, or nil when the spec
-// has no malformed directives (or the injector is nil).
-func (in *Injector) Malformer() *Malformer {
-	dirs := in.Spec().only("malformed")
-	if len(dirs) == 0 {
-		return nil
-	}
-	// One stream for the whole network, labelled streamCorrupt with no
-	// router or port: the label the flit-level malformer has always
-	// drawn from, and distinct from every (router, port) corrupt
-	// stream.
-	return &Malformer{in: in, dirs: dirs, src: rng.New(rng.Derive(in.seed, streamCorrupt))}
-}
-
-// Draw returns the malformed kind of the next packet offered, or ""
-// to leave it well-formed. The directives are tried in spec order and
-// the first that fires wins; each malformed packet is counted. A nil
-// Malformer leaves every packet well-formed.
-func (mf *Malformer) Draw() string {
-	if mf == nil {
+// Malformed returns the malformed kind of the next packet offered at
+// a network's injection front end, or "" to leave it well-formed: the
+// spec's malformed(...) directives are tried in order and the first
+// that fires wins, each malformed packet counted. The flit-level
+// counterpart of WrapSource; a nil injector malforms nothing.
+func (in *Injector) Malformed() string {
+	if in == nil {
 		return ""
 	}
-	for _, d := range mf.dirs {
-		if mf.src.Bernoulli(d.P) {
-			mf.in.counters.malformed.Add(1)
+	for _, d := range in.malformed {
+		if in.malSrc.Bernoulli(d.P) {
+			in.counters.malformed.Add(1)
 			return d.MKind
 		}
 	}
@@ -452,7 +435,7 @@ func (mf *Malformer) Draw() string {
 
 // MalformedFlits materialises a deliberately malformed flit stream
 // for a packet — the flit-level counterpart of WrapSource's malformed
-// packets, used by the noc kernel's injection front ends (Malformer)
+// packets, used by the noc kernel's injection front ends (Malformed)
 // and the validation tests to exercise flit.ValidateFlits and the
 // routers' tolerance. kind is one of the Malformed* constants:
 //

@@ -119,6 +119,8 @@ type Spec struct {
 	Directives []Directive
 	// Source is the textual form the spec was parsed from.
 	Source string
+	// texts[i] is the source text of Directives[i].
+	texts []string
 }
 
 // WatchdogBudget is the no-progress budget a deadlock watchdog should
@@ -139,34 +141,24 @@ func (s *Spec) WatchdogBudget() int64 {
 }
 
 // Family is a kind of simulation driver. Each family applies a fixed
-// subset of the directives.
+// subset of the directives and refuses the rest (Check).
 type Family int
 
 const (
-	// Network is the noc kernel behind nocsim, switchsim, the parking
-	// lot, nocsweep and scale: router and port stalls, freezes, drops,
-	// corruption, and malformed packets at the injection front ends.
+	// Network is the noc kernel (nocsim, switchsim, the parking lot,
+	// nocsweep, scale).
 	Network Family = iota
-	// Engine is the single-server engine behind the paper's figures:
-	// stalls that name no router or port, and zero-length or
-	// bad-flow malformed packets (a packet-level source cannot emit
-	// the flit-level notail and duphead kinds).
+	// Engine is the single-server engine behind the paper's figures; a
+	// packet-level source cannot emit the flit-level malformed kinds.
 	Engine
-	// Serve is the live front end of errserve: handler slow and stuck
-	// faults and the load generator's burst and flood tenants.
+	// Serve is errserve's live front end and its load generator.
 	Serve
 )
 
-var familyNames = [...]string{
-	Network: "network kernel",
-	Engine:  "single-server engine",
-	Serve:   "serve front end",
-}
-
-var familyApplies = [...]string{
-	Network: "stall with router= or port=, freeze, drop, corrupt, malformed",
-	Engine:  "stall without router= or port=, malformed of kind zerolen or badflow",
-	Serve:   "slow, stuck, burst, flood",
+var families = [...]struct{ name, applies string }{
+	Network: {"network kernel", "stall with router= or port=, freeze, drop, corrupt, malformed"},
+	Engine:  {"single-server engine", "stall without router= or port=, malformed of kind zerolen or badflow"},
+	Serve:   {"serve front end", "slow, stuck, burst, flood"},
 }
 
 // applies reports whether the family applies d.
@@ -202,20 +194,14 @@ func (f Family) Check(s *Spec) error {
 	if s == nil {
 		return nil
 	}
-	var texts []string
-	for _, raw := range strings.Split(s.Source, ";") {
-		if raw = strings.TrimSpace(raw); raw != "" {
-			texts = append(texts, raw)
-		}
-	}
 	for i, d := range s.Directives {
 		if !f.applies(d) {
 			text := d.Kind
-			if i < len(texts) {
-				text = texts[i]
+			if i < len(s.texts) {
+				text = s.texts[i]
 			}
 			return fmt.Errorf("fault: the %s does not apply %q (it applies %s)",
-				familyNames[f], text, familyApplies[f])
+				families[f].name, text, families[f].applies)
 		}
 	}
 	return nil
@@ -239,6 +225,7 @@ func Parse(s string) (*Spec, error) {
 			return nil, err
 		}
 		spec.Directives = append(spec.Directives, d)
+		spec.texts = append(spec.texts, raw)
 	}
 	if len(spec.Directives) == 0 {
 		return nil, fmt.Errorf("fault: empty spec %q", s)

@@ -156,8 +156,9 @@ func wedgeRun(t *testing.T, reference bool) (wedge error, drained bool, cycle, s
 // runnable, no event pending) used to be jumped straight to the
 // horizon, silently degrading the deadlock diagnostic to "Drain
 // returned false". Event-driven Drain must now trip the watchdog at
-// the exact cycle the reference would, fire the OnWedged hook with a
-// non-empty channel-wait dump, and only then skip to the horizon.
+// the exact cycle the reference would, record the same wedge report
+// with a non-empty channel-wait dump, and only then skip to the
+// horizon.
 func TestDrainWedgedQuietTripsWatchdog(t *testing.T) {
 	sWedge, sDrained, sCycle, sSkipped := wedgeRun(t, true)
 	if sDrained {

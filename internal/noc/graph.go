@@ -1,8 +1,6 @@
 package noc
 
 import (
-	"fmt"
-
 	"repro/internal/flit"
 	"repro/internal/sched"
 	"repro/internal/wormhole"
@@ -12,8 +10,9 @@ import (
 // NewGraph builds any topology from one, and NewMesh builds the mesh
 // and torus on the same builder.
 type Graph struct {
-	// Radix[r] is router r's port count; routers are numbered from 0.
-	Radix []int
+	// Routers is the router count (ids 0..Routers-1); each has Ports
+	// ports.
+	Routers, Ports int
 	// Links are the directed router-to-router channels.
 	Links []Link
 	// Terminals are the network's end points, the node ids of Send: a
@@ -45,86 +44,47 @@ type Link struct{ From, Out, To, In int }
 // Terminal is one end point of a network: it injects into input port
 // Inject of router Router and ejects from output port Eject of the
 // same router (-1 = none). With Drain set, the ejection port drains
-// through a bounded sink of DrainFlits flits that passes one flit on
-// in each cycle Drain returns true, stepped after each commit: the
-// downstream congestion of cmd/switchsim's -drain.
+// through a bounded sink of DrainFlits flits per VC that passes one
+// flit on in each cycle Drain returns true, stepped after each
+// commit: the downstream congestion of cmd/switchsim's -drain.
 type Terminal struct {
 	Router, Inject, Eject int
 	Drain                 func(cycle int64) bool
 	DrainFlits            int
 }
 
-// NewGraph validates g and builds its network. A graph network commits
-// as one tile: its routers share one commit domain, so a worker pool
-// (SetPool) never changes its stepping, and the active set, event
-// core, reference mode, faults, checks, watchdog and flight recorder
-// apply to it exactly as to a mesh.
+// NewGraph builds g's network. A graph network commits as one tile:
+// its routers share one commit domain, so a worker pool (SetPool)
+// never changes its stepping, and the active set, event core,
+// reference mode, faults, checks, watchdog and flight recorder apply
+// to it exactly as to a mesh.
 func NewGraph(g Graph) (*Mesh, error) {
-	order := make([]int32, len(g.Radix))
+	order := make([]int32, g.Routers)
 	for i := range order {
 		order[i] = int32(i)
 	}
-	return build(g, order, []int32{0, int32(len(order))})
+	return build(g, order, []int32{0, int32(g.Routers)})
 }
 
 // build constructs g's network with its routers laid out in the given
 // physical order (order[p] is the router at physical id p) and split
-// into the commit tiles [tileStart[t], tileStart[t+1]).
+// into the commit tiles [tileStart[t], tileStart[t+1]). All per-router
+// state is carved out of one arena in physical order.
 func build(g Graph, order, tileStart []int32) (*Mesh, error) {
-	n, nt := len(g.Radix), len(g.Terminals)
-	if n < 1 || nt < 1 {
-		return nil, fmt.Errorf("noc: a network needs routers and terminals (got %d and %d)", n, nt)
-	}
-	if g.Route == nil || g.NewArb == nil {
-		return nil, fmt.Errorf("noc: Route and NewArb are required")
-	}
-	// Each router port carries at most one inbound and one outbound
-	// channel: a link or a terminal. first[r] indexes router r's ports
-	// in the flat claim lists.
-	first := make([]int, n+1)
-	for r, p := range g.Radix {
-		first[r+1] = first[r] + p
-	}
-	in, out := make([]bool, first[n]), make([]bool, first[n])
-	claim := func(used []bool, r, port int, what string) error {
-		if r < 0 || r >= n || port < 0 || port >= g.Radix[r] {
-			return fmt.Errorf("noc: %s names router %d port %d, outside the graph", what, r, port)
-		}
-		if used[first[r]+port] {
-			return fmt.Errorf("noc: %s reuses router %d port %d", what, r, port)
-		}
-		used[first[r]+port] = true
-		return nil
-	}
-	for _, l := range g.Links {
-		if err := claim(out, l.From, l.Out, "a link"); err != nil {
-			return nil, err
-		}
-		if err := claim(in, l.To, l.In, "a link"); err != nil {
-			return nil, err
-		}
-	}
-	for t, term := range g.Terminals {
-		what := fmt.Sprintf("terminal %d", t)
-		if term.Router < 0 || term.Router >= n {
-			return nil, fmt.Errorf("noc: %s names router %d, outside the graph", what, term.Router)
-		}
-		if term.Inject >= 0 {
-			if err := claim(in, term.Router, term.Inject, what); err != nil {
-				return nil, err
-			}
-		}
-		if term.Eject >= 0 {
-			if err := claim(out, term.Router, term.Eject, what); err != nil {
-				return nil, err
-			}
-		}
-	}
+	n, nt := g.Routers, len(g.Terminals)
 	numTiles := len(tileStart) - 1
 	injVCs := g.InjectVCs
 	if injVCs == 0 {
 		injVCs = g.VCs
 	}
+	base := wormhole.Config{
+		Ports:          g.Ports,
+		VCs:            g.VCs,
+		BufFlits:       g.BufFlits,
+		SharedBufFlits: g.SharedBufFlits,
+		SharedBufCap:   g.SharedBufCap,
+	}
+	arena := wormhole.NewArena(base, n)
 	m := &Mesh{
 		routers:          make([]*wormhole.Router, n),
 		sinks:            make([]*wormhole.Sink, nt),
@@ -143,44 +103,23 @@ func build(g Graph, order, tileStart []int32) (*Mesh, error) {
 		tileStart:        tileStart,
 		tileOff:          make([]int32, numTiles+1),
 		rest:             make([]wormhole.Effects, numTiles),
+		arenaBytes:       arena.Bytes(),
 		DeliveredFlits:   make([]int64, nt),
 		DeliveredPackets: make([]int64, nt),
 	}
-	base := func(ports int) wormhole.Config {
-		return wormhole.Config{
-			Ports:          ports,
-			VCs:            g.VCs,
-			BufFlits:       g.BufFlits,
-			SharedBufFlits: g.SharedBufFlits,
-			SharedBufCap:   g.SharedBufCap,
-		}
-	}
-	// One arena per radix; a single-radix network (every mesh) carves
-	// all its routers from one, consecutively in physical order.
-	arenas := make(map[int]*wormhole.Arena)
-	count := make(map[int]int)
-	for _, p := range g.Radix {
-		count[p]++
-	}
-	var arenaBytes int64
-	for p, c := range count {
-		arenas[p] = wormhole.NewArena(base(p), c)
-		arenaBytes += arenas[p].Bytes()
-	}
-	m.arenaBytes = arenaBytes
 	// Routing is static, so below routeTableNodes terminals each router
 	// gets a precomputed dst -> output-port table instead of calling
 	// Route per head flit.
-	useTables := nt <= routeTableNodes
+	useTables := nt <= routeTableNodes && g.Ports <= 256
 	route, outVC := g.Route, g.OutVC // the closures below keep only these
 	for t := 0; t < numTiles; t++ {
 		for pid := int(tileStart[t]); pid < int(tileStart[t+1]); pid++ {
 			pid := pid
 			id := int(order[pid])
 			m.allIDs[pid] = pid
-			rcfg := base(g.Radix[id])
+			rcfg := base
 			rcfg.NewArb = g.NewArb(id)
-			if useTables && g.Radix[id] <= 256 {
+			if useTables {
 				tab := make([]uint8, nt)
 				for dst := range tab {
 					tab[dst] = uint8(route(id, dst))
@@ -194,7 +133,7 @@ func build(g Graph, order, tileStart []int32) (*Mesh, error) {
 					return outVC(id, outPort, head, inPort, inVC)
 				}
 			}
-			r, err := arenas[g.Radix[id]].NewRouter(id, rcfg)
+			r, err := arena.NewRouter(id, rcfg)
 			if err != nil {
 				return nil, err
 			}
@@ -219,7 +158,7 @@ func build(g Graph, order, tileStart []int32) (*Mesh, error) {
 		if term.Eject < 0 {
 			continue
 		}
-		var sink *wormhole.Sink
+		sink := &wormhole.Sink{}
 		if term.Drain != nil {
 			ss := wormhole.NewStallSink(term.DrainFlits, term.Drain)
 			wormhole.ConnectEndpoint(r, term.Eject, ss)
@@ -227,7 +166,6 @@ func build(g Graph, order, tileStart []int32) (*Mesh, error) {
 			m.drains = append(m.drains, ss)
 			sink = &ss.Inner
 		} else {
-			sink = &wormhole.Sink{}
 			wormhole.ConnectEndpoint(r, term.Eject, sink)
 		}
 		sink.OnTail = m.onTail

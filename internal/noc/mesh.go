@@ -284,11 +284,10 @@ type Mesh struct {
 	drains []*wormhole.StallSink
 
 	inflight map[int64]pktMeta
-	// mal, when non-nil (Protect), draws which sent packets are
-	// malformed; malformed maps each such packet still queued to its
-	// kind. Malformed packets are kept out of inflight, latency and the
-	// flight recorder.
-	mal       *fault.Malformer
+	// faults is the injector Protect installed (nil = fault-free); it
+	// draws which sent packets are malformed, and malformed maps each
+	// such packet still queued to its kind.
+	faults    *fault.Injector
 	malformed map[int64]string
 
 	// tr, when non-nil, is the packet flight recorder (EnableTrace):
@@ -342,8 +341,8 @@ type Mesh struct {
 	sched    []schedSend
 	schedSeq int64
 	// events is the discrete-event queue proper: externally known
-	// wake-up cycles — fault-window edges registered by InstallFaults
-	// or ScheduleWake — ordered deterministically by (At, ID, Kind).
+	// wake-up cycles — fault-window edges registered by Protect or
+	// ScheduleWake — ordered deterministically by (At, ID, Kind).
 	// Together with the sched heap's head and the routers' NextEventAt
 	// answers it bounds how far Run/Drain may advance event-to-event.
 	events queue.EventHeap
@@ -440,7 +439,8 @@ func NewMesh(cfg Config) (*Mesh, error) {
 	}
 	n := cfg.K * cfg.K
 	g := Graph{
-		Radix:          make([]int, n),
+		Routers:        n,
+		Ports:          numPorts,
 		Terminals:      make([]Terminal, n),
 		Route:          cfg.route,
 		NewArb:         func(int) func() sched.Scheduler { return cfg.NewArb },
@@ -459,7 +459,6 @@ func NewMesh(cfg Config) (*Mesh, error) {
 	for y := 0; y < cfg.K; y++ {
 		for x := 0; x < cfg.K; x++ {
 			id := y*cfg.K + x
-			g.Radix[id] = numPorts
 			g.Terminals[id] = Terminal{Router: id, Inject: PortLocal, Eject: PortLocal}
 			switch {
 			case x+1 < cfg.K:
@@ -646,7 +645,10 @@ func (m *Mesh) Send(src, dst, length int) {
 	id := m.nextID
 	m.nextID++
 	p := flit.Packet{Flow: src, Length: length, Dst: dst, ID: id}
-	if kind := m.mal.Draw(); kind != "" {
+	if kind := m.faults.Malformed(); kind != "" {
+		if m.malformed == nil {
+			m.malformed = make(map[int64]string)
+		}
 		m.malformed[id] = kind
 	} else {
 		m.inflight[id] = pktMeta{t0: m.cycle, length: length}
@@ -772,7 +774,7 @@ func (m *Mesh) Skipped() int64 { return m.skipped }
 // state may change without any in-network progress event — a
 // fault-window edge opening or closing — so event-driven Run/Drain
 // will not treat a dormant (fault-blocked) network as skippable past
-// it. InstallFaults registers every window edge of its injector
+// it. Protect registers every window edge of its injector
 // automatically; callers installing windowed fault hooks directly on
 // routers (Router.SetFreeze / SetOutputFault combined with
 // SetFaultEdgesKnown) must register each edge here themselves.
@@ -1243,9 +1245,9 @@ func (m *Mesh) Run(n int64) {
 // events are jumped exactly as in Run. A wedged-but-quiet network
 // (flits leaked or stuck by fault injection, nothing able to act, no
 // event pending) still jumps to the horizon — no amount of stepping
-// would move it — but only after the attached watchdog (WatchProgress)
-// has been consulted at its exact trip cycle, so the wedge trips the
-// OnWedged diagnostic instead of being skipped over silently.
+// would move it — but only after the watchdog Protect armed has been
+// consulted at its exact trip cycle, so the wedge report (Wedged) is
+// recorded instead of the wedge being skipped over silently.
 func (m *Mesh) Drain(maxCycles int64) bool {
 	end := m.horizonEnd(maxCycles)
 	for m.cycle < end {

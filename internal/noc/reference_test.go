@@ -104,7 +104,7 @@ func meshCfg(torus bool, tile int) Config {
 func switchGraph() Graph {
 	drain := rng.New(5)
 	g := Graph{
-		Radix:  []int{5},
+		Routers: 1, Ports: 5,
 		Route:  func(_, dst int) int { return dst },
 		NewArb: func(int) func() sched.Scheduler { return newERR },
 		VCs:    2, BufFlits: 4,
@@ -139,10 +139,9 @@ func chainGraph() Graph {
 				})
 			}
 		},
-		VCs: 1, BufFlits: 4,
+		Routers: 4, Ports: 2, VCs: 1, BufFlits: 4,
 	}
 	for r := 0; r < 4; r++ {
-		g.Radix = append(g.Radix, 2)
 		g.Terminals = append(g.Terminals, Terminal{Router: r, Inject: 1, Eject: 1})
 		if r < 3 {
 			g.Links = append(g.Links, Link{From: r, Out: 0, To: r + 1, In: 0})

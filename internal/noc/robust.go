@@ -7,7 +7,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/flit"
 	"repro/internal/obs"
-	"repro/internal/wormhole"
 )
 
 // Guard is what Protect wired into a network for one run.
@@ -71,9 +70,7 @@ func (m *Mesh) installFaults(inj *fault.Injector) {
 			}
 		}
 	}
-	if m.mal = inj.Malformer(); m.mal != nil {
-		m.malformed = make(map[int64]string)
-	}
+	m.faults = inj
 	// Register every stall/freeze window edge as a wake event and
 	// declare the edges known, so event-driven Run/Drain may treat
 	// fault-blocked routers as dormant between edges instead of polling
@@ -139,31 +136,25 @@ func (m *Mesh) watchProgress(wd *check.Watchdog) {
 // graph at the trip — who is blocked on which VC, and why.
 func (m *Mesh) Wedged() error { return m.wedged }
 
-// wedgeReport renders the wedge report for a trip at cycle c.
+// wedgeReport renders the wedge report for a trip at cycle c, listing
+// at most 32 channel-wait edges.
 func (m *Mesh) wedgeReport(c int64) error {
-	var edges []wormhole.WaitEdge
 	var dropped int64
+	graph, edges := "", 0
 	for _, r := range m.routers {
-		edges = append(edges, r.WaitEdges(c)...)
 		dropped += r.FaultDropped
+		for _, e := range r.WaitEdges(c) {
+			if edges++; edges <= 32 {
+				graph += "  " + e.String() + "\n"
+			}
+		}
+	}
+	switch {
+	case edges == 0:
+		graph = "  (no blocked channels)"
+	case edges > 32:
+		graph += fmt.Sprintf("  ... and %d more edges\n", edges-32)
 	}
 	return fmt.Errorf("wedged at cycle %d: %d packets in flight, no delivery for %d cycles (%d flits dropped by fault injection)\nchannel-wait graph:\n%s",
-		c, len(m.inflight), m.wd.Limit, dropped, formatWaitGraph(edges, 32))
-}
-
-// formatWaitGraph renders a wait graph for the wedge report, capped
-// at max edges (0 = all).
-func formatWaitGraph(edges []wormhole.WaitEdge, max int) string {
-	if len(edges) == 0 {
-		return "  (no blocked channels)"
-	}
-	out := ""
-	for i, e := range edges {
-		if max > 0 && i == max {
-			out += fmt.Sprintf("  ... and %d more edges\n", len(edges)-max)
-			break
-		}
-		out += "  " + e.String() + "\n"
-	}
-	return out
+		c, len(m.inflight), m.wd.Limit, dropped, graph)
 }

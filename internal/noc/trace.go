@@ -1,10 +1,6 @@
 package noc
 
 import (
-	"fmt"
-	"io"
-	"os"
-
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -60,49 +56,4 @@ func (m *Mesh) EnableTrace(cfg TraceConfig) *trace.Trace {
 	}
 	m.tr = t
 	return t
-}
-
-// ExportTrace finishes tr, the flight recorder EnableTrace returned,
-// and writes what a simulator's trace flags ask for: the sampled spans as
-// Chrome trace-event JSON to chromePath and as JSONL to jsonlPath
-// ("" skips either; fault windows from Protect's spec attribute
-// fault-blocked cycles), then the span count and the rollup table on
-// w. With Protect checking, the span invariants are audited into its
-// recorder.
-func (m *Mesh) ExportTrace(w io.Writer, tr *trace.Trace, chromePath, jsonlPath string) error {
-	var g Guard
-	if m.guard != nil {
-		g = *m.guard
-	}
-	tr.Finish(m.cycle)
-	recs := tr.Records()
-	ws := trace.WindowsFromSpec(g.Spec)
-	for _, out := range []struct {
-		path  string
-		write func(io.Writer, []trace.Record, []trace.FaultWindow) error
-	}{{chromePath, trace.WriteChrome}, {jsonlPath, trace.WriteJSONL}} {
-		if out.path == "" {
-			continue
-		}
-		f, err := os.Create(out.path)
-		if err != nil {
-			return err
-		}
-		if err := out.write(f, recs, ws); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(w, "\nflight recorder: %d spans (1-in-%d sampling, %d overwritten)\n",
-		len(recs), tr.SampleEvery(), tr.Dropped())
-	if err := tr.Rollup().Render(w); err != nil {
-		return err
-	}
-	if g.Check != nil {
-		trace.Audit(recs, g.Check.Report)
-	}
-	return nil
 }

@@ -209,10 +209,6 @@ func New(cfg Config) *Trace {
 // Sampler returns the trace's packet sampler.
 func (t *Trace) Sampler() Sampler { return t.s }
 
-// SampleEvery returns Config.SampleEvery: about one packet in this
-// many is traced.
-func (t *Trace) SampleEvery() int { return t.cfg.SampleEvery }
-
 // Registry returns the registry holding the rollup metrics.
 func (t *Trace) Registry() *obs.Registry { return t.cfg.Reg }
 

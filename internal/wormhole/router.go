@@ -566,7 +566,7 @@ func (r *Router) SetFreeze(f func(cycle int64) bool) {
 // (EventNever) instead of making it poll every cycle. The declaration
 // is withdrawn automatically by any later SetFreeze/SetOutputFault
 // call, since a directly installed predicate has edges the owner
-// never saw (noc.Mesh.InstallFaults re-declares after installing the
+// never saw (noc.Mesh.Protect re-declares after installing the
 // window directives whose edges it registered).
 func (r *Router) SetFaultEdgesKnown(on bool) { r.faultEdgesKnown = on }
 
