@@ -174,5 +174,5 @@ func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLe
 	if err := plot.Bar(os.Stdout, "Delivered flits per source node", labels, flits, 50); err != nil {
 		return err
 	}
-	return rf.Report(os.Stdout, m)
+	return rf.Report(os.Stdout, m, g)
 }

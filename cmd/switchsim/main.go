@@ -1,9 +1,10 @@
-// Command switchsim drives a single wormhole switch (one router from
-// package wormhole): several input ports contend for output ports
-// through per-output-queue packet arbitration, with a configurable
-// downstream drain pattern creating the unpredictable occupancies
-// that motivate ERR. It reports per-input throughput on the contended
-// output and the occupancy statistics the arbiter actually billed.
+// Command switchsim drives a single wormhole switch (a one-router
+// network on the noc kernel): several input ports contend for output
+// ports through per-output-queue packet arbitration, with a
+// configurable downstream drain pattern creating the unpredictable
+// occupancies that motivate ERR. It reports per-input throughput on
+// the contended output and the occupancy statistics the arbiter
+// actually billed.
 package main
 
 import (
@@ -67,10 +68,12 @@ func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP flo
 	src := rng.New(seed)
 	ports := inputs + 1
 	g := noc.Graph{
-		Routers: 1, Ports: ports,
-		Route:  func(_, dst int) int { return dst },
-		NewArb: func(int) func() sched.Scheduler { return newArb },
-		VCs:    vcs, BufFlits: buf,
+		Routers:  1,
+		Ports:    ports,
+		Route:    func(_, dst int) int { return dst },
+		NewArb:   func(int) func() sched.Scheduler { return newArb },
+		VCs:      vcs,
+		BufFlits: buf,
 		Terminals: []noc.Terminal{{Router: 0, Inject: -1, Eject: 0, DrainFlits: 8,
 			Drain: func(int64) bool { return src.Bernoulli(drainP) }}},
 	}
@@ -133,5 +136,5 @@ func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP flo
 	if err := plot.Bar(os.Stdout, "Flits delivered per input on the contended output", labels, served, 50); err != nil {
 		return err
 	}
-	return rf.Report(os.Stdout, m)
+	return rf.Report(os.Stdout, m, guard)
 }

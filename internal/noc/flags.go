@@ -55,18 +55,17 @@ func (f *RunFlags) Arm(m *Mesh, seed uint64) (*Guard, error) {
 	return g, nil
 }
 
-// Report ends a run Arm prepared. With the flight recorder it writes
-// the sampled spans as Chrome trace-event JSON and as JSONL to the
-// trace files (fault windows attribute fault-blocked cycles), then the
-// span count and rollup table on w, auditing the spans when checking.
-// With checking it then fails the run on any violation, or prints the
-// violation count.
-func (f *RunFlags) Report(w io.Writer, m *Mesh) error {
-	g := m.guard
+// Report ends a run Arm prepared, g being what it returned. With the
+// flight recorder it writes the sampled spans as Chrome trace-event
+// JSON and as JSONL to the trace files (fault windows attribute
+// fault-blocked cycles), then the span count and rollup table on w,
+// auditing the spans when checking. With checking it then fails the
+// run on any violation, or prints the violation count.
+func (f *RunFlags) Report(w io.Writer, m *Mesh, g *Guard) error {
 	if f.tr != nil {
-		f.tr.Finish(m.cycle)
+		f.tr.Finish(m.Cycle())
 		recs := f.tr.Records()
-		ws := trace.WindowsFromSpec(g.Spec)
+		ws := trace.WindowsFromSpec(g.Faults.Spec())
 		for _, out := range []struct {
 			path  string
 			write func(io.Writer, []trace.Record, []trace.FaultWindow) error

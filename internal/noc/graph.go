@@ -23,9 +23,9 @@ type Graph struct {
 	// Route returns the output port router r forwards a packet for
 	// terminal dst through.
 	Route func(r, dst int) int
-	// OutVC, if set, picks the VC a packet takes out of router r (see
+	// OutVC, if set, returns router r's output VC choice (see
 	// wormhole.Config.OutVC); nil keeps the VC hop to hop.
-	OutVC func(r, outPort int, head flit.Flit, inPort, inVC int) int
+	OutVC func(r int) func(outPort int, head flit.Flit, inPort, inVC int) int
 	// NewArb returns the constructor of router r's output arbiters,
 	// which must satisfy sched.HeadOfLineArb (ERR, PBRR, WRR).
 	NewArb func(r int) func() sched.Scheduler
@@ -111,7 +111,7 @@ func build(g Graph, order, tileStart []int32) (*Mesh, error) {
 	// gets a precomputed dst -> output-port table instead of calling
 	// Route per head flit.
 	useTables := nt <= routeTableNodes && g.Ports <= 256
-	route, outVC := g.Route, g.OutVC // the closures below keep only these
+	route := g.Route // the closures below keep only this
 	for t := 0; t < numTiles; t++ {
 		for pid := int(tileStart[t]); pid < int(tileStart[t+1]); pid++ {
 			pid := pid
@@ -128,10 +128,8 @@ func build(g Graph, order, tileStart []int32) (*Mesh, error) {
 			} else {
 				rcfg.Route = func(dst int) int { return route(id, dst) }
 			}
-			if outVC != nil {
-				rcfg.OutVC = func(outPort int, head flit.Flit, inPort, inVC int) int {
-					return outVC(id, outPort, head, inPort, inVC)
-				}
+			if g.OutVC != nil {
+				rcfg.OutVC = g.OutVC(id)
 			}
 			r, err := arena.NewRouter(id, rcfg)
 			if err != nil {
@@ -158,7 +156,7 @@ func build(g Graph, order, tileStart []int32) (*Mesh, error) {
 		if term.Eject < 0 {
 			continue
 		}
-		sink := &wormhole.Sink{}
+		var sink *wormhole.Sink
 		if term.Drain != nil {
 			ss := wormhole.NewStallSink(term.DrainFlits, term.Drain)
 			wormhole.ConnectEndpoint(r, term.Eject, ss)
@@ -166,6 +164,7 @@ func build(g Graph, order, tileStart []int32) (*Mesh, error) {
 			m.drains = append(m.drains, ss)
 			sink = &ss.Inner
 		} else {
+			sink = &wormhole.Sink{}
 			wormhole.ConnectEndpoint(r, term.Eject, sink)
 		}
 		sink.OnTail = m.onTail

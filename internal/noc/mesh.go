@@ -362,9 +362,6 @@ type Mesh struct {
 	// wedged holds the report of its single trip (Wedged).
 	wd     *check.Watchdog
 	wedged error
-	// guard is what Protect wired (nil before): ExportTrace reads its
-	// fault windows and audits into its recorder.
-	guard *Guard
 
 	// obs handles (nil unless RegisterObs was called).
 	obsCycles          *obs.Counter
@@ -451,7 +448,12 @@ func NewMesh(cfg Config) (*Mesh, error) {
 	}
 	if cfg.Torus {
 		// Packets start in the lower (pre-dateline) half of the VCs.
-		g.OutVC, g.InjectVCs = cfg.torusOutVC, cfg.VCs/2
+		g.InjectVCs = cfg.VCs / 2
+		g.OutVC = func(r int) func(int, flit.Flit, int, int) int {
+			return func(outPort int, _ flit.Flit, inPort, inVC int) int {
+				return cfg.torusOutVC(r, outPort, inPort, inVC)
+			}
+		}
 	}
 	link := func(a, pa, b, pb int) {
 		g.Links = append(g.Links, Link{From: a, Out: pa, To: b, In: pb}, Link{From: b, Out: pb, To: a, In: pa})
@@ -507,7 +509,7 @@ func NewMesh(cfg Config) (*Mesh, error) {
 // upper half. Within each unidirectional ring this breaks the channel
 // dependency cycle, so minimal dimension-order routing on the torus
 // is deadlock-free.
-func (c Config) torusOutVC(at, outPort int, _ flit.Flit, inPort, inVC int) int {
+func (c *Config) torusOutVC(at, outPort, inPort, inVC int) int {
 	if outPort == PortLocal {
 		return inVC // ejection: VC is immaterial
 	}
@@ -537,7 +539,7 @@ func dimOf(port int) int {
 
 // crossesWrap reports whether forwarding out of the given port of
 // node at traverses a wraparound link.
-func (c Config) crossesWrap(at, outPort int) bool {
+func (c *Config) crossesWrap(at, outPort int) bool {
 	x, y := at%c.K, at/c.K
 	switch outPort {
 	case PortEast:
@@ -566,7 +568,7 @@ func (m *Mesh) Nodes() int { return len(m.inj) }
 // deadlock-free outright; on the torus it picks the minimal ring
 // direction per dimension and relies on dateline VC switching for
 // deadlock freedom.
-func (c Config) route(at, dst int) int {
+func (c *Config) route(at, dst int) int {
 	ax, ay := at%c.K, at/c.K
 	dx, dy := dst%c.K, dst/c.K
 	if dx != ax {
@@ -1198,7 +1200,11 @@ func (m *Mesh) injectPhase() {
 // malformed stream (none at all for a zero-length one, which leaves
 // the front end idle this cycle).
 func (m *Mesh) materialise(st *injState, p flit.Packet) {
-	if kind, ok := m.malformed[p.ID]; ok {
+	kind := ""
+	if len(m.malformed) > 0 {
+		kind = m.malformed[p.ID]
+	}
+	if kind != "" {
 		delete(m.malformed, p.ID)
 		st.buf = append(st.buf[:0], fault.MalformedFlits(kind, p.Flow, p.Length, p.ID)...)
 		for i := range st.buf {

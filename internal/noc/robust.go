@@ -11,10 +11,8 @@ import (
 
 // Guard is what Protect wired into a network for one run.
 type Guard struct {
-	// Spec is the parsed fault spec (nil on a fault-free run).
-	Spec *fault.Spec
 	// Faults is the installed injector (nil on a fault-free run); its
-	// Counters report what fired.
+	// Counters report what fired, its Spec what was asked for.
 	Faults *fault.Injector
 	// Check is the recorder the flit-stream checks report into (nil
 	// unless checking); a driver audits its own invariants into it too
@@ -39,7 +37,7 @@ func (m *Mesh) Protect(faults string, seed uint64, checked bool) (*Guard, error)
 	if err := fault.Network.Check(spec); err != nil {
 		return nil, err
 	}
-	g := &Guard{Spec: spec, Faults: fault.New(spec, seed)}
+	g := &Guard{Faults: fault.New(spec, seed)}
 	m.installFaults(g.Faults)
 	if checked {
 		g.Check = check.NewRecorder()
@@ -47,7 +45,6 @@ func (m *Mesh) Protect(faults string, seed uint64, checked bool) (*Guard, error)
 		m.checkStreams(g.Check)
 		m.watchProgress(check.NewWatchdog(spec.WatchdogBudget()))
 	}
-	m.guard = g
 	return g, nil
 }
 

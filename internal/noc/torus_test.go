@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/flit"
 	"repro/internal/rng"
 	"repro/internal/sched"
 )
@@ -72,20 +71,20 @@ func TestTorusWrapDetection(t *testing.T) {
 func TestTorusDatelineVC(t *testing.T) {
 	m := testTorus(t, 4)
 	// Crossing the wrap moves VC 0 -> 1.
-	if got := m.cfg.torusOutVC(m.NodeID(3, 0), PortEast, flit.Flit{}, PortWest, 0); got != 1 {
+	if got := m.cfg.torusOutVC(m.NodeID(3, 0), PortEast, PortWest, 0); got != 1 {
 		t.Errorf("wrap crossing kept VC %d", got)
 	}
 	// Continuing in-dimension on the high VC stays high.
-	if got := m.cfg.torusOutVC(m.NodeID(1, 0), PortEast, flit.Flit{}, PortWest, 1); got != 1 {
+	if got := m.cfg.torusOutVC(m.NodeID(1, 0), PortEast, PortWest, 1); got != 1 {
 		t.Errorf("post-dateline VC dropped to %d", got)
 	}
 	// Turning into Y resets to the low half.
-	if got := m.cfg.torusOutVC(m.NodeID(1, 0), PortSouth, flit.Flit{}, PortWest, 1); got != 0 {
+	if got := m.cfg.torusOutVC(m.NodeID(1, 0), PortSouth, PortWest, 1); got != 0 {
 		t.Errorf("dimension turn kept VC %d", got)
 	}
 	// Injection (local input) starts low even if the caller passes a
 	// high VC.
-	if got := m.cfg.torusOutVC(m.NodeID(1, 1), PortEast, flit.Flit{}, PortLocal, 1); got != 0 {
+	if got := m.cfg.torusOutVC(m.NodeID(1, 1), PortEast, PortLocal, 1); got != 0 {
 		t.Errorf("fresh injection VC = %d, want 0", got)
 	}
 }
