@@ -35,20 +35,11 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "random seed")
 		torus   = flag.Bool("torus", false, "wraparound links with dateline VC switching")
 		tile    = flag.Int("tile", 0, "commit tile edge in routers (0 = K-derived default); part of the simulated configuration — artifacts depend on it, never on -parallel-mesh")
-		pprofA  = flag.String("pprof", "", "serve net/http/pprof and the obs registry expvar on this address (e.g. localhost:6060)")
 		par     = flag.Int("parallel-mesh", 1, "shard mesh stepping across this many workers (1 = serial, 0 = GOMAXPROCS); output is identical at any setting")
 		rf      noc.RunFlags
 	)
 	rf.Register(flag.CommandLine)
 	flag.Parse()
-	if *pprofA != "" {
-		addr, err := obs.ServeDebug(*pprofA, obs.Default())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nocsim: pprof: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "nocsim: pprof on http://%s/debug/pprof/ (registry at /debug/vars)\n", addr)
-	}
 	if err := run(*k, *vcs, *buf, *tile, *arb, *pattern, *rate, *minLen, *maxLen, *cycles, *seed, *torus, *par, &rf); err != nil {
 		fmt.Fprintf(os.Stderr, "nocsim: %v\n", err)
 		os.Exit(1)
@@ -87,7 +78,7 @@ func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLe
 		defer pool.Close()
 		m.SetPool(pool)
 	}
-	g, err := rf.Arm(m, seed)
+	finj, err := rf.Arm(m, seed)
 	if err != nil {
 		return err
 	}
@@ -153,7 +144,7 @@ func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLe
 		}
 		cells := obs.Default().Counter("noc.cells_visited").Value()
 		fmt.Printf("arbitration: %s, %.1f arbitration sites visited/cycle (mesh holds %d ports*VCs cells); %d idle cycles skipped\n",
-			mode, float64(cells)/float64(cyc), m.Cells(),
+			mode, float64(cells)/float64(cyc), m.Nodes()*m.Router(0).Ports()*vcs,
 			obs.Default().Counter("noc.cycles_skipped").Value())
 		crossShare := 0.0
 		if comp > 0 {
@@ -162,7 +153,7 @@ func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLe
 		fmt.Printf("layout: %d B/router arena, %dx%d commit tiles (%d tiles), %.1f%% of router computes emitted cross-tile effects\n",
 			m.BytesPerRouter(), m.TileEdge(), m.TileEdge(), m.Tiles(), 100*crossShare)
 	}
-	if fc := g.Faults.Counters(); fc != (fault.Counters{}) {
+	if fc := finj.Counters(); fc != (fault.Counters{}) {
 		fmt.Printf("faults: %d stall cycles, %d dropped flits, %d corrupted flits",
 			fc.StallCycles, fc.Dropped, fc.Corrupted)
 		if fc.Malformed > 0 {
@@ -174,5 +165,5 @@ func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLe
 	if err := plot.Bar(os.Stdout, "Delivered flits per source node", labels, flits, 50); err != nil {
 		return err
 	}
-	return rf.Report(os.Stdout, m, g)
+	return rf.Report(os.Stdout, m)
 }

@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/noc"
-	"repro/internal/obs"
 	"repro/internal/plot"
 	"repro/internal/rng"
 	"repro/internal/sched"
@@ -33,19 +32,10 @@ func main() {
 		drainP = flag.Float64("drain", 1.0, "probability the downstream sink drains a flit each cycle")
 		cycles = flag.Int64("cycles", 200_000, "simulation cycles")
 		seed   = flag.Uint64("seed", 1, "random seed")
-		pprofA = flag.String("pprof", "", "serve net/http/pprof and the obs registry expvar on this address (e.g. localhost:6060)")
 		rf     noc.RunFlags
 	)
 	rf.Register(flag.CommandLine)
 	flag.Parse()
-	if *pprofA != "" {
-		addr, err := obs.ServeDebug(*pprofA, obs.Default())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "switchsim: pprof: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "switchsim: pprof on http://%s/debug/pprof/ (registry at /debug/vars)\n", addr)
-	}
 	if err := run(*inputs, *vcs, *buf, *arb, *minLen, *maxLen, *bigIn, *drainP, *cycles, *seed, &rf); err != nil {
 		fmt.Fprintf(os.Stderr, "switchsim: %v\n", err)
 		os.Exit(1)
@@ -64,7 +54,8 @@ func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP flo
 	}
 	// One router; terminal t is its port t. Terminal 0 is the contended
 	// output, draining through an 8-flit sink; terminals 1..inputs are
-	// the inputs, whose packets all route to it.
+	// the inputs, whose packets all route to it (their own outputs stay
+	// idle).
 	src := rng.New(seed)
 	ports := inputs + 1
 	g := noc.Graph{
@@ -78,13 +69,13 @@ func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP flo
 			Drain: func(int64) bool { return src.Bernoulli(drainP) }}},
 	}
 	for in := 1; in <= inputs; in++ {
-		g.Terminals = append(g.Terminals, noc.Terminal{Router: 0, Inject: in, Eject: -1})
+		g.Terminals = append(g.Terminals, noc.Terminal{Router: 0, Inject: in, Eject: in})
 	}
 	m, err := noc.NewGraph(g)
 	if err != nil {
 		return err
 	}
-	guard, err := rf.Arm(m, seed)
+	finj, err := rf.Arm(m, seed)
 	if err != nil {
 		return err
 	}
@@ -127,8 +118,8 @@ func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP flo
 		mode = "full-scan"
 	}
 	fmt.Printf("arbitration: %s, %.2f arbitration sites visited/cycle (switch holds %d ports*VCs cells)\n",
-		mode, float64(m.Router(0).TakeCellsVisited())/float64(cycles), m.Cells())
-	if fc := guard.Faults.Counters(); fc != (fault.Counters{}) {
+		mode, float64(m.Router(0).TakeCellsVisited())/float64(cycles), ports*vcs)
+	if fc := finj.Counters(); fc != (fault.Counters{}) {
 		fmt.Printf("faults: %d stall cycles, %d dropped flits, %d corrupted flits, %d malformed packets\n",
 			fc.StallCycles, fc.Dropped, fc.Corrupted, fc.Malformed)
 	}
@@ -136,5 +127,5 @@ func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP flo
 	if err := plot.Bar(os.Stdout, "Flits delivered per input on the contended output", labels, served, 50); err != nil {
 		return err
 	}
-	return rf.Report(os.Stdout, m, guard)
+	return rf.Report(os.Stdout, m)
 }

@@ -87,7 +87,7 @@ func RunNoCSweep(p NoCSweepParams) (*NoCSweepResult, error) {
 				if err != nil {
 					return point{}, err
 				}
-				g, err := mesh.Protect(p.Faults, faultSeed(p.Seed, job), p.Check)
+				finj, rec, err := mesh.Protect(p.Faults, faultSeed(p.Seed, job), p.Check)
 				if err != nil {
 					return point{}, err
 				}
@@ -99,15 +99,13 @@ func RunNoCSweep(p NoCSweepParams) (*NoCSweepResult, error) {
 					inj.Step()
 					mesh.Step()
 				}
-				if mesh.Wedged() == nil {
-					mesh.Drain(20 * p.WarmCycles)
-				}
+				mesh.Drain(20 * p.WarmCycles)
 				if err := mesh.Wedged(); err != nil {
 					return point{}, fmt.Errorf("experiments: nocsweep %w", err)
 				}
-				registerFaultCounters(obs.Default(), g.Faults.Counters(), 0)
-				if g.Check != nil {
-					if err := g.Check.Err(); err != nil {
+				registerFaultCounters(obs.Default(), finj.Counters(), 0)
+				if rec != nil {
+					if err := rec.Err(); err != nil {
 						return point{}, fmt.Errorf("experiments: nocsweep failed invariant checking: %w", err)
 					}
 				}

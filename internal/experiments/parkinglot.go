@@ -61,20 +61,13 @@ func RunParkingLot(p ParkingLotParams) (*ParkingLotResult, error) {
 		// Router i has the through port 0 (fed by router i-1) and the
 		// local port 1, where source i — terminal i — injects; terminal
 		// Hops is the sink past the last switch. Every packet heads down
-		// the chain; port 1 ejects only packets addressed to the local
-		// terminal, which nothing sends.
-		sink := p.Hops
+		// the chain, so port 1's output ejects nothing.
 		g := noc.Graph{
 			Routers:  p.Hops,
 			Ports:    2,
 			VCs:      1,
 			BufFlits: 16,
-			Route: func(r, dst int) int {
-				if dst == r {
-					return 1
-				}
-				return 0
-			},
+			Route:    func(int, int) int { return 0 },
 			// Flow ids at output 0's arbiter: 0 = through input (port
 			// 0), 1 = local input (port 1). Weighted ERR weights the
 			// through aggregate at router i by its i upstream sources.
@@ -104,7 +97,7 @@ func RunParkingLot(p ParkingLotParams) (*ParkingLotResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		guard, err := m.Protect(p.Faults, faultSeed(p.Seed, job), p.Check)
+		finj, rec, err := m.Protect(p.Faults, faultSeed(p.Seed, job), p.Check)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +106,7 @@ func RunParkingLot(p ParkingLotParams) (*ParkingLotResult, error) {
 		for c := int64(0); c < p.Cycles && m.Wedged() == nil; c++ {
 			for i := 0; i < p.Hops; i++ {
 				if m.PendingAt(i) == 0 {
-					m.Send(i, sink, p.PacketLen)
+					m.Send(i, p.Hops, p.PacketLen)
 				}
 			}
 			m.Step()
@@ -121,9 +114,9 @@ func RunParkingLot(p ParkingLotParams) (*ParkingLotResult, error) {
 		if err := m.Wedged(); err != nil {
 			return nil, fmt.Errorf("experiments: parking lot %w", err)
 		}
-		registerFaultCounters(obs.Default(), guard.Faults.Counters(), 0)
-		if guard.Check != nil {
-			if err := guard.Check.Err(); err != nil {
+		registerFaultCounters(obs.Default(), finj.Counters(), 0)
+		if rec != nil {
+			if err := rec.Err(); err != nil {
 				return nil, fmt.Errorf("experiments: parking lot failed invariant checking: %w", err)
 			}
 		}

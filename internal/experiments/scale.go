@@ -179,7 +179,7 @@ func runScalePoint(p ScaleParams, k, workers int, lane string,
 	heapPer := int64(after.HeapAlloc-before.HeapAlloc) / int64(k*k)
 
 	m.RegisterObs(obs.Default())
-	if _, err := m.Protect(p.Faults, rng.Derive(seed, 0xfa), false); err != nil {
+	if _, _, err := m.Protect(p.Faults, rng.Derive(seed, 0xfa), false); err != nil {
 		return ScalePoint{}, err
 	}
 	if workers > 1 {

@@ -161,30 +161,19 @@ var families = [...]struct{ name, applies string }{
 	Serve:   {"serve front end", "slow, stuck, burst, flood"},
 }
 
-// applies reports whether the family applies d.
+// applies reports whether the family applies d. A network stall names
+// a router or a port; an engine stall names neither.
 func (f Family) applies(d Directive) bool {
-	switch f {
-	case Network:
-		switch d.Kind {
-		case "stall":
-			return d.Router != -1 || d.Port != -1
-		case "freeze", "drop", "corrupt", "malformed":
-			return true
-		}
-	case Engine:
-		switch d.Kind {
-		case "stall":
-			return d.Router == -1 && d.Port == -1
-		case "malformed":
-			return d.MKind == MalformedZeroLen || d.MKind == MalformedBadFlow
-		}
-	case Serve:
-		switch d.Kind {
-		case "slow", "stuck", "burst", "flood":
-			return true
-		}
+	switch d.Kind {
+	case "stall":
+		scoped := d.Router != -1 || d.Port != -1
+		return f == Network && scoped || f == Engine && !scoped
+	case "freeze", "drop", "corrupt":
+		return f == Network
+	case "malformed":
+		return f == Network || f == Engine && (d.MKind == MalformedZeroLen || d.MKind == MalformedBadFlow)
 	}
-	return false
+	return f == Serve // slow, stuck, burst, flood
 }
 
 // Check refuses a spec holding any directive the family does not

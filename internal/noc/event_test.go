@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/check"
-	"repro/internal/fault"
 )
 
 // TestEventMatchesSteppedMeshFaults is the adversarial event-core
@@ -136,11 +135,9 @@ func wedgeRun(t *testing.T, reference bool) (wedge error, drained bool, cycle, s
 		t.Fatal(err)
 	}
 	m.SetReference(reference)
-	spec, err := fault.Parse("stall(router=5,port=1,at=5)")
-	if err != nil {
+	if _, _, err := m.Protect("stall(router=5,port=1,at=5)", 3, false); err != nil {
 		t.Fatal(err)
 	}
-	m.installFaults(fault.New(spec, 3))
 	m.watchProgress(check.NewWatchdog(200))
 	// One packet that delivers cleanly (advancing the watchdog clock)
 	// and one that wedges against router 5's permanently stalled east
@@ -230,11 +227,9 @@ func TestDrainHorizonClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := fault.Parse("stall(router=4,port=1,at=0)")
-	if err != nil {
+	if _, _, err := m.Protect("stall(router=4,port=1,at=0)", 3, false); err != nil {
 		t.Fatal(err)
 	}
-	m.installFaults(fault.New(spec, 3))
 	m.SendAt(0, m.NodeID(0, 1), m.NodeID(2, 1), 3)
 	m.SendAt(math.MaxInt64-3, 0, 1, 1)
 	if m.Drain(math.MaxInt64) {

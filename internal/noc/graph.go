@@ -42,8 +42,8 @@ type Graph struct {
 type Link struct{ From, Out, To, In int }
 
 // Terminal is one end point of a network: it injects into input port
-// Inject of router Router and ejects from output port Eject of the
-// same router (-1 = none). With Drain set, the ejection port drains
+// Inject of router Router (-1 = none) and ejects from output port
+// Eject of the same router. With Drain set, the ejection port drains
 // through a bounded sink of DrainFlits flits per VC that passes one
 // flit on in each cycle Drain returns true, stepped after each
 // commit: the downstream congestion of cmd/switchsim's -drain.
@@ -153,9 +153,6 @@ func build(g Graph, order, tileStart []int32) (*Mesh, error) {
 	for t, term := range g.Terminals {
 		r := m.routers[term.Router]
 		m.inj[t] = injState{r: r, port: term.Inject}
-		if term.Eject < 0 {
-			continue
-		}
 		var sink *wormhole.Sink
 		if term.Drain != nil {
 			ss := wormhole.NewStallSink(term.DrainFlits, term.Drain)

@@ -270,7 +270,7 @@ func (s *idSet) len() int { return s.n }
 type Mesh struct {
 	cfg     Config             // NewMesh's configuration (zero for a graph)
 	routers []*wormhole.Router // router-id (on a mesh, row-major node-id) order
-	sinks   []*wormhole.Sink   // per terminal; nil without an ejection port
+	sinks   []*wormhole.Sink   // per terminal
 	inj     []injState         // per terminal
 	cycle   int64
 	nextID  int64
@@ -1269,23 +1269,11 @@ func (m *Mesh) Drain(maxCycles int64) bool {
 	return m.InFlight() == 0 && len(m.sched) == 0
 }
 
-// Router returns router id (tests, instrumentation); on a mesh it is
-// node id's router.
+// Router returns a router by id (tests, instrumentation).
 func (m *Mesh) Router(id int) *wormhole.Router { return m.routers[id] }
 
-// TileEdge returns a mesh's commit tile edge length in routers
-// (Config.Tile or the autoTile default); 0 for a graph network.
+// TileEdge returns a mesh's commit tile edge (0 for a graph network).
 func (m *Mesh) TileEdge() int { return m.tileEdge }
-
-// Cells returns the network's arbitration sites: the ports x VCs
-// output queues of every router, at each router's own radix.
-func (m *Mesh) Cells() int {
-	n := 0
-	for _, r := range m.routers {
-		n += r.Ports() * m.vcs
-	}
-	return n
-}
 
 // Tiles returns the number of commit tiles.
 func (m *Mesh) Tiles() int { return m.numTiles }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/fault"
 	"repro/internal/flit"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -112,7 +111,7 @@ func switchGraph() Graph {
 			Drain: func(int64) bool { return drain.Bernoulli(0.4) }}},
 	}
 	for in := 1; in <= 4; in++ {
-		g.Terminals = append(g.Terminals, Terminal{Router: 0, Inject: in, Eject: -1})
+		g.Terminals = append(g.Terminals, Terminal{Router: 0, Inject: in, Eject: in})
 	}
 	return g
 }
@@ -211,12 +210,11 @@ func runScenario(t *testing.T, s scenario, reference bool, pools ...int) runArti
 	}
 	var ws []trace.FaultWindow
 	if s.spec != "" {
-		spec, err := fault.Parse(s.spec)
+		inj, _, err := m.Protect(s.spec, 99, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.installFaults(fault.New(spec, 99))
-		ws = trace.WindowsFromSpec(spec)
+		ws = trace.WindowsFromSpec(inj.Spec())
 	}
 	var tr *trace.Trace
 	if s.trace != nil {
@@ -224,9 +222,6 @@ func runScenario(t *testing.T, s scenario, reference bool, pools ...int) runArti
 	}
 	var log []delivRec
 	for id, sink := range m.sinks {
-		if sink == nil {
-			continue
-		}
 		id, sink := id, sink
 		prev := sink.OnFlit
 		sink.OnFlit = func(f flit.Flit, vc int, cycle int64) {

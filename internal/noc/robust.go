@@ -9,91 +9,69 @@ import (
 	"repro/internal/obs"
 )
 
-// Guard is what Protect wired into a network for one run.
-type Guard struct {
-	// Faults is the installed injector (nil on a fault-free run); its
-	// Counters report what fired, its Spec what was asked for.
-	Faults *fault.Injector
-	// Check is the recorder the flit-stream checks report into (nil
-	// unless checking); a driver audits its own invariants into it too
-	// and fails the run on Check.Err.
-	Check *check.Recorder
-}
-
 // Protect wires a run's robustness options into the network, in the
 // one call every network driver makes. It parses the fault spec,
 // refuses any directive a network does not apply (fault.Network), and
 // installs the rest with the given seed: link stalls, drops and
 // corruption on router outputs, router freezes, and malformed packets
 // at the injection front ends (Send). With checked set it also
-// validates every ejected flit stream into a recorder registered with
-// obs.Default, and arms the deadlock watchdog with the spec's budget:
-// Step, Run and Drain consult it, and Wedged reports its trip.
-func (m *Mesh) Protect(faults string, seed uint64, checked bool) (*Guard, error) {
+// validates every ejected flit stream into the returned recorder,
+// registered with obs.Default, and arms the deadlock watchdog with the
+// spec's budget: Step, Run and Drain consult it, and Wedged reports
+// its trip. The injector (nil on a fault-free run) counts what fired.
+func (m *Mesh) Protect(faults string, seed uint64, checked bool) (*fault.Injector, *check.Recorder, error) {
 	spec, err := fault.Parse(faults)
+	if err == nil {
+		err = fault.Network.Check(spec)
+	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := fault.Network.Check(spec); err != nil {
-		return nil, err
-	}
-	g := &Guard{Faults: fault.New(spec, seed)}
-	m.installFaults(g.Faults)
-	if checked {
-		g.Check = check.NewRecorder()
-		g.Check.Register(obs.Default())
-		m.checkStreams(g.Check)
-		m.watchProgress(check.NewWatchdog(spec.WatchdogBudget()))
-	}
-	return g, nil
-}
-
-// installFaults installs an injector's faults on every router of the
-// network — output-link stalls, flit drop/corruption, and router
-// freezes, all addressed by router id and output port — and its
-// malformed packets at the injection front ends. A nil injector
-// installs nothing.
-func (m *Mesh) installFaults(inj *fault.Injector) {
-	if inj == nil {
-		return
-	}
-	for id, r := range m.routers {
-		if f := inj.FreezeFunc(id); f != nil {
-			r.SetFreeze(f)
-		}
-		for port := 0; port < r.Ports(); port++ {
-			if f := inj.OutputFault(id, port); f != nil {
-				r.SetOutputFault(port, f)
+	inj := fault.New(spec, seed)
+	if inj != nil {
+		m.faults = inj
+		for id, r := range m.routers {
+			if f := inj.FreezeFunc(id); f != nil {
+				r.SetFreeze(f)
+			}
+			for port := 0; port < r.Ports(); port++ {
+				if f := inj.OutputFault(id, port); f != nil {
+					r.SetOutputFault(port, f)
+				}
 			}
 		}
+		// Register every stall/freeze window edge as a wake event and
+		// declare the edges known, so event-driven Run/Drain may treat
+		// fault-blocked routers as dormant between edges instead of
+		// polling them cycle-by-cycle (see wormhole.Router.NextEventAt).
+		// This must come after the hook installs above:
+		// SetFreeze/SetOutputFault withdraw the declaration.
+		for _, at := range inj.WindowEdges() {
+			m.ScheduleWake(at)
+		}
+		for _, r := range m.routers {
+			r.SetFaultEdgesKnown(true)
+		}
 	}
-	m.faults = inj
-	// Register every stall/freeze window edge as a wake event and
-	// declare the edges known, so event-driven Run/Drain may treat
-	// fault-blocked routers as dormant between edges instead of polling
-	// them cycle-by-cycle (see wormhole.Router.NextEventAt). This must
-	// come after the hook installs above: SetFreeze/SetOutputFault
-	// withdraw the declaration.
-	for _, at := range inj.WindowEdges() {
-		m.ScheduleWake(at)
+	var rec *check.Recorder
+	if checked {
+		rec = check.NewRecorder()
+		rec.Register(obs.Default())
+		m.checkStreams(rec)
+		m.watchProgress(check.NewWatchdog(spec.WatchdogBudget()))
 	}
-	for _, r := range m.routers {
-		r.SetFaultEdgesKnown(true)
-	}
+	return inj, rec, nil
 }
 
 // checkStreams attaches a flit-stream validator (wormhole contiguity,
 // per-VC packet wellformedness) to every ejection sink, reporting
-// into rec. The returned streams, indexed by terminal (nil without an
-// ejection port), allow a post-drain audit: a stream with
+// into rec. The returned streams, indexed by terminal, allow a
+// post-drain audit: a stream with
 // OpenPackets() > 0 received a head whose tail never arrived — the
 // signature of a dropped or corrupted tail flit.
 func (m *Mesh) checkStreams(rec *check.Recorder) []*check.FlitStream {
 	streams := make([]*check.FlitStream, len(m.sinks))
 	for id, s := range m.sinks {
-		if s == nil {
-			continue
-		}
 		stream := check.NewFlitStream(rec, fmt.Sprintf("sink %d", id))
 		prev := s.OnFlit
 		s.OnFlit = func(f flit.Flit, vc int, cycle int64) {
@@ -116,9 +94,6 @@ func (m *Mesh) checkStreams(rec *check.Recorder) []*check.FlitStream {
 func (m *Mesh) watchProgress(wd *check.Watchdog) {
 	m.wd = wd
 	for _, s := range m.sinks {
-		if s == nil {
-			continue
-		}
 		prev := s.OnFlit
 		s.OnFlit = func(f flit.Flit, vc int, cycle int64) {
 			wd.Progress(cycle)

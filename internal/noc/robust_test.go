@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/fault"
 	"repro/internal/rng"
 )
 
@@ -44,12 +45,12 @@ func TestCheckStreamsCleanOnMultiVCMesh(t *testing.T) {
 // the stream checks report them, and a badflow packet's flow id -1
 // never indexes a delivery counter.
 func TestMalformedPacketsOnMesh(t *testing.T) {
-	run := func(spec string) (*Mesh, *Guard, int64) {
+	run := func(spec string) (*Mesh, *fault.Injector, *check.Recorder, int64) {
 		m, err := NewMesh(Config{K: 4, VCs: 2, BufFlits: 4, NewArb: newERR})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := m.Protect(spec, 7, true)
+		finj, rec, err := m.Protect(spec, 7, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +71,7 @@ func TestMalformedPacketsOnMesh(t *testing.T) {
 		for _, n := range inj.Injected {
 			sent += n
 		}
-		return m, g, sent
+		return m, finj, rec, sent
 	}
 	sum := func(xs []int64) (n int64) {
 		for _, x := range xs {
@@ -81,29 +82,29 @@ func TestMalformedPacketsOnMesh(t *testing.T) {
 
 	// Every packet is malformed: none is in flight, timed or counted
 	// as delivered, though all their flits reach the sinks.
-	m, g, sent := run("malformed(kind=badflow,p=1)")
-	if mal := g.Faults.Counters().Malformed; sent == 0 || mal != sent {
+	m, inj, rec, sent := run("malformed(kind=badflow,p=1)")
+	if mal := inj.Counters().Malformed; sent == 0 || mal != sent {
 		t.Fatalf("badflow: %d malformed of %d sent", mal, sent)
 	}
 	if m.InFlight() != 0 || m.Latency.N() != 0 || sum(m.DeliveredPackets) != 0 || sum(m.DeliveredFlits) != 0 {
 		t.Fatalf("badflow packets leaked into the accounting: %d in flight, %d latencies, %d packets, %d flits",
 			m.InFlight(), m.Latency.N(), sum(m.DeliveredPackets), sum(m.DeliveredFlits))
 	}
-	if g.Check.Count() == 0 {
+	if rec.Count() == 0 {
 		t.Fatal("badflow: the stream checks reported nothing")
 	}
 
 	// Some packets carry a duplicate head: the rest are delivered and
 	// timed as usual, and the checks flag the malformed ones.
-	m, g, sent = run("malformed(kind=duphead,p=0.3)")
-	mal := g.Faults.Counters().Malformed
+	m, inj, rec, sent = run("malformed(kind=duphead,p=0.3)")
+	mal := inj.Counters().Malformed
 	if mal == 0 || mal == sent {
 		t.Fatalf("duphead: %d malformed of %d sent", mal, sent)
 	}
 	if got := sum(m.DeliveredPackets); got != sent-mal || m.Latency.N() != got {
 		t.Fatalf("duphead: %d packets delivered and %d timed, want the %d well-formed", got, m.Latency.N(), sent-mal)
 	}
-	if g.Check.Count() == 0 {
+	if rec.Count() == 0 {
 		t.Fatal("duphead: the stream checks reported nothing")
 	}
 }

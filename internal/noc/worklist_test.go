@@ -3,7 +3,6 @@ package noc
 import (
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/rng"
 )
@@ -72,11 +71,9 @@ func TestFaultFrozenRouterWorklist(t *testing.T) {
 		reg := obs.NewRegistry()
 		m.RegisterObs(reg)
 		m.SetReference(reference)
-		spec, err := fault.Parse("freeze(router=5,at=50,dur=600)")
-		if err != nil {
+		if _, _, err := m.Protect("freeze(router=5,at=50,dur=600)", 3, false); err != nil {
 			t.Fatal(err)
 		}
-		m.installFaults(fault.New(spec, 3))
 		// Route worms straight through the frozen router (node 5 =
 		// (1,1)): row 1 traffic crossing it while it is down.
 		src := rng.New(9)
