@@ -29,10 +29,7 @@
 // per-flow scalars.
 package core
 
-import (
-	"repro/internal/queue"
-	"repro/internal/sched"
-)
+import "repro/internal/sched"
 
 // TraceSink receives round-by-round events from an ERR scheduler.
 // Used by cmd/errtrace to regenerate the content of the paper's
@@ -53,13 +50,13 @@ type TraceSink interface {
 // NewWeighted. ERR implements sched.Scheduler and is driven by an
 // engine exactly like every baseline discipline.
 type ERR struct {
-	weight func(flow int) int64
-
-	active queue.ActiveList
-	// sc holds the per-flow surplus counts, indexed by flow id and
-	// grown on demand (flow ids are dense small integers; a slice
-	// keeps the hot path allocation-free).
-	sc []int64
+	// flows holds each flow's surplus count and ActiveList link,
+	// indexed by flow id and grown on demand (flow ids are dense small
+	// integers). The ActiveList of Figure 1 is the FIFO threaded
+	// through these records from head to tail; n counts its members.
+	flows      []flowRec
+	head, tail int32
+	n          int
 
 	round     int64 // 1-based index of the round in progress
 	rrvc      int   // RoundRobinVisitCount
@@ -70,6 +67,9 @@ type ERR struct {
 	allowance int64 // A_i of the current opportunity
 	sent      int64 // Sent_i so far in the current opportunity
 
+	// weight is nil for the paper's unweighted algorithm.
+	weight func(flow int) int64
+
 	// keepSurplusOnDrain is an ablation switch: when set, a flow that
 	// drains keeps its surplus count instead of resetting it to zero
 	// as Figure 1 specifies, so old bursts punish a flow after idle
@@ -77,6 +77,16 @@ type ERR struct {
 	keepSurplusOnDrain bool
 
 	trace TraceSink
+}
+
+// flowRec is one flow's state: its surplus count SC_i and its place
+// on the ActiveList (membership, and the next flow toward the tail).
+// Keeping both in one record gives each arbiter one allocation for
+// all its per-flow state.
+type flowRec struct {
+	sc     int64
+	next   int32
+	onList bool
 }
 
 // New returns an unweighted ERR scheduler — the exact algorithm of
@@ -89,24 +99,47 @@ func New() *ERR { return NewWeighted(nil) }
 // weight function means weight 1 for every flow, i.e. the paper's
 // unweighted algorithm.
 func NewWeighted(weight func(flow int) int64) *ERR {
-	if weight == nil {
-		weight = func(int) int64 { return 1 }
-	}
-	return &ERR{
-		weight:  weight,
-		current: -1,
-	}
+	return &ERR{weight: weight, head: -1, tail: -1, current: -1}
 }
 
-// scRef returns a pointer to flow's surplus count, growing the table
-// as needed.
-func (e *ERR) scRef(flow int) *int64 {
-	if flow >= len(e.sc) {
-		grown := make([]int64, flow+1)
-		copy(grown, e.sc)
-		e.sc = grown
+// rec returns flow's record, growing the table as needed.
+func (e *ERR) rec(flow int) *flowRec {
+	if flow >= len(e.flows) {
+		grown := make([]flowRec, flow+1)
+		copy(grown, e.flows)
+		e.flows = grown
 	}
-	return &e.sc[flow]
+	return &e.flows[flow]
+}
+
+// pushTail appends flow, whose record is f and which is not on the
+// ActiveList, at the list's tail.
+func (e *ERR) pushTail(flow int, f *flowRec) {
+	f.onList = true
+	if e.tail < 0 {
+		e.head = int32(flow)
+	} else {
+		e.flows[e.tail].next = int32(flow)
+	}
+	e.tail = int32(flow)
+	e.n++
+}
+
+// popHead removes and returns the flow at the ActiveList's head.
+func (e *ERR) popHead() int {
+	flow := e.head
+	if flow < 0 {
+		panic("core: ERR NextFlow with no active flow")
+	}
+	f := &e.flows[flow]
+	f.onList = false
+	if flow == e.tail {
+		e.head, e.tail = -1, -1
+	} else {
+		e.head = f.next
+	}
+	e.n--
+	return int(flow)
 }
 
 // SetTrace installs a trace sink (nil disables tracing).
@@ -125,12 +158,16 @@ func (e *ERR) Name() string { return "ERR" }
 // Figure 1. A flow in the middle of its service opportunity counts as
 // active even though it is temporarily off the list.
 func (e *ERR) OnArrival(flow int, wasEmpty bool) {
-	if flow == e.current || e.active.Contains(flow) {
+	if flow == e.current {
 		return
 	}
-	e.active.PushTail(flow)
+	f := e.rec(flow)
+	if f.onList {
+		return
+	}
+	e.pushTail(flow, f)
 	if !e.keepSurplusOnDrain {
-		*e.scRef(flow) = 0
+		f.sc = 0
 	}
 }
 
@@ -147,19 +184,21 @@ func (e *ERR) NextFlow() int {
 		// snapshot MaxSC and count the flows to visit this round.
 		e.prevMaxSC = e.maxSC
 		e.maxSC = 0
-		e.rrvc = e.active.Len()
+		e.rrvc = e.n
 		e.round++
 		if e.trace != nil {
 			e.trace.RoundStart(e.round, e.prevMaxSC, e.rrvc)
 		}
 	}
-	flow := e.active.PopHead()
-	w := e.weight(flow)
-	if w < 1 {
-		panic("core: ERR weight < 1")
+	flow := e.popHead()
+	w := int64(1)
+	if e.weight != nil {
+		if w = e.weight(flow); w < 1 {
+			panic("core: ERR weight < 1")
+		}
 	}
 	e.current = flow
-	e.allowance = w*(1+e.prevMaxSC) - *e.scRef(flow)
+	e.allowance = w*(1+e.prevMaxSC) - e.flows[flow].sc
 	e.sent = 0
 	return flow
 }
@@ -186,22 +225,23 @@ func (e *ERR) OnPacketDone(flow int, cost int64, nowEmpty bool) {
 		// even a flow that drains and leaves contributes its surplus.
 		e.maxSC = surplus
 	}
+	f := &e.flows[flow]
 	if nowEmpty {
 		if e.keepSurplusOnDrain {
-			*e.scRef(flow) = surplus
+			f.sc = surplus
 		} else {
-			*e.scRef(flow) = 0
+			f.sc = 0
 		}
 	} else {
-		*e.scRef(flow) = surplus
-		e.active.PushTail(flow)
+		f.sc = surplus
+		e.pushTail(flow, f)
 	}
 	if e.trace != nil {
 		e.trace.Opportunity(e.round, flow, e.allowance, e.sent, surplus, nowEmpty)
 	}
 	e.current = -1
 	e.rrvc--
-	if e.active.Empty() {
+	if e.n == 0 {
 		// System gone idle: re-initialise the round state so a flow
 		// arriving after an idle period starts from a clean slate, as
 		// Initialize in Figure 1 would have it.
@@ -216,10 +256,10 @@ func (e *ERR) OnPacketDone(flow int, cost int64, nowEmpty bool) {
 
 // SurplusCount returns SC of the given flow.
 func (e *ERR) SurplusCount(flow int) int64 {
-	if flow >= len(e.sc) {
+	if flow >= len(e.flows) {
 		return 0
 	}
-	return e.sc[flow]
+	return e.flows[flow].sc
 }
 
 // MaxSC returns the largest surplus count observed so far in the
@@ -241,14 +281,14 @@ func (e *ERR) CurrentFlow() int { return e.current }
 
 // ActiveFlows returns the number of flows on the active list (the
 // flow currently in service, if any, is not on the list).
-func (e *ERR) ActiveFlows() int { return e.active.Len() }
+func (e *ERR) ActiveFlows() int { return e.n }
 
 // IsActive reports whether the scheduler considers flow active: on
 // the ActiveList, or temporarily off it while in service. The
 // runtime invariant checker uses this to audit ActiveList membership
 // against queue backlog every cycle.
 func (e *ERR) IsActive(flow int) bool {
-	return flow == e.current || e.active.Contains(flow)
+	return flow == e.current || (uint(flow) < uint(len(e.flows)) && e.flows[flow].onList)
 }
 
 // HeadOfLineSafe implements sched.HeadOfLineArb: ERR reschedules a

@@ -537,6 +537,19 @@ func TestERRPanicsOnBadUse(t *testing.T) {
 		e.OnPacketDone(0, 5, false)
 	}()
 
+	// Once its only flow drains, the ActiveList is empty again and
+	// there is no flow to grant.
+	e.OnArrival(3, true)
+	e.OnPacketDone(e.NextFlow(), 5, true)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("NextFlow with no active flow did not panic")
+			}
+		}()
+		e.NextFlow()
+	}()
+
 	e2 := core.NewWeighted(func(int) int64 { return 0 })
 	e2.OnArrival(0, true)
 	func() {
