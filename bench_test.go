@@ -456,7 +456,7 @@ func BenchmarkRouterCompute(b *testing.B) {
 	r, err := wormhole.NewRouter(0, wormhole.Config{
 		Ports: 2, VCs: 2, BufFlits: 8,
 		NewArb: func() sched.Scheduler { return core.New() },
-		Route:  func(dst int) int { return 1 },
+		Route:  func(_, dst int) int { return 1 },
 	})
 	if err != nil {
 		b.Fatal(err)

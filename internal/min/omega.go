@@ -95,7 +95,7 @@ func NewOmega(cfg Config) (*Network, error) {
 				VCs:      cfg.VCs,
 				BufFlits: cfg.BufFlits,
 				NewArb:   cfg.NewArb,
-				Route:    func(dst int) int { return (dst >> shift) & 1 },
+				Route:    func(_, dst int) int { return (dst >> shift) & 1 },
 			})
 			if err != nil {
 				return nil, err

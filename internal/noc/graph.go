@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"fmt"
+
 	"repro/internal/flit"
 	"repro/internal/sched"
 	"repro/internal/wormhole"
@@ -57,8 +59,24 @@ type Terminal struct {
 // its routers share one commit domain, so a worker pool (SetPool)
 // never changes its stepping, and the active set, event core,
 // reference mode, faults, checks, watchdog and flight recorder apply
-// to it exactly as to a mesh.
+// to it exactly as to a mesh. A terminal's injection port must be its
+// own: no link and no other terminal may feed it, since a refused
+// injection waits for that port alone to drain (Mesh.Step).
 func NewGraph(g Graph) (*Mesh, error) {
+	fed := make(map[[2]int]bool, len(g.Links))
+	for _, l := range g.Links {
+		fed[[2]int{l.To, l.In}] = true
+	}
+	for t, term := range g.Terminals {
+		if term.Inject < 0 {
+			continue
+		}
+		at := [2]int{term.Router, term.Inject}
+		if fed[at] {
+			return nil, fmt.Errorf("noc: terminal %d injects into router %d port %d, which a link or another terminal also feeds", t, term.Router, term.Inject)
+		}
+		fed[at] = true
+	}
 	order := make([]int32, g.Routers)
 	for i := range order {
 		order[i] = int32(i)
@@ -83,6 +101,7 @@ func build(g Graph, order, tileStart []int32) (*Mesh, error) {
 		BufFlits:       g.BufFlits,
 		SharedBufFlits: g.SharedBufFlits,
 		SharedBufCap:   g.SharedBufCap,
+		Route:          g.Route,
 	}
 	arena := wormhole.NewArena(base, n)
 	m := &Mesh{
@@ -107,27 +126,12 @@ func build(g Graph, order, tileStart []int32) (*Mesh, error) {
 		DeliveredFlits:   make([]int64, nt),
 		DeliveredPackets: make([]int64, nt),
 	}
-	// Routing is static, so below routeTableNodes terminals each router
-	// gets a precomputed dst -> output-port table instead of calling
-	// Route per head flit.
-	useTables := nt <= routeTableNodes && g.Ports <= 256
-	route := g.Route // the closures below keep only this
 	for t := 0; t < numTiles; t++ {
 		for pid := int(tileStart[t]); pid < int(tileStart[t+1]); pid++ {
-			pid := pid
 			id := int(order[pid])
 			m.allIDs[pid] = pid
 			rcfg := base
 			rcfg.NewArb = g.NewArb(id)
-			if useTables {
-				tab := make([]uint8, nt)
-				for dst := range tab {
-					tab[dst] = uint8(route(id, dst))
-				}
-				rcfg.Route = func(dst int) int { return int(tab[dst]) }
-			} else {
-				rcfg.Route = func(dst int) int { return route(id, dst) }
-			}
 			if g.OutVC != nil {
 				rcfg.OutVC = g.OutVC(id)
 			}
@@ -153,6 +157,9 @@ func build(g Graph, order, tileStart []int32) (*Mesh, error) {
 	for t, term := range g.Terminals {
 		r := m.routers[term.Router]
 		m.inj[t] = injState{r: r, port: term.Inject}
+		if term.Inject >= 0 {
+			r.SetCreditReturn(term.Inject, func(int, int64) { m.wake(t) })
+		}
 		var sink *wormhole.Sink
 		if term.Drain != nil {
 			ss := wormhole.NewStallSink(term.DrainFlits, term.Drain)

@@ -83,7 +83,9 @@ type Config struct {
 // a burst's memory is returned as it drains. buf is the reusable
 // flit materialisation buffer: flits aliases it while a packet is
 // mid-injection (nil otherwise), so the steady state allocates
-// nothing per packet.
+// nothing per packet. parked marks a front end whose flit the port
+// refused: it stays off the active set until a flit leaves the port
+// (Mesh.wake).
 type injState struct {
 	r      *wormhole.Router
 	port   int
@@ -93,6 +95,7 @@ type injState struct {
 	next   int
 	vc     int
 	nextVC int
+	parked bool
 }
 
 // pktMeta is what the mesh remembers about an undelivered packet: when
@@ -296,10 +299,13 @@ type Mesh struct {
 	tr *trace.Trace
 
 	activeR *idSet             // routers with buffered flits or live allocations (physical ids)
-	activeI *idSet             // nodes with queued or mid-injection packets (node ids)
+	activeI *idSet             // unparked nodes with queued or mid-injection packets (node ids)
 	fx      []wormhole.Effects // per-router effect buffers, physical order
 	allIDs  []int
 	pool    *exec.Pool
+	// refused counts the injections routers refused (InjectionsRefused),
+	// wakes the parked front ends woken.
+	refused, wakes int64
 	// reference selects the literal oracle (SetReference): every cycle
 	// stepped, every router computed, full ports-x-VCs scans.
 	reference bool
@@ -369,6 +375,7 @@ type Mesh struct {
 	obsActiveRouters   *obs.Gauge
 	obsActiveRoutersHW *obs.Gauge
 	obsActiveInjectors *obs.Gauge
+	obsInjRefused      *obs.Counter
 	obsCellsVisited    *obs.Counter
 	obsWorklistLen     *obs.Gauge
 	obsCyclesSkipped   *obs.Counter
@@ -403,14 +410,6 @@ func autoTile(k int) int {
 		return 32
 	}
 }
-
-// routeTableNodes caps the precomputed per-router routing tables:
-// below it every router gets a dst -> output-port byte table (n bytes
-// per router, n² total — fast and still small); above it the tables'
-// quadratic footprint would dwarf the routers themselves (a terabyte
-// at a million nodes), so routing falls back to the closed-form
-// coordinate math per head flit.
-const routeTableNodes = 4096
 
 // NewMesh validates cfg and builds the mesh or torus as a router
 // graph (NewGraph's builder) laid out tile-major: all per-router state
@@ -567,37 +566,36 @@ func (m *Mesh) Nodes() int { return len(m.inj) }
 // route implements dimension-order (XY) routing: on the mesh it is
 // deadlock-free outright; on the torus it picks the minimal ring
 // direction per dimension and relies on dateline VC switching for
-// deadlock freedom.
+// deadlock freedom. Every router shares it and it keeps no state:
+// each head flit costs two divisions.
 func (c *Config) route(at, dst int) int {
-	ax, ay := at%c.K, at/c.K
-	dx, dy := dst%c.K, dst/c.K
-	if dx != ax {
-		if !c.Torus {
-			if dx > ax {
-				return PortEast
-			}
-			return PortWest
-		}
-		return ringDir(ax, dx, c.K, PortEast, PortWest)
+	k := c.K
+	ay, dy := at/k, dst/k
+	if ax, dx := at-ay*k, dst-dy*k; dx != ax {
+		return c.dir(ax, dx, PortEast, PortWest)
 	}
 	if dy != ay {
-		if !c.Torus {
-			if dy > ay {
-				return PortSouth
-			}
-			return PortNorth
-		}
-		return ringDir(ay, dy, c.K, PortSouth, PortNorth)
+		return c.dir(ay, dy, PortSouth, PortNorth)
 	}
 	return PortLocal
 }
 
-// ringDir returns the minimal direction around a K-ring from a to d
-// (ties go to the positive direction).
-func ringDir(a, d, k, pos, neg int) int {
-	fwd := (d - a + k) % k
-	bwd := (a - d + k) % k
-	if fwd <= bwd {
+// dir returns the port toward coordinate d from coordinate a != d in
+// one dimension: pos if d lies ahead — around a torus ring, if the
+// forward distance is at most half the ring (ties go to the positive
+// direction) — else neg.
+func (c *Config) dir(a, d, pos, neg int) int {
+	fwd := d - a
+	if c.Torus {
+		if fwd < 0 {
+			fwd += c.K
+		}
+		if 2*fwd <= c.K {
+			return pos
+		}
+		return neg
+	}
+	if fwd > 0 {
 		return pos
 	}
 	return neg
@@ -658,8 +656,11 @@ func (m *Mesh) Send(src, dst, length int) {
 			m.tr.Inject(id, src, dst, src, length, m.cycle)
 		}
 	}
-	m.inj[src].queue.Push(p)
-	m.activeI.add(src)
+	st := &m.inj[src]
+	st.queue.Push(p)
+	if !st.parked {
+		m.activeI.add(src)
+	}
 }
 
 // schedSend is a future injection queued by SendAt.
@@ -759,12 +760,20 @@ func (m *Mesh) SetPool(p *exec.Pool) { m.pool = p }
 // path skips only work that is a strict no-op, so every simulation
 // artifact is byte-identical either way; only the telemetry counting
 // performed work differs (noc.router_computes, noc.cells_visited,
-// noc.cycles_skipped). The differential tests and cmd/nocsim's
-// -reference flag compare against it.
+// noc.cycles_skipped, noc.injections_refused). The reference also
+// polls every injection front end with a pending flit each cycle,
+// where the fast mesh parks a refused one until its port drains, so
+// turning it on wakes every parked front end. The differential tests
+// and cmd/nocsim's -reference flag compare against it.
 func (m *Mesh) SetReference(on bool) {
 	m.reference = on
 	for _, r := range m.routers {
 		r.SetFullScan(on)
+	}
+	if on {
+		for t := range m.inj {
+			m.wake(t)
+		}
 	}
 }
 
@@ -796,7 +805,8 @@ const (
 // canActNow reports whether stepping the mesh at the current cycle
 // could change simulation state: some active router can act now, some
 // injection front end can make progress, or some drain sink holds
-// flits. With no fault-window
+// flits. A parked front end never can: its port refused its flit and
+// has not drained since (it would be woken). With no fault-window
 // edges registered (m.dormancy off) an active router always counts as
 // actable — the dormancy probe is skipped, keeping the fault-free
 // path O(1) per cycle.
@@ -948,7 +958,9 @@ func (m *Mesh) skipTo(c int64) {
 // noc.cycles and noc.router_computes counters (their ratio is the
 // average active-set occupancy — the work quiescence saves),
 // noc.active_routers / noc.active_routers_high_water /
-// noc.active_injectors gauges, plus the work-list economy metrics:
+// noc.active_injectors gauges (the last counts front ends with pending
+// traffic that are not parked), the noc.injections_refused counter
+// (InjectionsRefused), plus the work-list economy metrics:
 // noc.cells_visited (arbitration sites inspected; compare against
 // ports*VCs*router_computes for the scan work saved), noc.worklist_len
 // (pending cells across the active set at end of cycle), and
@@ -964,6 +976,7 @@ func (m *Mesh) RegisterObs(reg *obs.Registry) {
 	m.obsActiveRouters = reg.Gauge("noc.active_routers")
 	m.obsActiveRoutersHW = reg.Gauge("noc.active_routers_high_water")
 	m.obsActiveInjectors = reg.Gauge("noc.active_injectors")
+	m.obsInjRefused = reg.Counter("noc.injections_refused")
 	m.obsCellsVisited = reg.Counter("noc.cells_visited")
 	m.obsWorklistLen = reg.Gauge("noc.worklist_len")
 	m.obsCyclesSkipped = reg.Counter("noc.cycles_skipped")
@@ -1170,30 +1183,64 @@ func (m *Mesh) runTiles(lo, hi int) {
 	}
 }
 
-// injectPhase runs the injection front ends of every node with
-// pending traffic: at most one flit per node per cycle, in ascending
-// node-id order (identical to the old full iteration, since a node
-// without pending traffic was a no-op).
+// injectPhase runs the injection front ends of every unparked node
+// with pending traffic: at most one flit per node per cycle, in
+// ascending node-id order (identical to the old full iteration, since
+// a node without pending traffic was a no-op). A front end whose flit
+// the router refuses parks: the refusal depends only on its port's
+// buffer, which only this front end fills and only the router's pops
+// drain, so every retry before the next pop would be refused too. The
+// pop wakes it (wake) in the same cycle's serial commit, in time for
+// the next cycle's attempt. The reference polls instead of parking.
 func (m *Mesh) injectPhase() {
+	var refused int64
 	for _, id := range m.activeI.sorted() {
 		st := &m.inj[id]
 		if st.flits == nil && !st.queue.Empty() {
 			m.materialise(st, st.queue.Pop())
 		}
-		if st.flits != nil {
-			if st.r.Inject(st.port, st.vc, st.flits[st.next], m.cycle) {
-				st.next++
-				if st.next == len(st.flits) {
-					st.flits = nil
-				}
-			}
+		if st.flits == nil {
+			continue
+		}
+		if !st.r.Inject(st.port, st.vc, st.flits[st.next], m.cycle) {
+			refused++
+			st.parked = !m.reference
+			continue
+		}
+		st.next++
+		if st.next == len(st.flits) {
+			st.flits = nil
 		}
 	}
 	m.activeI.prune(func(id int) bool {
 		st := &m.inj[id]
-		return st.flits != nil || !st.queue.Empty()
+		return !st.parked && (st.flits != nil || !st.queue.Empty())
 	})
+	m.refused += refused
+	if m.obsInjRefused != nil {
+		m.obsInjRefused.Add(refused)
+	}
 }
+
+// wake returns terminal t's front end to the active set if it is
+// parked. It is the credit return of the front end's port
+// (Router.SetCreditReturn), so it runs in the serial commit for each
+// flit leaving the port on any VC: a pop on one VC can free shared
+// DAMQ space another VC's flit needs.
+func (m *Mesh) wake(t int) {
+	st := &m.inj[t]
+	if st.parked {
+		st.parked = false
+		m.wakes++
+		m.activeI.add(t)
+	}
+}
+
+// InjectionsRefused returns how many times a router refused an
+// injection front end's flit for want of buffer space. The fast mesh
+// tries a refused front end again only after its port drains; the
+// reference retries every cycle.
+func (m *Mesh) InjectionsRefused() int64 { return m.refused }
 
 // materialise turns the next queued packet into st's flit stream and
 // assigns it the next injection VC. A malformed packet becomes its

@@ -68,6 +68,51 @@ func TestXYRouting(t *testing.T) {
 	}
 }
 
+// closedFormRoute is dimension-order routing written from its
+// definition, with coordinates and ring distances taken modulo K: the
+// specification Config.route (which routes without tables, and with
+// two divisions per head flit) must equal.
+func closedFormRoute(k int, torus bool, at, dst int) int {
+	dir := func(a, d, pos, neg int) int {
+		if !torus {
+			if d > a {
+				return pos
+			}
+			return neg
+		}
+		if (d-a+k)%k <= (a-d+k)%k {
+			return pos
+		}
+		return neg
+	}
+	ax, ay, dx, dy := at%k, at/k, dst%k, dst/k
+	switch {
+	case dx != ax:
+		return dir(ax, dx, PortEast, PortWest)
+	case dy != ay:
+		return dir(ay, dy, PortSouth, PortNorth)
+	}
+	return PortLocal
+}
+
+// TestRouteMatchesClosedForm checks Config.route against the closed
+// form for every (router, destination) pair of every mesh and torus
+// with K = 2..9.
+func TestRouteMatchesClosedForm(t *testing.T) {
+	for k := 2; k <= 9; k++ {
+		for _, torus := range []bool{false, true} {
+			c := Config{K: k, Torus: torus}
+			for at := 0; at < k*k; at++ {
+				for dst := 0; dst < k*k; dst++ {
+					if got, want := c.route(at, dst), closedFormRoute(k, torus, at, dst); got != want {
+						t.Fatalf("K=%d torus=%v: route(%d -> %d) = %d, want %d", k, torus, at, dst, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSinglePacketCrossesMesh(t *testing.T) {
 	m := testMesh(t, 3)
 	src := m.NodeID(0, 0)

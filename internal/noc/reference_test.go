@@ -71,10 +71,12 @@ type scenario struct {
 	graph func() Graph
 	spec  string // fault spec ("" = fault-free), installed with seed 99
 	// inject > 0 selects the injector workload: uniform traffic of 1-6
-	// flit packets at 0.15 packets/node/cycle, stepped manually for
-	// inject cycles, then a manual drain of at most 6000 cycles (fault
-	// scenarios may wedge packets; the wedge must then be identical).
+	// flit packets at rate packets/node/cycle (0 means 0.15), stepped
+	// manually for inject cycles, then a manual drain of at most 6000
+	// cycles (fault scenarios may wedge packets; the wedge must then be
+	// identical).
 	inject int
+	rate   float64
 	// Otherwise the scheduled workload: sends are released by SendAt
 	// while the event core advances through Run(run), then Drain(drain).
 	sends      []send
@@ -241,7 +243,11 @@ func runScenario(t *testing.T, s scenario, reference bool, pools ...int) runArti
 			}
 			m.Step()
 		}
-		inj := NewInjector(m, 0.15, Uniform{Nodes: m.Nodes()}, rng.NewUniform(1, 6), rng.New(7))
+		rate := s.rate
+		if rate == 0 {
+			rate = 0.15
+		}
+		inj := NewInjector(m, rate, Uniform{Nodes: m.Nodes()}, rng.NewUniform(1, 6), rng.New(7))
 		for c := 0; c < s.inject; c++ {
 			inj.Step()
 			step()

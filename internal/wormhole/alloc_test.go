@@ -16,7 +16,7 @@ func saturatedRouter(t testing.TB) (*Router, func(cycle int64)) {
 	cfg := Config{
 		Ports: 2, VCs: 2, BufFlits: 8,
 		NewArb: func() sched.Scheduler { return core.New() },
-		Route:  func(dst int) int { return 1 },
+		Route:  func(_, dst int) int { return 1 },
 	}
 	r, err := NewRouter(0, cfg)
 	if err != nil {

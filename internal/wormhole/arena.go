@@ -65,7 +65,7 @@ type Arena struct {
 	ints    slab[int]
 	creds   slab[creditReturn]
 	rptrs   slab[*Router]
-	gates   slab[func(vc int) bool]
+	gates   slab[*portBuf]
 	bools   slab[bool]
 	faults  slab[OutputFault]
 	words   slab[uint64]
@@ -100,7 +100,7 @@ func NewArena(cfg Config, n int) *Arena {
 		ints:    newSlab[int](n * nInts),
 		creds:   newSlab[creditReturn](n * p),
 		rptrs:   newSlab[*Router](n * nPtrs),
-		gates:   newSlab[func(vc int) bool](n * p),
+		gates:   newSlab[*portBuf](n * p),
 		bools:   newSlab[bool](n * nBools),
 		faults:  newSlab[OutputFault](n * p),
 		words:   newSlab[uint64](n * nWords),
@@ -117,7 +117,7 @@ func NewArena(cfg Config, n int) *Arena {
 		int64(nInts)*int64(unsafe.Sizeof(int(0))) +
 		int64(p)*int64(unsafe.Sizeof(creditReturn(nil))) +
 		int64(nPtrs)*int64(unsafe.Sizeof((*Router)(nil))) +
-		int64(p)*int64(unsafe.Sizeof((func(vc int) bool)(nil))) +
+		int64(p)*int64(unsafe.Sizeof((*portBuf)(nil))) +
 		int64(nBools) +
 		int64(p)*int64(unsafe.Sizeof(OutputFault(nil))) +
 		int64(nWords)*8 +

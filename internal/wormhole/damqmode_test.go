@@ -70,7 +70,7 @@ func TestGatedLinkBetweenRouters(t *testing.T) {
 	// r0 (static) feeds r1 (DAMQ): the link must use stop/go gating
 	// and never overflow the shared buffer.
 	cfg0 := testConfig(3, 2, 8)
-	cfg0.Route = func(dst int) int {
+	cfg0.Route = func(_, dst int) int {
 		if dst == 99 {
 			return 1
 		}
@@ -82,7 +82,7 @@ func TestGatedLinkBetweenRouters(t *testing.T) {
 	}
 	cfg1 := damqConfig(3, 2, 1, 6)
 	// At r1 everything ejects locally.
-	cfg1.Route = func(dst int) int { return 0 }
+	cfg1.Route = func(_, dst int) int { return 0 }
 	r1, err := NewRouter(1, cfg1)
 	if err != nil {
 		t.Fatal(err)

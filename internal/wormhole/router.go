@@ -147,9 +147,11 @@ type Config struct {
 	// NewArb constructs the per-output-port packet arbiter. The flow
 	// ids presented to the arbiter are inputPort*VCs + vc.
 	NewArb func() sched.Scheduler
-	// Route maps a destination node id to an output port of this
-	// router.
-	Route func(dst int) int
+	// Route maps a destination node id to an output port of router id
+	// (the id the router was built with), so one function can route
+	// every router of a network. It is called once per head flit the
+	// router receives.
+	Route func(id, dst int) int
 	// OutVC, if set, maps the VC a packet uses on its next hop given
 	// the output port, the head flit, and the input port/VC it
 	// occupies in this router. All flits of the packet use the VC
@@ -215,19 +217,23 @@ type Router struct {
 	locks  []lock            // allocation of cell o*VCs+v
 	out    []Endpoint
 	crd    []int // downstream credits of cell o*VCs+v
+	// credUp[p] is the credit return of an input port no link feeds
+	// (SetCreditReturn).
 	credUp []creditReturn
 	// outR/outPort mirror out for router-to-router links (nil/0 for
-	// endpoint links), and credUpR/credUpPort mirror credUp likewise:
-	// the serial commit phase calls the neighbour router directly
-	// instead of through an interface or closure, which the hot path
-	// pays for every delivered flit and returned credit.
+	// endpoint links), and credUpR/credUpPort name the router output
+	// feeding each linked input: the serial commit phase calls the
+	// neighbour router directly instead of through an interface or
+	// closure, which the hot path pays for every delivered flit and
+	// returned credit.
 	outR       []*Router
 	outPort    []int
 	credUpR    []*Router
 	credUpPort []int
-	// gateOut[o], when non-nil, is the stop/go space query used
-	// instead of credits on links into shared-buffer routers.
-	gateOut []func(vc int) bool
+	// gateOut[o], when non-nil, is the shared (DAMQ) input buffer at
+	// the far end of output o: its free space gates the link stop/go
+	// instead of credits.
+	gateOut []*portBuf
 
 	// eligible[o*VCs+v] counts flows currently registered with that
 	// cell's arbiter.
@@ -353,7 +359,7 @@ func Connect(a *Router, po int, b *Router, pi int) {
 	a.outR[po] = b
 	a.outPort[po] = pi
 	if b.cfg.SharedBufFlits > 0 {
-		a.gateOut[po] = func(vc int) bool { return b.in[pi].canAccept(vc) }
+		a.gateOut[po] = &b.in[pi]
 		a.outs[po].flags |= outHasGate
 		a.hasGates = true
 		return
@@ -361,10 +367,17 @@ func Connect(a *Router, po int, b *Router, pi int) {
 	for v := 0; v < a.cfg.VCs; v++ {
 		a.crd[po*a.cfg.VCs+v] = b.cfg.BufFlits
 	}
-	b.credUp[pi] = func(vc int, cycle int64) { a.creditArrived(po, vc, cycle) }
 	b.credUpR[pi] = a
 	b.credUpPort[pi] = po
 }
+
+// SetCreditReturn installs fn as the credit return of input port pi
+// when no link feeds it: fn(vc, cycle) runs for every flit that leaves
+// the port, as a deferred effect (Effects.Apply, or the rest buffer of
+// Effects.ApplyDomain), just as a linked upstream router regains a
+// credit. Package noc uses it to wake an injection front end whose
+// flit the port refused. nil removes it.
+func (r *Router) SetCreditReturn(pi int, fn func(vc int, cycle int64)) { r.credUp[pi] = fn }
 
 // creditArrived restores one downstream credit on output o, VC v. A
 // lock waiting on that credit becomes forwardable, so the output
@@ -478,7 +491,7 @@ func (r *Router) InputFree(port, vc int) int {
 // headTarget returns the (output port, output VC) the head flit of
 // (port, vc) is routed to.
 func (r *Router) headTarget(port, vc int, h flit.Flit) (o, ov int) {
-	o = r.cfg.Route(h.Dst)
+	o = r.cfg.Route(r.id, h.Dst)
 	ov = vc
 	if r.cfg.OutVC != nil {
 		ov = r.cfg.OutVC(o, h, port, vc)
@@ -700,8 +713,8 @@ type delivery struct {
 }
 
 // creditFx records one credit to return upstream; r/o name the
-// upstream router directly, ret is the closure fallback (StallSink and
-// other non-router binders).
+// upstream router directly, ret is the closure a port without a link
+// returns its credits to (SetCreditReturn).
 type creditFx struct {
 	r     *Router
 	ret   creditReturn
@@ -822,7 +835,7 @@ func (r *Router) SnapshotGates(cycle int64) {
 			continue
 		}
 		for v := 0; v < r.cfg.VCs; v++ {
-			r.gateSnap[o][v] = g(v)
+			r.gateSnap[o][v] = g.canAccept(v)
 		}
 	}
 	r.gateSnapCycle = cycle
@@ -834,7 +847,7 @@ func (r *Router) gateAllows(o, v int, cycle int64) bool {
 	if r.gateSnapCycle == cycle {
 		return r.gateSnap[o][v]
 	}
-	return r.gateOut[o](v)
+	return r.gateOut[o].canAccept(v)
 }
 
 // Step advances the router by one cycle: forward at most one flit per
@@ -1294,7 +1307,7 @@ func (r *Router) WaitEdges(cycle int64) []WaitEdge {
 				reason = "link-stalled"
 			case pb.empty(l.vc):
 				reason = "input-empty"
-			case r.gateOut[o] != nil && !r.gateOut[o](v):
+			case r.gateOut[o] != nil && !r.gateOut[o].canAccept(v):
 				reason = "no-space"
 			case r.gateOut[o] == nil && r.crd[o*r.cfg.VCs+v] <= 0:
 				reason = "no-credit"

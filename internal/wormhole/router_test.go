@@ -17,7 +17,7 @@ func testConfig(ports, vcs, buf int) Config {
 		VCs:      vcs,
 		BufFlits: buf,
 		NewArb:   func() sched.Scheduler { return core.New() },
-		Route:    func(dst int) int { return dst },
+		Route:    func(_, dst int) int { return dst },
 	}
 }
 
@@ -177,7 +177,7 @@ func TestTwoRoutersMultiHop(t *testing.T) {
 	// "remote" must traverse both routers.
 	mkCfg := func(remotePort int) Config {
 		c := testConfig(3, 2, 8)
-		c.Route = func(dst int) int {
+		c.Route = func(_, dst int) int {
 			if dst == 99 {
 				return remotePort
 			}
@@ -195,7 +195,7 @@ func TestTwoRoutersMultiHop(t *testing.T) {
 		t.Fatal(err)
 	}
 	// r1 routes dst 99 to port 0 too (it is the last hop).
-	r1.cfg.Route = func(dst int) int { return 0 }
+	r1.cfg.Route = func(_, dst int) int { return 0 }
 
 	Connect(r0, 1, r1, 1)
 	sink0 := &Sink{}
