@@ -168,6 +168,62 @@ func TestEngineCheckerLemma1Bounds(t *testing.T) {
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("violations = %v, want %v", got, want)
 	}
+
+	// The upper clause at its boundary: after a departure of cost m = 6
+	// a surplus of m-1 is legal and a surplus of m is not.
+	edge := check.NewEngineChecker(1)
+	var ecfg engine.Config
+	edge.Wire(&ecfg)
+	ecfg.OnDeparture(flit.Packet{Flow: 0, Length: 6}, 10, 6)
+	edge.Opportunity(1, 0, 1, 6, 5, false)
+	if err := edge.Err(); err != nil {
+		t.Fatalf("surplus m-1 after a cost-m departure reported: %v", err)
+	}
+	edge.Opportunity(2, 0, 1, 7, 6, false)
+	vs := check.AsViolations(edge.Err())
+	if len(vs) != 1 || vs[0].Invariant != check.InvSurplusUpper {
+		t.Fatalf("surplus m after a cost-m departure: violations %v, want one %s", vs, check.InvSurplusUpper)
+	}
+}
+
+// surplusTee forwards ERR's trace to the checker and records the
+// largest surplus count any opportunity ended with.
+type surplusTee struct {
+	*check.EngineChecker
+	max int64
+}
+
+func (s *surplusTee) Opportunity(round int64, flow int, allowance, sent, surplus int64, left bool) {
+	s.max = max(s.max, surplus)
+	s.EngineChecker.Opportunity(round, flow, allowance, sent, surplus, left)
+}
+
+// TestEngineCheckerLemma1BoundReached runs a checked ERR engine in
+// which Lemma 1's upper bound is tight: each round the flow of 8-flit
+// packets starts with an allowance of 1 and overshoots it by m-1 = 7,
+// against rivals of 1-flit packets. The run must be clean with its
+// largest surplus exactly m-1, so the bound the checker enforces is
+// the one ERR reaches, not a looser one.
+func TestEngineCheckerLemma1BoundReached(t *testing.T) {
+	src := rng.New(4)
+	errs := core.New()
+	e, chk, _ := buildChecked(t, 3, errs, traffic.NewMulti(
+		traffic.NewBacklogged(0, 4, rng.Constant{Length: 8}, src.Split()),
+		traffic.NewBacklogged(1, 4, rng.Constant{Length: 1}, src.Split()),
+		traffic.NewBacklogged(2, 4, rng.Constant{Length: 1}, src.Split()),
+	))
+	tee := &surplusTee{EngineChecker: chk}
+	errs.SetTrace(tee)
+	for c := 0; c < 2000; c++ {
+		e.Step()
+		chk.Tick()
+	}
+	if err := chk.Err(); err != nil {
+		t.Fatalf("checked run reported violations: %v", err)
+	}
+	if tee.max != 7 {
+		t.Fatalf("largest surplus %d, want m-1 = 7", tee.max)
+	}
 }
 
 func TestEngineCheckerWatchdogReportsWedge(t *testing.T) {

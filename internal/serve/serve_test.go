@@ -145,7 +145,7 @@ func TestServeQueueFullSheds(t *testing.T) {
 
 	var wg sync.WaitGroup
 	var got429 atomic.Int64
-	for i := 0; i < 4; i++ {
+	send := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -158,7 +158,14 @@ func TestServeQueueFullSheds(t *testing.T) {
 			}
 		}()
 	}
+	// Occupy the worker first: requests that all reach the queue before
+	// the dispatcher takes one would fill it with three, not two.
+	send()
+	waitFor(t, func() bool { return inflight(s) == 1 })
 	// 1 in service + 2 queued; the 4th arrival must shed with 429.
+	for i := 0; i < 3; i++ {
+		send()
+	}
 	waitFor(t, func() bool { return got429.Load() >= 1 })
 	close(block)
 	wg.Wait()
