@@ -112,10 +112,9 @@ func (e *ERR) rec(flow int) *flowRec {
 	return &e.flows[flow]
 }
 
-// pushTail appends flow, whose record is f and which is not on the
-// ActiveList, at the list's tail.
-func (e *ERR) pushTail(flow int, f *flowRec) {
-	f.onList = true
+// pushTail appends flow, which is not on the ActiveList, at its tail.
+func (e *ERR) pushTail(flow int) {
+	e.flows[flow].onList = true
 	if e.tail < 0 {
 		e.head = int32(flow)
 	} else {
@@ -165,7 +164,7 @@ func (e *ERR) OnArrival(flow int, wasEmpty bool) {
 	if f.onList {
 		return
 	}
-	e.pushTail(flow, f)
+	e.pushTail(flow)
 	if !e.keepSurplusOnDrain {
 		f.sc = 0
 	}
@@ -234,7 +233,7 @@ func (e *ERR) OnPacketDone(flow int, cost int64, nowEmpty bool) {
 		}
 	} else {
 		f.sc = surplus
-		e.pushTail(flow, f)
+		e.pushTail(flow)
 	}
 	if e.trace != nil {
 		e.trace.Opportunity(e.round, flow, e.allowance, e.sent, surplus, nowEmpty)
