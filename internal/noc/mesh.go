@@ -253,10 +253,12 @@ func (s *idSet) len() int { return s.n }
 // Stepping is quiescence-aware, two-phase, and tile-sharded. Routers
 // register on an active set when a flit arrives
 // (wormhole.Router.SetOnActive) and retire when they go idle;
-// injection front ends do the same when packets are queued. Each
-// cycle touches only active nodes — a skipped router's Step is
-// provably a strict no-op — so a big mesh at low load pays for its
-// traffic, not its radix.
+// injection front ends do the same when packets are queued, and park
+// off the set while their port is full. Each cycle touches only
+// active nodes — a skipped router's Step, or a parked front end's
+// retry, is provably a strict no-op — so a big mesh at low load pays
+// for its traffic, not its radix, and a saturated one for the flits
+// its ports can take.
 //
 // The mesh is partitioned into square tiles of Config.Tile edge
 // length, and routers are stored tile-major (physical ids remap the
