@@ -105,7 +105,7 @@ type ScalePoint struct {
 	// (noc.Mesh.BytesPerRouter); HeapBytesPerRouter is the measured
 	// live-heap growth of building the whole mesh divided by K² —
 	// arena plus everything the arena does not manage (schedulers,
-	// route tables, effect buffers, injection state).
+	// effect buffers, injection state).
 	ArenaBytesPerRouter int64
 	HeapBytesPerRouter  int64
 	TileEdge            int
