@@ -65,3 +65,22 @@ func TestRouterComputeAllocsZero(t *testing.T) {
 		t.Errorf("saturated Router.Step allocates %.1f times per cycle in steady state, want 0", got)
 	}
 }
+
+// TestConnectAllocatesNothing: wiring a link stores router pointers,
+// ports and credits in the arena, for credit-based and stop/go (DAMQ)
+// links alike, so building a network allocates nothing per link.
+func TestConnectAllocatesNothing(t *testing.T) {
+	for name, cfg := range map[string]Config{"credits": testConfig(2, 2, 4), "damq": damqConfig(2, 2, 1, 6)} {
+		a, err := NewRouter(0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewRouter(1, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(10, func() { Connect(a, 1, b, 0) }); got != 0 {
+			t.Errorf("%s: Connect allocates %.0f times per link, want 0", name, got)
+		}
+	}
+}

@@ -83,9 +83,10 @@ func (q *vcFIFO) peek() entry {
 	return q.buf[q.head]
 }
 
-// Endpoint consumes flits leaving one of a router's output ports.
-// Implementations: a neighbouring router's input port, or an
-// ejection sink.
+// Endpoint consumes flits leaving one of a router's output ports that
+// ConnectEndpoint wired to something other than a router — an
+// ejection sink (Sink, StallSink). Connect wires router-to-router
+// links directly.
 type Endpoint interface {
 	// AcceptFlit delivers a flit on the given VC at the given cycle.
 	AcceptFlit(f flit.Flit, vc int, cycle int64)
@@ -215,17 +216,17 @@ type Router struct {
 	in     []portBuf         // one input buffer complex per port
 	arbs   []sched.Scheduler // arbiter of cell o*VCs+v
 	locks  []lock            // allocation of cell o*VCs+v
-	out    []Endpoint
-	crd    []int // downstream credits of cell o*VCs+v
+	out    []Endpoint        // endpoint (sink) links; router links are in outR
+	crd    []int             // downstream credits of cell o*VCs+v
 	// credUp[p] is the credit return of an input port no link feeds
 	// (SetCreditReturn).
 	credUp []creditReturn
-	// outR/outPort mirror out for router-to-router links (nil/0 for
-	// endpoint links), and credUpR/credUpPort name the router output
-	// feeding each linked input: the serial commit phase calls the
-	// neighbour router directly instead of through an interface or
-	// closure, which the hot path pays for every delivered flit and
-	// returned credit.
+	// outR/outPort name the router input each router-to-router link
+	// delivers to (nil/0 for endpoint links), and credUpR/credUpPort
+	// the router output feeding each linked input: the serial commit
+	// phase calls the neighbour router directly instead of through an
+	// interface or closure, which the hot path pays for every delivered
+	// flit and returned credit.
 	outR       []*Router
 	outPort    []int
 	credUpR    []*Router
@@ -355,7 +356,7 @@ func (r *Router) SetDomain(d int) { r.domain = d }
 // the flow control: per-VC credits for statically partitioned inputs,
 // stop/go gating for shared-buffer (DAMQ) inputs.
 func Connect(a *Router, po int, b *Router, pi int) {
-	a.out[po] = neighbour{r: b, port: pi}
+	a.out[po] = nil
 	a.outR[po] = b
 	a.outPort[po] = pi
 	if b.cfg.SharedBufFlits > 0 {
@@ -415,20 +416,6 @@ func ConnectEndpoint(a *Router, po int, e Endpoint) {
 		}
 	}
 }
-
-// neighbour adapts a router input port to Endpoint.
-type neighbour struct {
-	r    *Router
-	port int
-}
-
-// AcceptFlit implements Endpoint.
-func (n neighbour) AcceptFlit(f flit.Flit, vc int, cycle int64) {
-	n.r.acceptFlit(n.port, f, vc, cycle)
-}
-
-// BufFlits implements Endpoint.
-func (n neighbour) BufFlits() int { return n.r.cfg.BufFlits }
 
 // acceptFlit buffers an incoming flit and, if it exposes a new head
 // packet, announces it to the arbiter of its output. Arrivals happen
@@ -1093,7 +1080,7 @@ func (r *Router) tryForward(o int, cycle int64, fx *Effects) (quiesce bool) {
 // lock's first forward attempt is next cycle, so the output joins the
 // pending work-list.
 func (r *Router) grantCell(o, v int, cycle int64) {
-	if r.out[o] == nil {
+	if r.out[o] == nil && r.outR[o] == nil {
 		panic(fmt.Sprintf("wormhole: router %d output %d unconnected", r.id, o))
 	}
 	V := r.cfg.VCs
