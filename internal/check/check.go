@@ -28,6 +28,8 @@
 //   - flit.stream — a delivered flit stream is well-formed per virtual
 //     channel: head, bodies in sequence, tail, no interleaving of two
 //     packets on one VC (wormhole contiguity at the ejection point).
+//   - flit.destination — a flit leaves the network at the terminal it
+//     is addressed to (a wrong route function delivers elsewhere).
 //   - progress.watchdog — a backlogged system forwards at least one
 //     flit every N cycles; tripping it means deadlock or livelock,
 //     and the wormhole substrate can then dump its channel-wait
@@ -57,6 +59,7 @@ const (
 	InvConservation = "flit.conservation"
 	InvFIFO         = "flow.fifo"
 	InvStream       = "flit.stream"
+	InvDestination  = "flit.destination"
 	InvWatchdog     = "progress.watchdog"
 
 	// Reported by the analytic-bounds harness (internal/bounds): a

@@ -15,10 +15,10 @@ import (
 // installs the rest with the given seed: link stalls, drops and
 // corruption on router outputs, router freezes, and malformed packets
 // at the injection front ends (Send). With checked set it also
-// validates every ejected flit stream into the returned recorder,
-// registered with obs.Default, and arms the deadlock watchdog with the
-// spec's budget: Step, Run and Drain consult it, and Wedged reports
-// its trip. The injector (nil on a fault-free run) counts what fired.
+// validates every ejected flit stream, and the terminal each flit
+// leaves at, into the returned recorder, registered with obs.Default,
+// and arms the deadlock watchdog with the spec's budget: Step, Run and
+// Drain consult it, and Wedged reports its trip. The injector (nil on a fault-free run) counts what fired.
 func (m *Mesh) Protect(faults string, seed uint64, checked bool) (*fault.Injector, *check.Recorder, error) {
 	spec, err := fault.Parse(faults)
 	if err == nil {
@@ -64,7 +64,8 @@ func (m *Mesh) Protect(faults string, seed uint64, checked bool) (*fault.Injecto
 }
 
 // checkStreams attaches a flit-stream validator (wormhole contiguity,
-// per-VC packet wellformedness) to every ejection sink, reporting
+// per-VC packet wellformedness) to every ejection sink, and checks
+// that each flit ejects at the terminal it is addressed to, reporting
 // into rec. The returned streams, indexed by terminal, allow a
 // post-drain audit: a stream with
 // OpenPackets() > 0 received a head whose tail never arrived — the
@@ -76,6 +77,10 @@ func (m *Mesh) checkStreams(rec *check.Recorder) []*check.FlitStream {
 		prev := s.OnFlit
 		s.OnFlit = func(f flit.Flit, vc int, cycle int64) {
 			stream.Observe(f, vc, cycle)
+			if f.Dst != id {
+				rec.Report(cycle, check.InvDestination, f.Flow,
+					"sink %d: flit %d of packet %d is addressed to terminal %d", id, f.Seq, f.PktID, f.Dst)
+			}
 			prev(f, vc, cycle)
 		}
 		streams[id] = stream

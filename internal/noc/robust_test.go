@@ -108,3 +108,44 @@ func TestMalformedPacketsOnMesh(t *testing.T) {
 		t.Fatal("duphead: the stream checks reported nothing")
 	}
 }
+
+// TestCheckedRunReportsMisdelivery: a route function that sends a
+// packet to the wrong terminal must not deliver silently. The packet
+// still drains — every flit leaves the network somewhere — so only
+// the checked sinks can tell, and they report each misdelivered flit
+// under its own invariant; the correct route reports nothing.
+func TestCheckedRunReportsMisdelivery(t *testing.T) {
+	run := func(route func(r, dst int) int) *check.Recorder {
+		g := chainGraph()
+		if route != nil {
+			g.Route = route
+		}
+		m, err := NewGraph(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rec, err := m.Protect("", 1, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Send(0, 2, 3)
+		if !m.Drain(1_000) {
+			t.Fatalf("packet 0->2 did not drain: %d in flight", m.InFlight())
+		}
+		return rec
+	}
+	if err := run(nil).Err(); err != nil {
+		t.Fatalf("correct route reported violations: %v", err)
+	}
+	// Every packet runs down the chain to the sink past the last
+	// router, terminal 4, whatever its destination.
+	rec := run(func(int, int) int { return 0 })
+	if rec.Count() != 3 {
+		t.Fatalf("misdelivered 3-flit packet: %d violations, want 3: %v", rec.Count(), rec.Err())
+	}
+	for _, v := range rec.Violations() {
+		if v.Invariant != check.InvDestination {
+			t.Errorf("violation %v, want invariant %s", v, check.InvDestination)
+		}
+	}
+}
