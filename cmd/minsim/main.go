@@ -72,7 +72,7 @@ func run(terminals, vcs, buf int, arb string, hotspot, longIn int, cycles int64,
 		net.Step()
 	}
 	fmt.Printf("omega %d terminals (%d stages), arb=%s, hotspot=%d, %d cycles\n",
-		terminals, net.Stages(), arb, hotspot, cycles)
+		terminals, min.Stages(terminals), arb, hotspot, cycles)
 	fmt.Printf("latency: mean %.1f cycles (n=%d)\n\n", net.Latency.Mean(), net.Latency.N())
 	labels := make([]string, 0, terminals-1)
 	flits := make([]float64, 0, terminals-1)

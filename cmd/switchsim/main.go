@@ -65,11 +65,14 @@ func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP flo
 		NewArb:   func(int) func() sched.Scheduler { return newArb },
 		VCs:      vcs,
 		BufFlits: buf,
-		Terminals: []noc.Terminal{{Router: 0, Inject: -1, Eject: 0, DrainFlits: 8,
-			Drain: func(int64) bool { return src.Bernoulli(drainP) }}},
+		Terminals: []noc.Terminal{{
+			Inject: noc.Port{Router: 0, Port: -1}, Eject: noc.Port{Router: 0, Port: 0},
+			DrainFlits: 8, Drain: func(int64) bool { return src.Bernoulli(drainP) },
+		}},
 	}
 	for in := 1; in <= inputs; in++ {
-		g.Terminals = append(g.Terminals, noc.Terminal{Router: 0, Inject: in, Eject: in})
+		port := noc.Port{Router: 0, Port: in}
+		g.Terminals = append(g.Terminals, noc.Terminal{Inject: port, Eject: port})
 	}
 	m, err := noc.NewGraph(g)
 	if err != nil {

@@ -87,12 +87,14 @@ func RunParkingLot(p ParkingLotParams) (*ParkingLotResult, error) {
 			},
 		}
 		for i := 0; i < p.Hops; i++ {
-			g.Terminals = append(g.Terminals, noc.Terminal{Router: i, Inject: 1, Eject: 1})
+			local := noc.Port{Router: i, Port: 1}
+			g.Terminals = append(g.Terminals, noc.Terminal{Inject: local, Eject: local})
 			if i+1 < p.Hops {
 				g.Links = append(g.Links, noc.Link{From: i, Out: 0, To: i + 1, In: 0})
 			}
 		}
-		g.Terminals = append(g.Terminals, noc.Terminal{Router: p.Hops - 1, Inject: -1, Eject: 0})
+		g.Terminals = append(g.Terminals, noc.Terminal{
+			Inject: noc.Port{Router: p.Hops - 1, Port: -1}, Eject: noc.Port{Router: p.Hops - 1, Port: 0}})
 		m, err := noc.NewGraph(g)
 		if err != nil {
 			return nil, err

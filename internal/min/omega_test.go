@@ -4,11 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/noc"
 	"repro/internal/rng"
 	"repro/internal/sched"
 )
 
-func testNet(t *testing.T, terminals int) *Network {
+func testNet(t *testing.T, terminals int) *noc.Mesh {
 	t.Helper()
 	net, err := NewOmega(Config{
 		Terminals: terminals, VCs: 2, BufFlits: 8,
@@ -33,30 +34,36 @@ func TestNewOmegaValidation(t *testing.T) {
 }
 
 func TestStagesCount(t *testing.T) {
-	if got := testNet(t, 8).Stages(); got != 3 {
-		t.Errorf("8 terminals: %d stages, want 3", got)
-	}
-	if got := testNet(t, 16).Stages(); got != 4 {
-		t.Errorf("16 terminals: %d stages, want 4", got)
+	for _, c := range []struct{ terminals, stages int }{{8, 3}, {16, 4}} {
+		if got := Stages(c.terminals); got != c.stages {
+			t.Errorf("%d terminals: %d stages, want %d", c.terminals, got, c.stages)
+		}
+		g := graph(Config{Terminals: c.terminals})
+		if want := c.stages * c.terminals / 2; g.Routers != want {
+			t.Errorf("%d terminals: %d switches, want %d", c.terminals, g.Routers, want)
+		}
 	}
 }
 
 // TestAllPairsDelivery is the wiring oracle: every (src, dst) pair
-// must route correctly through the shuffle stages.
+// must route correctly through the shuffle stages. The run is checked,
+// so a flit ejected at any terminal but its destination is reported.
 func TestAllPairsDelivery(t *testing.T) {
 	for _, N := range []int{4, 8, 16} {
 		net := testNet(t, N)
-		// One at a time, so contention never masks misrouting, and
-		// verify each packet arrives at the right terminal.
+		_, rec, err := net.Protect("", 1, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One at a time, so contention never masks misrouting.
 		for s := 0; s < N; s++ {
 			for d := 0; d < N; d++ {
-				before := net.sinks[d].Packets
 				net.Send(s, d, 3)
 				if !net.Drain(1000) {
 					t.Fatalf("N=%d: packet %d->%d lost", N, s, d)
 				}
-				if net.sinks[d].Packets != before+1 {
-					t.Fatalf("N=%d: packet %d->%d ejected at the wrong terminal", N, s, d)
+				if err := rec.Err(); err != nil {
+					t.Fatalf("N=%d: packet %d->%d: %v", N, s, d, err)
 				}
 			}
 		}
@@ -118,7 +125,7 @@ func TestHotspotFairnessERRvsPBRR(t *testing.T) {
 		const longSender = 3
 		peerSender := -1
 		for s := 0; s < 8; s++ {
-			if s != longSender && net.shuffle(s)/2 == net.shuffle(longSender)/2 {
+			if s != longSender && shuffle(s, Stages(8))/2 == shuffle(longSender, Stages(8))/2 {
 				peerSender = s
 			}
 		}
@@ -166,17 +173,5 @@ func TestSendValidation(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestSpreadOfDelivered(t *testing.T) {
-	net := testNet(t, 4)
-	net.DeliveredFlits[1] = 10
-	net.DeliveredFlits[2] = 4
-	if got := net.SpreadOfDelivered([]int{1, 2}); got != 6 {
-		t.Errorf("spread = %d, want 6", got)
-	}
-	if got := net.SpreadOfDelivered(nil); got != 0 {
-		t.Errorf("empty spread = %d", got)
 	}
 }

@@ -43,16 +43,21 @@ type Graph struct {
 // input port In of router To.
 type Link struct{ From, Out, To, In int }
 
+// Port names port Port of router Router.
+type Port struct{ Router, Port int }
+
 // Terminal is one end point of a network: it injects into input port
-// Inject of router Router (-1 = none) and ejects from output port
-// Eject of the same router. With Drain set, the ejection port drains
-// through a bounded sink of DrainFlits flits per VC that passes one
-// flit on in each cycle Drain returns true, stepped after each
-// commit: the downstream congestion of cmd/switchsim's -drain.
+// Inject (Inject.Port = -1: the terminal only receives) and ejects from
+// output port Eject. The two may sit on different routers: an omega
+// network's terminal enters at the first stage and leaves at the last.
+// With Drain set, the ejection port drains through a bounded sink of
+// DrainFlits flits per VC that passes one flit on in each cycle Drain
+// returns true, stepped after each commit: the downstream congestion
+// of cmd/switchsim's -drain.
 type Terminal struct {
-	Router, Inject, Eject int
-	Drain                 func(cycle int64) bool
-	DrainFlits            int
+	Inject, Eject Port
+	Drain         func(cycle int64) bool
+	DrainFlits    int
 }
 
 // NewGraph builds g's network. A graph network commits as one tile:
@@ -63,17 +68,17 @@ type Terminal struct {
 // own: no link and no other terminal may feed it, since a refused
 // injection waits for that port alone to drain (Mesh.Step).
 func NewGraph(g Graph) (*Mesh, error) {
-	fed := make(map[[2]int]bool, len(g.Links))
+	fed := make(map[Port]bool, len(g.Links))
 	for _, l := range g.Links {
-		fed[[2]int{l.To, l.In}] = true
+		fed[Port{l.To, l.In}] = true
 	}
 	for t, term := range g.Terminals {
-		if term.Inject < 0 {
+		at := term.Inject
+		if at.Port < 0 {
 			continue
 		}
-		at := [2]int{term.Router, term.Inject}
 		if fed[at] {
-			return nil, fmt.Errorf("noc: terminal %d injects into router %d port %d, which a link or another terminal also feeds", t, term.Router, term.Inject)
+			return nil, fmt.Errorf("noc: terminal %d injects into router %d port %d, which a link or another terminal also feeds", t, at.Router, at.Port)
 		}
 		fed[at] = true
 	}
@@ -155,21 +160,23 @@ func build(g Graph, order, tileStart []int32) (*Mesh, error) {
 		wormhole.Connect(m.routers[l.From], l.Out, m.routers[l.To], l.In)
 	}
 	for t, term := range g.Terminals {
-		r := m.routers[term.Router]
-		m.inj[t] = injState{r: r, port: term.Inject}
-		if term.Inject >= 0 {
-			r.SetCreditReturn(term.Inject, func(int, int64) { m.wake(t) })
+		m.inj[t].port = term.Inject.Port
+		if term.Inject.Port >= 0 {
+			r := m.routers[term.Inject.Router]
+			m.inj[t].r = r
+			r.SetCreditReturn(term.Inject.Port, func(int, int64) { m.wake(t) })
 		}
+		r, port := m.routers[term.Eject.Router], term.Eject.Port
 		var sink *wormhole.Sink
 		if term.Drain != nil {
 			ss := wormhole.NewStallSink(term.DrainFlits, term.Drain)
-			wormhole.ConnectEndpoint(r, term.Eject, ss)
-			ss.Bind(r, term.Eject)
+			wormhole.ConnectEndpoint(r, port, ss)
+			ss.Bind(r, port)
 			m.drains = append(m.drains, ss)
 			sink = &ss.Inner
 		} else {
 			sink = &wormhole.Sink{}
-			wormhole.ConnectEndpoint(r, term.Eject, sink)
+			wormhole.ConnectEndpoint(r, port, sink)
 		}
 		sink.OnTail = m.onTail
 		sink.OnFlit = m.onFlit

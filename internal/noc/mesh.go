@@ -462,7 +462,8 @@ func NewMesh(cfg Config) (*Mesh, error) {
 	for y := 0; y < cfg.K; y++ {
 		for x := 0; x < cfg.K; x++ {
 			id := y*cfg.K + x
-			g.Terminals[id] = Terminal{Router: id, Inject: PortLocal, Eject: PortLocal}
+			local := Port{Router: id, Port: PortLocal}
+			g.Terminals[id] = Terminal{Inject: local, Eject: local}
 			switch {
 			case x+1 < cfg.K:
 				link(id, PortEast, id+1, PortWest)

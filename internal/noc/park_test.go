@@ -121,9 +121,9 @@ func TestInjectionsRefusedCounts(t *testing.T) {
 // port that a link or a second terminal also feeds.
 func TestNewGraphRefusesSharedInjectionPort(t *testing.T) {
 	chain := chainGraph()
-	chain.Terminals[1].Inject = 0 // router 1's port 0 is the link from router 0
+	chain.Terminals[1].Inject.Port = 0 // router 1's port 0 is the link from router 0
 	twice := switchGraph()
-	twice.Terminals = append(twice.Terminals, Terminal{Router: 0, Inject: 2, Eject: 2})
+	twice.Terminals = append(twice.Terminals, Terminal{Inject: Port{Router: 0, Port: 2}, Eject: Port{Router: 0, Port: 2}})
 	for name, g := range map[string]Graph{"link": chain, "terminal": twice} {
 		_, err := NewGraph(g)
 		if err == nil || !strings.Contains(err.Error(), "also feeds") {

@@ -109,11 +109,14 @@ func switchGraph() Graph {
 		Route:  func(_, dst int) int { return dst },
 		NewArb: func(int) func() sched.Scheduler { return newERR },
 		VCs:    2, BufFlits: 4,
-		Terminals: []Terminal{{Router: 0, Inject: -1, Eject: 0, DrainFlits: 8,
-			Drain: func(int64) bool { return drain.Bernoulli(0.4) }}},
+		Terminals: []Terminal{{
+			Inject: Port{Router: 0, Port: -1}, Eject: Port{Router: 0, Port: 0},
+			DrainFlits: 8, Drain: func(int64) bool { return drain.Bernoulli(0.4) },
+		}},
 	}
 	for in := 1; in <= 4; in++ {
-		g.Terminals = append(g.Terminals, Terminal{Router: 0, Inject: in, Eject: in})
+		port := Port{Router: 0, Port: in}
+		g.Terminals = append(g.Terminals, Terminal{Inject: port, Eject: port})
 	}
 	return g
 }
@@ -143,12 +146,13 @@ func chainGraph() Graph {
 		Routers: 4, Ports: 2, VCs: 1, BufFlits: 4,
 	}
 	for r := 0; r < 4; r++ {
-		g.Terminals = append(g.Terminals, Terminal{Router: r, Inject: 1, Eject: 1})
+		local := Port{Router: r, Port: 1}
+		g.Terminals = append(g.Terminals, Terminal{Inject: local, Eject: local})
 		if r < 3 {
 			g.Links = append(g.Links, Link{From: r, Out: 0, To: r + 1, In: 0})
 		}
 	}
-	g.Terminals = append(g.Terminals, Terminal{Router: 3, Inject: -1, Eject: 0})
+	g.Terminals = append(g.Terminals, Terminal{Inject: Port{Router: 3, Port: -1}, Eject: Port{Router: 3, Port: 0}})
 	return g
 }
 
