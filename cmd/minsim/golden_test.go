@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -54,5 +56,26 @@ func TestCLIGolden(t *testing.T) {
 				t.Errorf("minsim %q differs from testdata/%s.golden:\n%s", c.args, c.golden, got)
 			}
 		})
+	}
+}
+
+// TestOutOfRangeTerminalsRefused: a terminal flag that names no
+// terminal must stop minsim with exit status 1 and a message naming
+// the flag, not panic or run without the traffic it asks for.
+func TestOutOfRangeTerminalsRefused(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-hotspot", "8"}, {"-hotspot", "-1"}, {"-longin", "8"}} {
+		cmd := exec.Command(exe, args...)
+		cmd.Args[0] = "minsim"
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		_, err := cmd.Output()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), args[0]) {
+			t.Errorf("minsim %q: %v, stderr %q; want exit status 1 naming %s", args, err, stderr.String(), args[0])
+		}
 	}
 }

@@ -55,6 +55,12 @@ func run(terminals, vcs, buf int, arb string, hotspot, longIn int, cycles int64,
 	if err != nil {
 		return err
 	}
+	if hotspot < 0 || hotspot >= terminals {
+		return fmt.Errorf("-hotspot %d: no such terminal (0..%d)", hotspot, terminals-1)
+	}
+	if longIn < -1 || longIn >= terminals {
+		return fmt.Errorf("-longin %d: no such terminal (0..%d, or -1 to disable)", longIn, terminals-1)
+	}
 	src := rng.New(seed)
 	short := rng.NewUniform(1, 4)
 	long := rng.NewUniform(8, 32)

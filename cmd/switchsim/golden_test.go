@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -89,5 +91,26 @@ func TestVCsCarryTraffic(t *testing.T) {
 	two := withoutArbitration(runCLI(t, "-cycles", "20000", "-vcs", "2"))
 	if bytes.Equal(one, two) {
 		t.Fatalf("-vcs 2 delivers exactly what -vcs 1 does: every packet used VC 0\n%s", two)
+	}
+}
+
+// TestOutOfRangeInputRefused: a -bigin that names no input must stop
+// switchsim with exit status 1 and a message naming the flag, not run
+// without a long-packet input.
+func TestOutOfRangeInputRefused(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bigIn := range []string{"9", "0"} {
+		cmd := exec.Command(exe, "-bigin", bigIn)
+		cmd.Args[0] = "switchsim"
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		_, err := cmd.Output()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), "-bigin") {
+			t.Errorf("switchsim -bigin %s: %v, stderr %q; want exit status 1 naming -bigin", bigIn, err, stderr.String())
+		}
 	}
 }

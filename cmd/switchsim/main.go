@@ -52,6 +52,9 @@ func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP flo
 	default:
 		return fmt.Errorf("unknown arbiter %q", arb)
 	}
+	if bigIn != -1 && (bigIn < 1 || bigIn > inputs) {
+		return fmt.Errorf("-bigin %d: no such input (1..%d, or -1 to disable)", bigIn, inputs)
+	}
 	// One router; terminal t is its port t. Terminal 0 is the contended
 	// output, draining through an 8-flit sink; terminals 1..inputs are
 	// the inputs, whose packets all route to it (their own outputs stay
