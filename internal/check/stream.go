@@ -13,11 +13,9 @@ import (
 // the link multiplexes its VCs flit by flit: two packets — even of one
 // flow — on different VCs legitimately interleave.
 //
-// It is the runtime counterpart of flit.ValidateFlits (which audits a
-// complete stream after the fact): attach one FlitStream per sink and
-// feed it every ejected flit; corruption faults (a tail delivered as
-// a body, a duplicated head) surface as flit.stream violations at the
-// cycle they arrive.
+// Attach one FlitStream per sink and feed it every ejected flit;
+// corruption faults (a tail delivered as a body, a duplicated head)
+// surface as flit.stream violations at the cycle they arrive.
 type FlitStream struct {
 	rec *Recorder
 	// name labels the observation point in violation details.

@@ -436,8 +436,9 @@ func (in *Injector) Malformed() string {
 // MalformedFlits materialises a deliberately malformed flit stream
 // for a packet — the flit-level counterpart of WrapSource's malformed
 // packets, used by the noc kernel's injection front ends (Malformed)
-// and the validation tests to exercise flit.ValidateFlits and the
-// routers' tolerance. kind is one of the Malformed* constants:
+// and the validation tests to exercise the stream checks
+// (check.FlitStream) and the routers' tolerance. kind is one of the
+// Malformed* constants:
 //
 //	zerolen: an empty stream
 //	badflow: a well-formed stream tagged with flow -1

@@ -155,13 +155,6 @@ var (
 	ErrZeroLength = errors.New("flit: packet length < 1")
 	// ErrBadFlow marks a negative (or otherwise unroutable) flow id.
 	ErrBadFlow = errors.New("flit: bad flow id")
-	// ErrMissingTail marks a flit sequence that ends without a tail.
-	ErrMissingTail = errors.New("flit: missing tail flit")
-	// ErrDuplicateHead marks a head flit arriving inside an open packet.
-	ErrDuplicateHead = errors.New("flit: duplicate head flit")
-	// ErrBadSequence marks out-of-order, mixed-packet, or truncated
-	// flit sequences.
-	ErrBadSequence = errors.New("flit: bad flit sequence")
 )
 
 // Validate reports whether the packet is well formed.
@@ -171,57 +164,6 @@ func (p Packet) Validate() error {
 	}
 	if p.Flow < 0 {
 		return fmt.Errorf("%w: flow %d", ErrBadFlow, p.Flow)
-	}
-	return nil
-}
-
-// ValidateFlits checks that a flit sequence forms exactly the
-// well-formed packets a wormhole channel may carry: each packet opens
-// with a Head (or is a single HeadTail), continues with Body flits of
-// the same packet in Seq order, and closes with its Tail — no
-// interleaving, no duplicate heads, no missing tails. It returns nil
-// for an empty sequence and a typed error (ErrMissingTail,
-// ErrDuplicateHead, ErrBadSequence, ErrBadFlow) naming the offending
-// index otherwise. This is the oracle the invariant checker applies
-// to delivered flit streams.
-func ValidateFlits(fs []Flit) error {
-	open := false     // inside a packet (head seen, tail pending)
-	var id int64      // PktID of the open packet
-	var flow, seq int // flow and next expected Seq of the open packet
-	for i, f := range fs {
-		if f.Flow < 0 {
-			return fmt.Errorf("%w: flit %d flow %d", ErrBadFlow, i, f.Flow)
-		}
-		switch f.Kind {
-		case HeadTail:
-			if open {
-				return fmt.Errorf("%w: flit %d opens a packet while packet %d is open", ErrDuplicateHead, i, id)
-			}
-		case Head:
-			if open {
-				return fmt.Errorf("%w: flit %d opens a packet while packet %d is open", ErrDuplicateHead, i, id)
-			}
-			open, id, flow, seq = true, f.PktID, f.Flow, 1
-		case Body, Tail:
-			if !open {
-				return fmt.Errorf("%w: flit %d (%v) without a head", ErrBadSequence, i, f.Kind)
-			}
-			if f.PktID != id || f.Flow != flow {
-				return fmt.Errorf("%w: flit %d belongs to packet %d, expected %d", ErrBadSequence, i, f.PktID, id)
-			}
-			if f.Seq != seq {
-				return fmt.Errorf("%w: flit %d has seq %d, expected %d", ErrBadSequence, i, f.Seq, seq)
-			}
-			seq++
-			if f.Kind == Tail {
-				open = false
-			}
-		default:
-			return fmt.Errorf("%w: flit %d has unknown kind %d", ErrBadSequence, i, uint8(f.Kind))
-		}
-	}
-	if open {
-		return fmt.Errorf("%w: packet %d still open at end of sequence", ErrMissingTail, id)
 	}
 	return nil
 }
