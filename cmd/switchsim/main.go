@@ -69,8 +69,10 @@ func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP flo
 		VCs:      vcs,
 		BufFlits: buf,
 		Terminals: []noc.Terminal{{
-			Inject: noc.Port{Router: 0, Port: -1}, Eject: noc.Port{Router: 0, Port: 0},
-			DrainFlits: 8, Drain: func(int64) bool { return src.Bernoulli(drainP) },
+			Inject:     noc.Port{Router: 0, Port: -1},
+			Eject:      noc.Port{Router: 0, Port: 0},
+			DrainFlits: 8,
+			Drain:      func(int64) bool { return src.Bernoulli(drainP) },
 		}},
 	}
 	for in := 1; in <= inputs; in++ {

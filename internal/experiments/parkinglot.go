@@ -93,8 +93,11 @@ func RunParkingLot(p ParkingLotParams) (*ParkingLotResult, error) {
 				g.Links = append(g.Links, noc.Link{From: i, Out: 0, To: i + 1, In: 0})
 			}
 		}
+		last := p.Hops - 1
 		g.Terminals = append(g.Terminals, noc.Terminal{
-			Inject: noc.Port{Router: p.Hops - 1, Port: -1}, Eject: noc.Port{Router: p.Hops - 1, Port: 0}})
+			Inject: noc.Port{Router: last, Port: -1},
+			Eject:  noc.Port{Router: last, Port: 0},
+		})
 		m, err := noc.NewGraph(g)
 		if err != nil {
 			return nil, err

@@ -110,8 +110,10 @@ func switchGraph() Graph {
 		NewArb: func(int) func() sched.Scheduler { return newERR },
 		VCs:    2, BufFlits: 4,
 		Terminals: []Terminal{{
-			Inject: Port{Router: 0, Port: -1}, Eject: Port{Router: 0, Port: 0},
-			DrainFlits: 8, Drain: func(int64) bool { return drain.Bernoulli(0.4) },
+			Inject:     Port{Router: 0, Port: -1},
+			Eject:      Port{Router: 0, Port: 0},
+			DrainFlits: 8,
+			Drain:      func(int64) bool { return drain.Bernoulli(0.4) },
 		}},
 	}
 	for in := 1; in <= 4; in++ {

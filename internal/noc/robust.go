@@ -18,7 +18,8 @@ import (
 // validates every ejected flit stream, and the terminal each flit
 // leaves at, into the returned recorder, registered with obs.Default,
 // and arms the deadlock watchdog with the spec's budget: Step, Run and
-// Drain consult it, and Wedged reports its trip. The injector (nil on a fault-free run) counts what fired.
+// Drain consult it, and Wedged reports its trip. The injector (nil on
+// a fault-free run) counts what fired.
 func (m *Mesh) Protect(faults string, seed uint64, checked bool) (*fault.Injector, *check.Recorder, error) {
 	spec, err := fault.Parse(faults)
 	if err == nil {
