@@ -48,45 +48,18 @@ type TraceSink interface {
 
 // ERR is the Elastic Round Robin scheduler. Create one with New or
 // NewWeighted. ERR implements sched.Scheduler and is driven by an
-// engine exactly like every baseline discipline.
+// engine exactly like every baseline discipline. Its rounds are
+// Figure 1's (Rounds); ERR bills each packet's cost to the open
+// opportunity when the packet completes.
 type ERR struct {
-	// flows holds each flow's surplus count and ActiveList link,
-	// indexed by flow id and grown on demand (flow ids are dense small
-	// integers). The ActiveList of Figure 1 is the FIFO threaded
-	// through these records from head to tail; n counts its members.
-	flows      []flowRec
-	head, tail int32
-	n          int
-
-	round     int64 // 1-based index of the round in progress
-	rrvc      int   // RoundRobinVisitCount
-	maxSC     int64 // MaxSC of the round in progress
-	prevMaxSC int64 // MaxSC of the completed round
-
-	current   int   // flow in service, or -1
-	allowance int64 // A_i of the current opportunity
-	sent      int64 // Sent_i so far in the current opportunity
-
-	// weight is nil for the paper's unweighted algorithm.
-	weight func(flow int) int64
+	rounds Rounds
+	sent   int64 // Sent_i so far in the open opportunity
 
 	// keepSurplusOnDrain is an ablation switch: when set, a flow that
 	// drains keeps its surplus count instead of resetting it to zero
 	// as Figure 1 specifies, so old bursts punish a flow after idle
 	// periods. Used only by the ablation benchmarks.
 	keepSurplusOnDrain bool
-
-	trace TraceSink
-}
-
-// flowRec is one flow's state: its surplus count SC_i and its place
-// on the ActiveList (membership, and the next flow toward the tail).
-// Keeping both in one record gives each arbiter one allocation for
-// all its per-flow state.
-type flowRec struct {
-	sc     int64
-	next   int32
-	onList bool
 }
 
 // New returns an unweighted ERR scheduler — the exact algorithm of
@@ -99,106 +72,37 @@ func New() *ERR { return NewWeighted(nil) }
 // weight function means weight 1 for every flow, i.e. the paper's
 // unweighted algorithm.
 func NewWeighted(weight func(flow int) int64) *ERR {
-	return &ERR{weight: weight, head: -1, tail: -1, current: -1}
-}
-
-// rec returns flow's record, growing the table as needed.
-func (e *ERR) rec(flow int) *flowRec {
-	if flow >= len(e.flows) {
-		grown := make([]flowRec, flow+1)
-		copy(grown, e.flows)
-		e.flows = grown
-	}
-	return &e.flows[flow]
-}
-
-// pushTail appends flow, which is not on the ActiveList, at its tail.
-func (e *ERR) pushTail(flow int) {
-	e.flows[flow].onList = true
-	if e.tail < 0 {
-		e.head = int32(flow)
-	} else {
-		e.flows[e.tail].next = int32(flow)
-	}
-	e.tail = int32(flow)
-	e.n++
-}
-
-// popHead removes and returns the flow at the ActiveList's head.
-func (e *ERR) popHead() int {
-	flow := e.head
-	if flow < 0 {
-		panic("core: ERR NextFlow with no active flow")
-	}
-	f := &e.flows[flow]
-	f.onList = false
-	if flow == e.tail {
-		e.head, e.tail = -1, -1
-	} else {
-		e.head = f.next
-	}
-	e.n--
-	return int(flow)
+	return &ERR{rounds: NewRounds(weight)}
 }
 
 // SetTrace installs a trace sink (nil disables tracing).
-func (e *ERR) SetTrace(t TraceSink) { e.trace = t }
+func (e *ERR) SetTrace(t TraceSink) { e.rounds.trace = t }
 
 // SetKeepSurplusOnDrain enables the ablation variant that does not
-// reset a drained flow's surplus count (Figure 1 resets it). Only for
-// the ablation experiments; the default false is the paper's
-// algorithm.
+// reset a drained flow's surplus count (Figure 1 resets it). Set it
+// before the first arrival. Only for the ablation experiments; the
+// default false is the paper's algorithm.
 func (e *ERR) SetKeepSurplusOnDrain(keep bool) { e.keepSurplusOnDrain = keep }
 
 // Name implements sched.Scheduler.
 func (e *ERR) Name() string { return "ERR" }
 
 // OnArrival implements sched.Scheduler — the Enqueue routine of
-// Figure 1. A flow in the middle of its service opportunity counts as
-// active even though it is temporarily off the list.
-func (e *ERR) OnArrival(flow int, wasEmpty bool) {
-	if flow == e.current {
-		return
-	}
-	f := e.rec(flow)
-	if f.onList {
-		return
-	}
-	e.pushTail(flow)
-	if !e.keepSurplusOnDrain {
-		f.sc = 0
-	}
-}
+// Figure 1. A flow that left the ActiveList by draining rejoins it
+// with the surplus count its drain left: zero, or its last surplus
+// under the ablation switch.
+func (e *ERR) OnArrival(flow int, wasEmpty bool) { e.rounds.Join(flow) }
 
 // NextFlow implements sched.Scheduler — the head of the Dequeue loop
 // of Figure 1.
 func (e *ERR) NextFlow() int {
-	if e.current != -1 {
+	if e.rounds.cur != -1 {
 		// Continue the opportunity in progress: the do-while of
 		// Figure 1 keeps transmitting while Sent < Allowance.
-		return e.current
+		return e.rounds.cur
 	}
-	if e.rrvc == 0 {
-		// A round has completed (or the scheduler is fresh/idle):
-		// snapshot MaxSC and count the flows to visit this round.
-		e.prevMaxSC = e.maxSC
-		e.maxSC = 0
-		e.rrvc = e.n
-		e.round++
-		if e.trace != nil {
-			e.trace.RoundStart(e.round, e.prevMaxSC, e.rrvc)
-		}
-	}
-	flow := e.popHead()
-	w := int64(1)
-	if e.weight != nil {
-		if w = e.weight(flow); w < 1 {
-			panic("core: ERR weight < 1")
-		}
-	}
-	e.current = flow
-	e.allowance = w*(1+e.prevMaxSC) - e.flows[flow].sc
 	e.sent = 0
+	flow, _ := e.rounds.Open()
 	return flow
 }
 
@@ -207,88 +111,61 @@ func (e *ERR) NextFlow() int {
 // occupancy in cycles when the engine runs in wormhole mode; ERR is
 // agnostic, it simply bills whatever the server measured.
 func (e *ERR) OnPacketDone(flow int, cost int64, nowEmpty bool) {
-	if flow != e.current {
+	if flow != e.rounds.cur {
 		panic("core: ERR completion for a flow not in service")
 	}
 	if cost < 1 {
 		panic("core: ERR packet cost < 1")
 	}
 	e.sent += cost
-	if e.sent < e.allowance && !nowEmpty {
+	if e.sent < e.rounds.allowance && !nowEmpty {
 		return // opportunity continues; next packet starts
 	}
 	// The opportunity ends: record the surplus and rotate the list.
-	surplus := e.sent - e.allowance
-	if surplus > e.maxSC {
-		// Figure 1 updates MaxSC before the empty-queue check, so
-		// even a flow that drains and leaves contributes its surplus.
-		e.maxSC = surplus
+	surplus := e.sent - e.rounds.allowance
+	carry := surplus
+	if nowEmpty && !e.keepSurplusOnDrain {
+		carry = 0
 	}
-	f := &e.flows[flow]
-	if nowEmpty {
-		if e.keepSurplusOnDrain {
-			f.sc = surplus
-		} else {
-			f.sc = 0
-		}
-	} else {
-		f.sc = surplus
-		e.pushTail(flow)
-	}
-	if e.trace != nil {
-		e.trace.Opportunity(e.round, flow, e.allowance, e.sent, surplus, nowEmpty)
-	}
-	e.current = -1
-	e.rrvc--
-	if e.n == 0 {
+	e.rounds.Close(surplus, carry, !nowEmpty)
+	if e.rounds.n == 0 {
 		// System gone idle: re-initialise the round state so a flow
-		// arriving after an idle period starts from a clean slate, as
-		// Initialize in Figure 1 would have it.
-		e.rrvc = 0
-		e.maxSC = 0
-		e.prevMaxSC = 0
-		e.round = 0
+		// arriving after an idle period starts from a clean slate.
+		e.rounds.Reset()
 	}
 }
 
 // --- accessors used by the invariant tests and the tracer ---
 
 // SurplusCount returns SC of the given flow.
-func (e *ERR) SurplusCount(flow int) int64 {
-	if flow >= len(e.flows) {
-		return 0
-	}
-	return e.flows[flow].sc
-}
+func (e *ERR) SurplusCount(flow int) int64 { return e.rounds.SurplusCount(flow) }
 
 // MaxSC returns the largest surplus count observed so far in the
 // round in progress.
-func (e *ERR) MaxSC() int64 { return e.maxSC }
+func (e *ERR) MaxSC() int64 { return e.rounds.maxSC }
 
 // PrevMaxSC returns MaxSC of the completed round.
-func (e *ERR) PrevMaxSC() int64 { return e.prevMaxSC }
+func (e *ERR) PrevMaxSC() int64 { return e.rounds.prevMaxSC }
 
 // Round returns the 1-based index of the round in progress (0 when
 // idle).
-func (e *ERR) Round() int64 { return e.round }
+func (e *ERR) Round() int64 { return e.rounds.round }
 
 // VisitsLeft returns the RoundRobinVisitCount.
-func (e *ERR) VisitsLeft() int { return e.rrvc }
+func (e *ERR) VisitsLeft() int { return e.rounds.rrvc }
 
 // CurrentFlow returns the flow in service, or -1.
-func (e *ERR) CurrentFlow() int { return e.current }
+func (e *ERR) CurrentFlow() int { return e.rounds.cur }
 
 // ActiveFlows returns the number of flows on the active list (the
 // flow currently in service, if any, is not on the list).
-func (e *ERR) ActiveFlows() int { return e.n }
+func (e *ERR) ActiveFlows() int { return e.rounds.n }
 
 // IsActive reports whether the scheduler considers flow active: on
 // the ActiveList, or temporarily off it while in service. The
 // runtime invariant checker uses this to audit ActiveList membership
 // against queue backlog every cycle.
-func (e *ERR) IsActive(flow int) bool {
-	return flow == e.current || (uint(flow) < uint(len(e.flows)) && e.flows[flow].onList)
-}
+func (e *ERR) IsActive(flow int) bool { return e.rounds.IsActive(flow) }
 
 // HeadOfLineSafe implements sched.HeadOfLineArb: ERR reschedules a
 // flow itself when OnPacketDone reports remaining backlog, and never

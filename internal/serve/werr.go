@@ -16,24 +16,19 @@
 // draining on SIGTERM.
 package serve
 
-import (
-	"repro/internal/queue"
-	"repro/internal/sched"
-)
+import "repro/internal/core"
 
 // WallERR is the wall-clock, completion-billed adaptation of Elastic
-// Round Robin (core.ERR) for concurrent servers, implementing
-// sched.AsyncScheduler.
-//
-// The round/allowance/surplus machinery is the paper's Figure 1: in
-// round r flow i receives the elastic allowance
+// Round Robin for concurrent servers. Its rounds are core.Rounds, the
+// paper's Figure 1, so in round r flow i receives the elastic
+// allowance
 //
 //	A_i(r) = w_i*(1 + MaxSC(r-1)) - SC_i(r-1)
 //
 // and keeps dispatching requests while the cost billed to the current
 // opportunity stays below the allowance; the overshoot becomes the
-// flow's surplus count. Three adaptations for live, concurrent
-// service:
+// flow's surplus count. What WallERR adds is billing for live,
+// concurrent service:
 //
 //  1. Provisional billing. A dispatched request's cost is unknown, so
 //     it is billed the 1-unit minimum at dispatch; the excess
@@ -58,23 +53,15 @@ import (
 //     — ERR's elasticity self-heals in one round, preserving the
 //     paper's everyone-sends-something liveness.
 //
-// WallERR is not safe for concurrent use; the dispatcher serializes
-// all calls under the server lock (one arbiter per server, as the
-// hardware has one arbiter per output port).
+// The dispatcher owns the per-flow FIFO queues. WallERR is not safe
+// for concurrent use; the dispatcher serializes every call under the
+// server lock (one arbiter per server, as the hardware has one
+// arbiter per output port).
 type WallERR struct {
-	weight  func(flow int) int64
+	rounds  core.Rounds
 	debtCap int64
 
-	active queue.ActiveList
-	sc     []int64
-
-	round     int64
-	rrvc      int // RoundRobinVisitCount
-	maxSC     int64
-	prevMaxSC int64
-
-	// Open service opportunity, if any.
-	current   int   // flow in service, or -1
+	// Open service opportunity, if any (rounds.CurrentFlow).
 	curOpp    int64 // token of the open opportunity
 	allowance int64
 	billed    int64 // cost billed to the open opportunity so far
@@ -90,77 +77,52 @@ type WallERR struct {
 // flow's deferred surplus count (0 = unbounded); a few multiples of
 // the largest plausible single-request cost is a good choice.
 func NewWallERR(weight func(flow int) int64, debtCap int64) *WallERR {
-	if weight == nil {
-		weight = func(int) int64 { return 1 }
-	}
-	return &WallERR{weight: weight, debtCap: debtCap, current: -1}
+	return &WallERR{rounds: core.NewRounds(weight), debtCap: debtCap}
 }
 
-// Name implements sched.AsyncScheduler.
-func (e *WallERR) Name() string { return "WallERR" }
-
-func (e *WallERR) scRef(flow int) *int64 {
-	if flow >= len(e.sc) {
-		grown := make([]int64, flow+1)
-		copy(grown, e.sc)
-		e.sc = grown
-	}
-	return &e.sc[flow]
-}
-
-// OnArrival implements sched.AsyncScheduler. Unlike Figure 1 the
-// surplus count is NOT reset when a drained flow re-activates — see
-// the debt-persistence note on the type.
+// OnArrival reports that a request joined flow's queue; wasEmpty
+// reports whether the queue was empty immediately before. Unlike
+// Figure 1 the surplus count is NOT reset when a drained flow
+// re-activates — see the debt-persistence note on the type.
 func (e *WallERR) OnArrival(flow int, wasEmpty bool) {
-	if flow == e.current {
+	if flow == e.rounds.CurrentFlow() {
 		e.curEmpty = false
 		return
 	}
-	if e.active.Contains(flow) {
-		return
-	}
-	e.active.PushTail(flow)
+	e.rounds.Join(flow)
 }
 
-// NextFlow implements sched.AsyncScheduler: it returns the flow whose
-// head request should be dispatched next, or -1 when no flow has a
-// dispatchable request. Closing opportunities and opening new ones
-// (including zero-dispatch repayment visits) happens here.
+// NextFlow returns the flow whose head request should be dispatched
+// next, or -1 when no flow has a dispatchable request. A returned
+// flow held at least one queued request when its queue state was last
+// reported; the dispatcher re-checks the queue and reports an emptied
+// one via OnEvicted before asking again. Closing opportunities and
+// opening new ones (including zero-dispatch repayment visits) happens
+// here.
 func (e *WallERR) NextFlow() int {
 	for {
-		if e.current != -1 {
+		if flow := e.rounds.CurrentFlow(); flow != -1 {
 			if !e.curEmpty && e.billed < e.allowance {
-				return e.current // the do-while of Figure 1
+				return flow // the do-while of Figure 1
 			}
 			e.closeOpportunity()
 		}
-		if e.active.Empty() {
+		if e.rounds.ActiveFlows() == 0 {
 			if e.inflight == 0 {
 				// Fully idle: re-initialise round state as Figure 1's
 				// Initialize would. Debts persist (see type comment).
-				e.rrvc, e.maxSC, e.prevMaxSC, e.round = 0, 0, 0, 0
+				e.rounds.Reset()
 			}
 			return -1
 		}
-		if e.rrvc <= 0 {
-			e.prevMaxSC = e.maxSC
-			e.maxSC = 0
-			e.rrvc = e.active.Len()
-			e.round++
-		}
-		flow := e.active.PopHead()
-		w := e.weight(flow)
-		if w < 1 {
-			panic("serve: WallERR weight < 1")
-		}
+		flow, allowance := e.rounds.Open()
 		e.oppSeq++
-		e.current = flow
 		e.curOpp = e.oppSeq
-		e.scAtOpen = *e.scRef(flow)
-		e.allowance = w*(1+e.prevMaxSC) - e.scAtOpen
+		e.scAtOpen = e.rounds.SurplusCount(flow)
+		e.allowance = allowance
 		e.billed = 0
 		e.curEmpty = false
-		if e.allowance <= 0 {
+		if allowance <= 0 {
 			// Repayment visit: the flow owes more than this round
 			// grants; it dispatches nothing and its debt shrinks by
 			// the full grant in closeOpportunity.
@@ -176,46 +138,39 @@ func (e *WallERR) NextFlow() int {
 // into the flow's surplus count, and rotating the flow to the tail of
 // the active list when it still has queued requests.
 func (e *WallERR) closeOpportunity() {
-	flow := e.current
 	surplus := e.billed - e.allowance
-	if surplus < 0 {
-		// The flow drained (or is being revisited for repayment with
-		// billed == 0): unused allowance is not banked — round-robin
-		// schedulers carry debt, never credit.
-		if e.curEmpty {
-			surplus = 0
-		}
-		// For a repayment visit (allowance <= 0, billed == 0) surplus
-		// is -allowance >= 0, so this branch is drain-only.
+	if surplus < 0 && e.curEmpty {
+		// The flow drained: unused allowance is not banked —
+		// round-robin schedulers carry debt, never credit. (For a
+		// repayment visit, allowance <= 0 and billed == 0, surplus is
+		// -allowance >= 0, so this is drain-only.)
+		surplus = 0
 	}
-	scp := e.scRef(flow)
-	deferred := *scp - e.scAtOpen // completions billed past-close since open
-	ns := surplus + deferred
-	if ns < 0 {
-		ns = 0
-	}
-	if e.debtCap > 0 && ns > e.debtCap {
-		ns = e.debtCap
-	}
-	*scp = ns
-	if ns > e.maxSC {
-		// Figure 1's MaxSC update, generalized: tracking the largest
-		// outstanding debt guarantees next round's allowances stay
-		// positive for everyone (w*(1+MaxSC) - SC >= w when SC <= MaxSC).
-		e.maxSC = ns
-	}
-	if !e.curEmpty {
-		e.active.PushTail(flow)
-	}
-	e.current = -1
-	e.rrvc--
+	// Completions billed past close since the opportunity opened.
+	deferred := e.rounds.SurplusCount(e.rounds.CurrentFlow()) - e.scAtOpen
+	debt := e.capDebt(max(surplus+deferred, 0))
+	// Figure 1's MaxSC update, generalized: tracking the largest
+	// outstanding debt guarantees next round's allowances stay
+	// positive for everyone (w*(1+MaxSC) - SC >= w when SC <= MaxSC).
+	e.rounds.Close(debt, debt, !e.curEmpty)
 }
 
-// OnDispatch implements sched.AsyncScheduler: one request from the
-// flow returned by NextFlow entered service. The request is billed
-// the 1-unit provisional minimum now; OnServiceDone bills the rest.
+// capDebt bounds a surplus count by the debt cap, if any.
+func (e *WallERR) capDebt(sc int64) int64 {
+	if e.debtCap > 0 && sc > e.debtCap {
+		return e.debtCap
+	}
+	return sc
+}
+
+// OnDispatch reports that one request from flow, the flow NextFlow
+// last returned, entered service; nowEmpty reports whether the flow's
+// queue is empty after the dequeue. The request is billed the 1-unit
+// provisional minimum now; OnServiceDone bills the rest. The returned
+// token identifies the opportunity that paid for the dispatch and
+// must be passed back to OnServiceDone.
 func (e *WallERR) OnDispatch(flow int, nowEmpty bool) int64 {
-	if flow != e.current {
+	if flow != e.rounds.CurrentFlow() {
 		panic("serve: WallERR dispatch for a flow not in service")
 	}
 	e.billed++
@@ -224,21 +179,25 @@ func (e *WallERR) OnDispatch(flow int, nowEmpty bool) int64 {
 	return e.curOpp
 }
 
-// OnEvicted implements sched.AsyncScheduler: flow's queue lost
-// requests without service. Only the in-service flow needs immediate
-// bookkeeping (its opportunity must not keep polling an empty queue);
-// an evicted-empty flow elsewhere on the active list simply drains at
-// its next visit.
+// OnEvicted reports that flow's queue lost one or more requests
+// without service (deadline expiry, load shedding, drain); nowEmpty
+// reports whether it is now empty. Only the in-service flow needs
+// immediate bookkeeping (its opportunity must not keep polling an
+// empty queue); an evicted-empty flow elsewhere on the active list
+// simply drains at its next visit.
 func (e *WallERR) OnEvicted(flow int, nowEmpty bool) {
-	if flow == e.current {
+	if flow == e.rounds.CurrentFlow() {
 		e.curEmpty = nowEmpty
 	}
 }
 
-// OnServiceDone implements sched.AsyncScheduler: a request dispatched
-// under token completed at the measured cost. The excess over the
-// provisional unit goes to the opportunity if it is still the open
-// one, else straight to the flow's surplus count (deferred billing).
+// OnServiceDone reports that a request dispatched from flow under
+// token completed at the measured cost (sched.CostClock units; a cost
+// below 1 counts as 1). Completions arrive in any order, possibly
+// after the opportunity that dispatched them closed. The excess over
+// the provisional unit goes to the opportunity if it is still the
+// open one, else straight to the flow's surplus count (deferred
+// billing).
 func (e *WallERR) OnServiceDone(flow int, token int64, cost int64) {
 	if cost < 1 {
 		cost = 1
@@ -251,43 +210,26 @@ func (e *WallERR) OnServiceDone(flow int, token int64, cost int64) {
 	if excess == 0 {
 		return
 	}
-	if flow == e.current && token == e.curOpp {
+	if flow == e.rounds.CurrentFlow() && token == e.curOpp {
 		e.billed += excess
 		return
 	}
-	scp := e.scRef(flow)
-	ns := *scp + excess
-	if e.debtCap > 0 && ns > e.debtCap {
-		ns = e.debtCap
-	}
-	*scp = ns
-	if ns > e.maxSC {
-		e.maxSC = ns
-	}
+	e.rounds.Carry(flow, e.capDebt(e.rounds.SurplusCount(flow)+excess))
 }
 
 // --- accessors for tests, metrics and invariant checks ---
 
 // SurplusCount returns the flow's current surplus count (debt).
-func (e *WallERR) SurplusCount(flow int) int64 {
-	if flow >= len(e.sc) {
-		return 0
-	}
-	return e.sc[flow]
-}
+func (e *WallERR) SurplusCount(flow int) int64 { return e.rounds.SurplusCount(flow) }
 
 // Round returns the 1-based index of the round in progress (0 idle).
-func (e *WallERR) Round() int64 { return e.round }
+func (e *WallERR) Round() int64 { return e.rounds.Round() }
 
 // Inflight returns the number of dispatched, uncompleted requests.
 func (e *WallERR) Inflight() int { return e.inflight }
 
 // CurrentFlow returns the flow with the open opportunity, or -1.
-func (e *WallERR) CurrentFlow() int { return e.current }
+func (e *WallERR) CurrentFlow() int { return e.rounds.CurrentFlow() }
 
 // IsActive reports whether the scheduler considers flow active.
-func (e *WallERR) IsActive(flow int) bool {
-	return flow == e.current || e.active.Contains(flow)
-}
-
-var _ sched.AsyncScheduler = (*WallERR)(nil)
+func (e *WallERR) IsActive(flow int) bool { return e.rounds.IsActive(flow) }
