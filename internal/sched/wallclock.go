@@ -2,24 +2,14 @@ package sched
 
 import "time"
 
-// This file defines the wall-clock accounting contract used when a
-// discipline schedules real work — HTTP requests whose cost is the
-// wall-clock time a handler takes — instead of simulated packets.
-//
-// The central constraint is unchanged: a request's cost is unknown
-// until its handler returns, exactly as a wormhole packet's occupancy
-// is unknown until its tail flit passes. What changes is concurrency:
-// a live server dispatches up to W requests at once, so completions
-// arrive out of order and possibly long after the service opportunity
-// that dispatched them ended. AsyncScheduler extends the Scheduler
-// shape for that world: selection stays synchronous (the dispatcher
-// serializes calls under its lock), but cost is billed on completion
-// via an opportunity token, never needed up front.
-
 // CostClock quantizes measured wall-clock service durations into the
-// integer cost units a scheduler bills. The unit is the granularity of
-// fairness: with Unit = 1ms, two requests that both finish in under a
-// millisecond cost the same, and a 5s handler costs 5000 units.
+// integer cost units a scheduler bills when it schedules real work —
+// HTTP requests whose cost is the time a handler takes — instead of
+// simulated packets. As with a wormhole packet's occupancy, the cost
+// is known only once the work completes (see serve.WallERR). The unit
+// is the granularity of fairness: with Unit = 1ms, two requests that
+// both finish in under a millisecond cost the same, and a 5s handler
+// costs 5000 units.
 type CostClock struct {
 	// Unit is the duration of one cost unit. A zero or negative Unit
 	// defaults to one millisecond.
@@ -42,57 +32,4 @@ func (c CostClock) Cost(d time.Duration) int64 {
 		n = 1
 	}
 	return n
-}
-
-// AsyncScheduler selects which flow's head request is dispatched next
-// in a server that runs many requests concurrently and learns each
-// request's cost only when it completes. The dispatcher owns the
-// per-flow FIFO queues and serializes every call below under one
-// lock; implementations need not be safe for concurrent use.
-//
-// The calls:
-//
-//   - OnArrival when a request is appended to a flow's queue,
-//   - NextFlow when the dispatcher has a free worker slot; unlike
-//     Scheduler.NextFlow it may return -1 when no flow is
-//     dispatchable,
-//   - OnDispatch when a request from the returned flow enters
-//     service; the returned token identifies the service opportunity
-//     that paid for the dispatch,
-//   - OnEvicted when requests leave a flow's queue without service
-//     (deadline expiry, load shedding, drain),
-//   - OnServiceDone when a dispatched request completes, with the
-//     measured cost (CostClock units). Completions may arrive in any
-//     order and for opportunities that have long since closed — the
-//     scheduler must bill late costs to the flow's accumulated state
-//     (ERR: its surplus count), not to the current opportunity.
-type AsyncScheduler interface {
-	// Name returns a short identifier used in metrics and manifests.
-	Name() string
-
-	// OnArrival notifies that a request joined flow's queue; wasEmpty
-	// reports whether the queue was empty immediately before.
-	OnArrival(flow int, wasEmpty bool)
-
-	// NextFlow returns the flow to dispatch from next, or -1 when no
-	// flow has a dispatchable request. The dispatcher guarantees a
-	// returned flow held at least one queued request when its queue
-	// state was last reported; it re-checks the queue and reports
-	// divergence via OnEvicted.
-	NextFlow() int
-
-	// OnDispatch reports that one request from flow (the flow most
-	// recently returned by NextFlow) entered service. nowEmpty reports
-	// whether the flow's queue is empty after the dequeue. The token
-	// must be passed back to OnServiceDone.
-	OnDispatch(flow int, nowEmpty bool) (token int64)
-
-	// OnEvicted reports that flow's queue lost one or more requests
-	// without service; nowEmpty reports whether it is now empty.
-	OnEvicted(flow int, nowEmpty bool)
-
-	// OnServiceDone reports that a request dispatched from flow under
-	// token completed at the given measured cost (>= 1; smaller values
-	// are treated as 1).
-	OnServiceDone(flow int, token int64, cost int64)
 }
