@@ -8,69 +8,29 @@ import (
 	"repro/internal/core"
 )
 
-// RoundOp is one flow's service opportunity within a scheduler round
-// — the unit of the paper's Figure 3 walkthrough. It mirrors
-// core.RoundEvent; RoundsFrom converts a core recording so the repo
-// has exactly one round-table formatter.
-type RoundOp struct {
-	Flow      int
-	Allowance int64
-	Sent      int64
-	Surplus   int64
-	Left      bool // the flow drained and left the active list
-}
-
-// Round is one scheduler round: its header and its opportunities in
-// service order.
-type Round struct {
-	Round     int64
-	PrevMaxSC int64
-	Visits    int
-	MaxSC     int64
-	Ops       []RoundOp
-}
-
-// RoundsFrom converts a core ERR round recording into round-table
-// form: one Round per recorded round, opportunities in service order.
-// (The conversion lives here rather than on core.TraceRecorder so the
+// WriteRecorderTable renders a core ERR round recording as the kind of
+// table the paper's Figure 3 depicts: per round, each flow's
+// allowance, the flits it sent, and its resulting surplus count. The
+// format is pinned by the core golden tests. Rounds are walked in
+// recording order, each with the next Visits opportunities (fewer
+// when the recording stops mid-round): ERR numbers rounds from 1 again
+// after it goes idle, so a round number alone does not name a round.
+// (The renderer lives here rather than on core.TraceRecorder so the
 // dependency points from the recorder package to the scheduler, never
 // the reverse — wormhole's and engine's tests import core, and trace
 // imports wormhole.)
-func RoundsFrom(rec *core.TraceRecorder) []Round {
-	out := make([]Round, 0, len(rec.Rounds))
-	for _, ri := range rec.Rounds {
-		rd := Round{
-			Round: ri.Round, PrevMaxSC: ri.PrevMaxSC, Visits: ri.Visits,
-			MaxSC: rec.MaxSCOfRound(ri.Round),
-		}
-		for _, e := range rec.EventsOfRound(ri.Round) {
-			rd.Ops = append(rd.Ops, RoundOp{
-				Flow: e.Flow, Allowance: e.Allowance, Sent: e.Sent,
-				Surplus: e.Surplus, Left: e.Left,
-			})
-		}
-		out = append(out, rd)
-	}
-	return out
-}
-
-// WriteRecorderTable renders a core ERR round recording as the
-// Figure 3 table: WriteRoundTable over RoundsFrom.
 func WriteRecorderTable(w io.Writer, rec *core.TraceRecorder) error {
-	return WriteRoundTable(w, RoundsFrom(rec))
-}
-
-// WriteRoundTable renders rounds as the kind of table the paper's
-// Figure 3 depicts: per round, each flow's allowance, the flits it
-// sent, and its resulting surplus count. The format is pinned by the
-// core golden tests.
-func WriteRoundTable(w io.Writer, rounds []Round) error {
-	for _, r := range rounds {
+	events := rec.Events
+	for _, r := range rec.Rounds {
 		if _, err := fmt.Fprintf(w, "Round %d (PreviousMaxSC=%d, visits=%d)\n",
 			r.Round, r.PrevMaxSC, r.Visits); err != nil {
 			return err
 		}
-		for _, op := range r.Ops {
+		var maxSC int64
+		for n := 0; n < r.Visits && len(events) > 0 && events[0].Round == r.Round; n++ {
+			op := events[0]
+			events = events[1:]
+			maxSC = max(maxSC, op.Surplus)
 			mark := ""
 			if op.Left {
 				mark = "  [drained]"
@@ -81,7 +41,7 @@ func WriteRoundTable(w io.Writer, rounds []Round) error {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "  MaxSC=%d\n", r.MaxSC); err != nil {
+		if _, err := fmt.Fprintf(w, "  MaxSC=%d\n", maxSC); err != nil {
 			return err
 		}
 	}

@@ -136,28 +136,60 @@ func TestAuditFlagsBadSpans(t *testing.T) {
 }
 
 // TestWriteRoundTable pins the round-table format core's golden tests
-// depend on (core delegates its Figure 3 rendering here).
+// depend on (core delegates its Figure 3 rendering here), on a real
+// ERR recording of three busy periods of two flows: ERR numbers rounds
+// from 1 again after going idle, and each "Round 1" must list only its
+// own busy period's opportunities and MaxSC. The recording stops in
+// the middle of the third busy period's first round.
 func TestWriteRoundTable(t *testing.T) {
-	rounds := []trace.Round{{
-		Round: 1, PrevMaxSC: 0, Visits: 2, MaxSC: 3,
-		Ops: []trace.RoundOp{
-			{Flow: 0, Allowance: 4, Sent: 4, Surplus: 0},
-			{Flow: 1, Allowance: 4, Sent: 1, Surplus: 3, Left: true},
-		},
-	}}
+	e := core.New()
+	rec := &core.TraceRecorder{}
+	e.SetTrace(rec)
+	serve := func(flow int, cost int64, nowEmpty bool) {
+		t.Helper()
+		if f := e.NextFlow(); f != flow {
+			t.Fatalf("NextFlow = %d, want %d", f, flow)
+		}
+		e.OnPacketDone(flow, cost, nowEmpty)
+	}
+	e.OnArrival(0, true)
+	e.OnArrival(0, false)
+	e.OnArrival(1, true)
+	serve(0, 4, false)
+	serve(1, 1, true)
+	serve(0, 1, true)
+	e.OnArrival(0, true)
+	e.OnArrival(1, true)
+	serve(0, 1, true)
+	serve(1, 5, true)
+	e.OnArrival(0, true)
+	e.OnArrival(0, false)
+	e.OnArrival(1, true)
+	serve(0, 2, false)
+
 	var buf bytes.Buffer
-	if err := trace.WriteRoundTable(&buf, rounds); err != nil {
+	if err := trace.WriteRecorderTable(&buf, rec); err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Join([]string{
 		"Round 1 (PreviousMaxSC=0, visits=2)",
-		"  flow 0: A=4    sent=4    SC=0",
-		"  flow 1: A=4    sent=1    SC=3     [drained]",
+		"  flow 0: A=1    sent=4    SC=3",
+		"  flow 1: A=1    sent=1    SC=0     [drained]",
 		"  MaxSC=3",
+		"Round 2 (PreviousMaxSC=3, visits=1)",
+		"  flow 0: A=1    sent=1    SC=0     [drained]",
+		"  MaxSC=0",
+		"Round 1 (PreviousMaxSC=0, visits=2)",
+		"  flow 0: A=1    sent=1    SC=0     [drained]",
+		"  flow 1: A=1    sent=5    SC=4     [drained]",
+		"  MaxSC=4",
+		"Round 1 (PreviousMaxSC=0, visits=2)",
+		"  flow 0: A=1    sent=2    SC=1",
+		"  MaxSC=1",
 		"",
 	}, "\n")
 	if buf.String() != want {
-		t.Fatalf("round table:\n%q\nwant:\n%q", buf.String(), want)
+		t.Fatalf("round table:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }
 
