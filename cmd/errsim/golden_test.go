@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -174,6 +175,50 @@ func TestTraceOutRefused(t *testing.T) {
 				t.Errorf("errsim %q left a trace file behind (stat err %v)", args, err)
 			}
 		})
+	}
+	// A sampling rate below 1 traces nothing; it is refused rather
+	// than written as an empty trace.
+	t.Run("trace-sample-0", func(t *testing.T) {
+		t.Parallel()
+		path := filepath.Join(t.TempDir(), "trace.json")
+		args := []string{"-exp", "fig6", "-cycles", "2000", "-intervals", "10",
+			"-trace-out", path, "-trace-sample", "0"}
+		_, stderr, err := runCLI(t, args...)
+		refusedWith(t, args, stderr, err, "-trace-sample")
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("errsim %q left a trace file behind (stat err %v)", args, err)
+		}
+	})
+}
+
+// refusedWith fails t unless a child errsim run exited with status 1
+// and named flag on standard error.
+func refusedWith(t *testing.T, args []string, stderr []byte, err error, flag string) {
+	t.Helper()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(stderr), flag) {
+		t.Errorf("errsim %q: %v, stderr %q; want exit status 1 naming %s", args, err, stderr, flag)
+	}
+}
+
+// TestOutOfRangeFlagsRefused: a negative run length or averaging
+// count, or a shard index outside [0, -of), must stop errsim with exit
+// status 1 and a message naming the flag, not panic or silently run
+// the experiment's defaults.
+func TestOutOfRangeFlagsRefused(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "c.jsonl")
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-cycles", []string{"-exp", "fig6", "-cycles", "-5"}},
+		{"-intervals", []string{"-exp", "fig6", "-cycles", "2000", "-intervals", "-3"}},
+		{"-repeats", []string{"-exp", "fig5", "-cycles", "2000", "-repeats", "-1"}},
+		{"-shard", []string{"-exp", "scale", "-shard", "5", "-of", "2", "-checkpoint", ckpt}},
+		{"-shard", []string{"-exp", "scale", "-shard", "-1", "-of", "2", "-checkpoint", ckpt}},
+	} {
+		_, stderr, err := runCLI(t, c.args...)
+		refusedWith(t, c.args, stderr, err, c.flag)
 	}
 }
 

@@ -96,6 +96,10 @@ func main() {
 	}
 	var et *trace.EngineTrace
 	if *traceOut != "" {
+		if *traceSamp < 1 {
+			fmt.Fprintf(os.Stderr, "errsim: -trace-sample %d: below 1\n", *traceSamp)
+			os.Exit(1)
+		}
 		et = trace.NewEngineTrace(rng.Derive(*seed, 0x7ace), *traceSamp, 1<<20)
 	}
 	e, ok := experiments.Lookup(*exp)

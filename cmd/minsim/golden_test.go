@@ -60,14 +60,15 @@ func TestCLIGolden(t *testing.T) {
 }
 
 // TestOutOfRangeTerminalsRefused: a terminal flag that names no
-// terminal must stop minsim with exit status 1 and a message naming
-// the flag, not panic or run without the traffic it asks for.
+// terminal, or a negative cycle count, must stop minsim with exit
+// status 1 and a message naming the flag, not panic or run without the
+// traffic it asks for.
 func TestOutOfRangeTerminalsRefused(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, args := range [][]string{{"-hotspot", "8"}, {"-hotspot", "-1"}, {"-longin", "8"}} {
+	for _, args := range [][]string{{"-hotspot", "8"}, {"-hotspot", "-1"}, {"-longin", "8"}, {"-cycles", "-5"}} {
 		cmd := exec.Command(exe, args...)
 		cmd.Args[0] = "minsim"
 		var stderr bytes.Buffer

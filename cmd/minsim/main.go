@@ -61,6 +61,9 @@ func run(terminals, vcs, buf int, arb string, hotspot, longIn int, cycles int64,
 	if longIn < -1 || longIn >= terminals {
 		return fmt.Errorf("-longin %d: no such terminal (0..%d, or -1 to disable)", longIn, terminals-1)
 	}
+	if cycles < 0 {
+		return fmt.Errorf("-cycles %d: below 0", cycles)
+	}
 	src := rng.New(seed)
 	short := rng.NewUniform(1, 4)
 	long := rng.NewUniform(8, 32)

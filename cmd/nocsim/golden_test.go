@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -119,6 +120,38 @@ func TestRefusesUnappliedFaults(t *testing.T) {
 		}
 		if msg := stderr.String(); !strings.Contains(msg, strconv.Quote(spec)) || !strings.Contains(msg, "network kernel") {
 			t.Errorf("refusal of %s does not name the directive and the driver: %q", spec, msg)
+		}
+	}
+}
+
+// TestOutOfRangeFlagsRefused: an injection rate outside [0, 1], packet
+// lengths no uniform draw can produce, a negative cycle count, or a
+// trace sampling rate below 1 must stop nocsim with exit status 1 and
+// a message naming the flag, not panic or run something else.
+func TestOutOfRangeFlagsRefused(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-rate", []string{"-rate", "2"}},
+		{"-rate", []string{"-rate", "-1"}},
+		{"-minlen", []string{"-minlen", "0"}},
+		{"-maxlen", []string{"-minlen", "5", "-maxlen", "2"}},
+		{"-cycles", []string{"-cycles", "-5"}},
+		{"-trace-sample", []string{"-trace", "-trace-sample", "0"}},
+	} {
+		cmd := exec.Command(exe, c.args...)
+		cmd.Args[0] = "nocsim"
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		_, err := cmd.Output()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), c.flag) {
+			t.Errorf("nocsim %q: %v, stderr %q; want exit status 1 naming %s", c.args, err, stderr.String(), c.flag)
 		}
 	}
 }

@@ -47,6 +47,14 @@ func main() {
 }
 
 func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLen int, cycles int64, seed uint64, torus bool, parallel int, rf *noc.RunFlags) error {
+	switch {
+	case rate < 0 || rate > 1:
+		return fmt.Errorf("-rate %g: outside [0, 1]", rate)
+	case minLen < 1 || maxLen < minLen:
+		return fmt.Errorf("-minlen %d, -maxlen %d: want 1 <= minlen <= maxlen", minLen, maxLen)
+	case cycles < 0:
+		return fmt.Errorf("-cycles %d: below 0", cycles)
+	}
 	var newArb func() sched.Scheduler
 	switch arb {
 	case "err":

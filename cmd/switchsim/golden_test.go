@@ -94,23 +94,37 @@ func TestVCsCarryTraffic(t *testing.T) {
 	}
 }
 
-// TestOutOfRangeInputRefused: a -bigin that names no input must stop
-// switchsim with exit status 1 and a message naming the flag, not run
-// without a long-packet input.
+// TestOutOfRangeInputRefused: a -bigin that names no input, packet
+// lengths no uniform draw can produce, a negative cycle count, a drain
+// probability outside [0, 1], or a trace sampling rate below 1 must
+// stop switchsim with exit status 1 and a message naming the flag, not
+// panic or run something else.
 func TestOutOfRangeInputRefused(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bigIn := range []string{"9", "0"} {
-		cmd := exec.Command(exe, "-bigin", bigIn)
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-bigin", []string{"-bigin", "9"}},
+		{"-bigin", []string{"-bigin", "0"}},
+		{"-minlen", []string{"-minlen", "0"}},
+		{"-maxlen", []string{"-minlen", "9", "-maxlen", "3"}},
+		{"-cycles", []string{"-cycles", "-5"}},
+		{"-drain", []string{"-drain", "1.5"}},
+		{"-drain", []string{"-drain", "-0.5"}},
+		{"-trace-sample", []string{"-trace", "-trace-sample", "0"}},
+	} {
+		cmd := exec.Command(exe, c.args...)
 		cmd.Args[0] = "switchsim"
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
 		_, err := cmd.Output()
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), "-bigin") {
-			t.Errorf("switchsim -bigin %s: %v, stderr %q; want exit status 1 naming -bigin", bigIn, err, stderr.String())
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), c.flag) {
+			t.Errorf("switchsim %q: %v, stderr %q; want exit status 1 naming %s", c.args, err, stderr.String(), c.flag)
 		}
 	}
 }

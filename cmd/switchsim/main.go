@@ -43,6 +43,14 @@ func main() {
 }
 
 func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP float64, cycles int64, seed uint64, rf *noc.RunFlags) error {
+	switch {
+	case drainP < 0 || drainP > 1:
+		return fmt.Errorf("-drain %g: outside [0, 1]", drainP)
+	case minLen < 1 || maxLen < minLen:
+		return fmt.Errorf("-minlen %d, -maxlen %d: want 1 <= minlen <= maxlen", minLen, maxLen)
+	case cycles < 0:
+		return fmt.Errorf("-cycles %d: below 0", cycles)
+	}
 	var newArb func() sched.Scheduler
 	switch arb {
 	case "err":

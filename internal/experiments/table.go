@@ -271,9 +271,21 @@ func (e *Experiment) Run(name string, c Config) (Result, error) {
 		n, len(c.Merge), c.Checkpoint)), nil
 }
 
-// check refuses the first run option c sets that e does not honor,
-// naming it by its errsim flag.
+// check refuses a count outside its range and then the first run
+// option c sets that e does not honor, naming each by its errsim flag.
 func (e *Experiment) check(name string, c Config) error {
+	switch {
+	case c.Cycles < 0:
+		return fmt.Errorf("-cycles %d: below 0 (0 = the experiment's default)", c.Cycles)
+	case c.Intervals < 0:
+		return fmt.Errorf("-intervals %d: below 0 (0 = the experiment's default)", c.Intervals)
+	case c.Repeats < 0:
+		return fmt.Errorf("-repeats %d: below 0 (0 = the experiment's default)", c.Repeats)
+	case c.Of < 0:
+		return fmt.Errorf("-of %d: below 0 (0 = no sharding)", c.Of)
+	case c.Shard < 0 || c.Shard >= max(c.Of, 1):
+		return fmt.Errorf("-shard %d: outside [0, %d) for -of %d", c.Shard, max(c.Of, 1), c.Of)
+	}
 	for _, o := range []struct {
 		opt  option
 		set  bool

@@ -47,8 +47,13 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 // endpoint, the reference mode, Protect (with a fault seed derived
 // from seed unless FaultSeed is set), and the flight recorder when any
 // trace flag is set, its rollup metrics in obs.Default. It returns the
-// fault injector (nil on a fault-free run).
+// fault injector (nil on a fault-free run). A trace sampling rate
+// below 1 with a trace flag set is refused.
 func (f *RunFlags) Arm(m *Mesh, seed uint64) (*fault.Injector, error) {
+	tracing := f.Trace || f.TraceOut != "" || f.TraceJSONL != ""
+	if tracing && f.TraceSample < 1 {
+		return nil, fmt.Errorf("-trace-sample %d: below 1", f.TraceSample)
+	}
 	if f.PProf != "" {
 		addr, err := obs.ServeDebug(f.PProf, obs.Default())
 		if err != nil {
@@ -65,7 +70,7 @@ func (f *RunFlags) Arm(m *Mesh, seed uint64) (*fault.Injector, error) {
 	if f.inj, f.rec, err = m.Protect(f.Faults, faultSeed, f.Check); err != nil {
 		return nil, err
 	}
-	if f.Trace || f.TraceOut != "" || f.TraceJSONL != "" {
+	if tracing {
 		f.tr = m.EnableTrace(TraceConfig{Seed: rng.Derive(seed, 0x7ace), SampleEvery: f.TraceSample, Reg: obs.Default()})
 	}
 	return f.inj, nil
