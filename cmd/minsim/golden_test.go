@@ -68,7 +68,10 @@ func TestOutOfRangeTerminalsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, args := range [][]string{{"-hotspot", "8"}, {"-hotspot", "-1"}, {"-longin", "8"}, {"-cycles", "-5"}} {
+	for _, args := range [][]string{
+		{"-hotspot", "8"}, {"-hotspot", "-1"}, {"-longin", "8"}, {"-cycles", "-5"},
+		{"-vcs", "0"}, {"-buf", "0"},
+	} {
 		cmd := exec.Command(exe, args...)
 		cmd.Args[0] = "minsim"
 		var stderr bytes.Buffer

@@ -19,6 +19,7 @@ import (
 	"repro/internal/plot"
 	"repro/internal/rng"
 	"repro/internal/sched"
+	"repro/internal/wormhole"
 )
 
 func main() {
@@ -40,6 +41,12 @@ func main() {
 }
 
 func run(terminals, vcs, buf int, arb string, hotspot, longIn int, cycles int64, seed uint64) error {
+	switch {
+	case vcs < 1 || vcs > wormhole.MaxVCs:
+		return fmt.Errorf("-vcs %d: outside [1, %d]", vcs, wormhole.MaxVCs)
+	case buf < 1:
+		return fmt.Errorf("-buf %d: below 1", buf)
+	}
 	var newArb func() sched.Scheduler
 	switch arb {
 	case "err":

@@ -143,6 +143,10 @@ func TestOutOfRangeFlagsRefused(t *testing.T) {
 		{"-maxlen", []string{"-minlen", "5", "-maxlen", "2"}},
 		{"-cycles", []string{"-cycles", "-5"}},
 		{"-trace-sample", []string{"-trace", "-trace-sample", "0"}},
+		{"-vcs", []string{"-vcs", "0"}},
+		{"-vcs", []string{"-vcs", "65"}},
+		{"-buf", []string{"-buf", "0"}},
+		{"-buf", []string{"-buf", "-1"}},
 	} {
 		cmd := exec.Command(exe, c.args...)
 		cmd.Args[0] = "nocsim"

@@ -19,6 +19,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/stats"
+	"repro/internal/wormhole"
 )
 
 func main() {
@@ -54,6 +55,10 @@ func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLe
 		return fmt.Errorf("-minlen %d, -maxlen %d: want 1 <= minlen <= maxlen", minLen, maxLen)
 	case cycles < 0:
 		return fmt.Errorf("-cycles %d: below 0", cycles)
+	case vcs < 1 || vcs > wormhole.MaxVCs:
+		return fmt.Errorf("-vcs %d: outside [1, %d]", vcs, wormhole.MaxVCs)
+	case buf < 1:
+		return fmt.Errorf("-buf %d: below 1", buf)
 	}
 	var newArb func() sched.Scheduler
 	switch arb {

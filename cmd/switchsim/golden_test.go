@@ -116,6 +116,9 @@ func TestOutOfRangeInputRefused(t *testing.T) {
 		{"-drain", []string{"-drain", "1.5"}},
 		{"-drain", []string{"-drain", "-0.5"}},
 		{"-trace-sample", []string{"-trace", "-trace-sample", "0"}},
+		{"-inputs", []string{"-inputs", "0"}},
+		{"-vcs", []string{"-vcs", "0"}},
+		{"-buf", []string{"-buf", "0"}},
 	} {
 		cmd := exec.Command(exe, c.args...)
 		cmd.Args[0] = "switchsim"

@@ -18,6 +18,7 @@ import (
 	"repro/internal/plot"
 	"repro/internal/rng"
 	"repro/internal/sched"
+	"repro/internal/wormhole"
 )
 
 func main() {
@@ -44,6 +45,12 @@ func main() {
 
 func run(inputs, vcs, buf int, arb string, minLen, maxLen, bigIn int, drainP float64, cycles int64, seed uint64, rf *noc.RunFlags) error {
 	switch {
+	case inputs < 1:
+		return fmt.Errorf("-inputs %d: below 1", inputs)
+	case vcs < 1 || vcs > wormhole.MaxVCs:
+		return fmt.Errorf("-vcs %d: outside [1, %d]", vcs, wormhole.MaxVCs)
+	case buf < 1:
+		return fmt.Errorf("-buf %d: below 1", buf)
 	case drainP < 0 || drainP > 1:
 		return fmt.Errorf("-drain %g: outside [0, 1]", drainP)
 	case minLen < 1 || maxLen < minLen:

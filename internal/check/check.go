@@ -14,6 +14,10 @@
 //     occupancy billing m is the largest occupancy).
 //   - err.lemma1.lower — SC_i(r) >= 0 for a flow that remains
 //     backlogged (the other half of Lemma 1).
+//   - err.theorem2 — the flits a flow sends over n consecutive rounds
+//     of one busy period lie within n + Σ MaxSC ± (m-1) (Theorem 2;
+//     checked offline on a recorded execution by VerifyTrace, which
+//     also applies the three checks above).
 //   - err.activelist — a flow is on the ActiveList (or in service)
 //     exactly when it has backlog (Figure 1's Enqueue/Dequeue
 //     bookkeeping).
@@ -39,6 +43,8 @@
 // report is actionable without re-running under a debugger. The
 // checker never panics and never alters simulation behaviour; it only
 // observes (engine callbacks, core.TraceSink, sink flit streams).
+// The paper's bound formulas (Lemma 1, Theorems 2 and 3, Table 1) live
+// here too, so every check and every report reads one copy.
 package check
 
 import (
@@ -55,6 +61,7 @@ const (
 	InvAllowance    = "err.allowance"
 	InvSurplusUpper = "err.lemma1.upper"
 	InvSurplusLower = "err.lemma1.lower"
+	InvTheorem2     = "err.theorem2"
 	InvActiveList   = "err.activelist"
 	InvConservation = "flit.conservation"
 	InvFIFO         = "flow.fifo"

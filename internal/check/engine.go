@@ -157,37 +157,24 @@ func (c *EngineChecker) Tick() {
 
 // RoundStart implements core.TraceSink.
 func (c *EngineChecker) RoundStart(round, prevMaxSC int64, visits int) {
-	cycle := int64(-1)
-	if c.eng != nil {
-		cycle = c.eng.Cycle()
-	}
-	c.trace.add(event{cycle: cycle, kind: evRound, a: round, b: prevMaxSC, c: int64(visits)})
+	c.trace.add(event{cycle: c.cycle(), kind: evRound, a: round, b: prevMaxSC, c: int64(visits)})
 }
 
-// Opportunity implements core.TraceSink — the Lemma 1 checks. The
-// surplus bound uses m = the largest packet cost observed so far
-// (packet departures precede the Opportunity event for the same
-// packet, so m is current).
+// Opportunity implements core.TraceSink — the allowance and Lemma 1
+// checks. The surplus bound uses m = the largest packet cost observed
+// so far (packet departures precede the Opportunity event for the
+// same packet, so m is current).
 func (c *EngineChecker) Opportunity(round int64, flow int, allowance, sent, surplus int64, left bool) {
 	c.lemma1 = true
-	cycle := int64(-1)
-	if c.eng != nil {
-		cycle = c.eng.Cycle()
+	c.opportunity(c.cycle(), c.maxCost, round, flow, allowance, sent, surplus, left)
+}
+
+// cycle returns the engine's cycle, or -1 before Attach.
+func (c *EngineChecker) cycle() int64 {
+	if c.eng == nil {
+		return -1
 	}
-	c.trace.add(event{cycle: cycle, kind: evOpportunity, a: int64(flow), b: allowance, c: sent, d: surplus})
-	if allowance < 1 {
-		c.report(cycle, InvAllowance, flow,
-			"round %d: allowance %d < 1 (every flow may send at least one packet per round)",
-			round, allowance)
-	}
-	if surplus > c.maxCost-1 {
-		c.report(cycle, InvSurplusUpper, flow,
-			"round %d: surplus %d > m-1 = %d (Lemma 1)", round, surplus, c.maxCost-1)
-	}
-	if !left && surplus < 0 {
-		c.report(cycle, InvSurplusLower, flow,
-			"round %d: surplus %d < 0 for a backlogged flow (Lemma 1)", round, surplus)
-	}
+	return c.eng.Cycle()
 }
 
 // Lemma1Checked reports whether any ERR opportunity events were

@@ -1,9 +1,12 @@
 package core_test
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/flit"
 	"repro/internal/harness"
@@ -77,7 +80,7 @@ func TestFigure1Semantics(t *testing.T) {
 	d.ServeN(13)
 
 	for r, ws := range wants {
-		events := rec.EventsOfRound(int64(r + 1))
+		events := rec.Opportunities(r)
 		if len(events) != len(ws) {
 			t.Fatalf("round %d: %d events, want %d: %+v", r+1, len(events), len(ws), events)
 		}
@@ -90,11 +93,11 @@ func TestFigure1Semantics(t *testing.T) {
 			}
 		}
 	}
-	if rec.MaxSCOfRound(1) != 31 || rec.MaxSCOfRound(2) != 7 {
+	if rec.Rounds[0].MaxSC != 31 || rec.Rounds[1].MaxSC != 7 {
 		t.Errorf("MaxSC per round = %d, %d; want 31, 7",
-			rec.MaxSCOfRound(1), rec.MaxSCOfRound(2))
+			rec.Rounds[0].MaxSC, rec.Rounds[1].MaxSC)
 	}
-	if !rec.EventsOfRound(3)[2].Left {
+	if !rec.Opportunities(2)[2].Left {
 		t.Error("flow 2 should have drained in round 3")
 	}
 }
@@ -120,7 +123,7 @@ func TestRoundDefinition_LateJoiner(t *testing.T) {
 	// Finish the round: flows 1 and 2.
 	d.ServeOne()
 	d.ServeOne()
-	r1 := rec.EventsOfRound(1)
+	r1 := rec.Opportunities(0)
 	if len(r1) != 3 {
 		t.Fatalf("round 1 served %d flows, want 3 (D must wait)", len(r1))
 	}
@@ -131,7 +134,7 @@ func TestRoundDefinition_LateJoiner(t *testing.T) {
 	}
 	// Round 2 must include D.
 	d.ServeN(4)
-	r2 := rec.EventsOfRound(2)
+	r2 := rec.Opportunities(1)
 	found := false
 	for _, e := range r2 {
 		if e.Flow == 3 {
@@ -165,19 +168,11 @@ func TestLemma1_SurplusBounds(t *testing.T) {
 			}
 		}
 		d.Drain()
-		for _, ev := range rec.Events {
-			// The recorded surplus is Sent - A before the drain reset;
-			// Lemma 1's bound applies to the retained SC, but the raw
-			// surplus obeys the same upper bound and must never exceed
-			// m-1. The lower bound can be violated only by a drain
-			// (queue emptied below allowance), which Left marks.
-			if ev.Surplus > int64(m-1) {
-				t.Fatalf("seed %d: surplus %d > m-1 = %d (flow %d round %d)",
-					seed, ev.Surplus, m-1, ev.Flow, ev.Round)
-			}
-			if !ev.Left && ev.Surplus < 0 {
-				t.Fatalf("seed %d: negative surplus %d without drain", seed, ev.Surplus)
-			}
+		// The recorded surplus is Sent - A before the drain reset, and
+		// obeys Lemma 1's bounds but for a flow that drained, which
+		// may stop short of its allowance.
+		if err := check.VerifyTrace(rec, int64(m), 0); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }
@@ -209,45 +204,12 @@ func TestTheorem2_ServiceBounds(t *testing.T) {
 	}
 	// Serve a lot, but keep every queue backlogged.
 	d.ServeN(6000)
-
-	// Collect per-round, per-flow sent and MaxSC from the trace.
-	lastRound := rec.Events[len(rec.Events)-1].Round
-	// Skip the (possibly) incomplete final round.
-	complete := lastRound - 1
-	maxSC := make([]int64, complete+1) // index by round, 1-based
-	sent := make([]map[int]int64, complete+1)
-	for r := int64(1); r <= complete; r++ {
-		maxSC[r] = rec.MaxSCOfRound(r)
-		sent[r] = map[int]int64{}
+	// The recording stops mid-round, which VerifyTrace leaves out.
+	if err := check.VerifyTrace(rec, int64(m), 4); err != nil {
+		t.Fatal(err)
 	}
-	for _, ev := range rec.Events {
-		if ev.Round <= complete {
-			sent[ev.Round][ev.Flow] += ev.Sent
-		}
-	}
-	// All flows stayed backlogged, so every flow appears in every
-	// complete round.
-	for k := int64(1); k+3 <= complete; k += 2 {
-		for n := int64(1); n <= 4 && k+n-1 <= complete; n++ {
-			var sum int64
-			for r := k - 1; r <= k+n-2; r++ {
-				if r >= 1 {
-					sum += maxSC[r]
-				} // MaxSC(0) = 0
-			}
-			for f := 0; f < flows; f++ {
-				var N int64
-				for r := k; r <= k+n-1; r++ {
-					N += sent[r][f]
-				}
-				lo := n + sum - int64(m-1)
-				hi := n + sum + int64(m-1)
-				if N < lo || N > hi {
-					t.Fatalf("Theorem 2 violated: flow %d rounds [%d,%d]: N=%d not in [%d,%d] (m=%d)",
-						f, k, k+n-1, N, lo, hi, m)
-				}
-			}
-		}
+	if len(rec.Rounds) < 100 {
+		t.Fatalf("only %d rounds recorded; the windows checked too few", len(rec.Rounds))
 	}
 }
 
@@ -282,8 +244,8 @@ func TestTheorem3_FairnessBound(t *testing.T) {
 		// FM is defined over flows active during the interval, so stop
 		// measuring the moment any queue drains.
 		serveWhileBacklogged(d, n)
-		if fm := ft.FM(); fm >= int64(3*m) {
-			t.Errorf("seed %d: FM = %d >= 3m = %d", seed, fm, 3*m)
+		if bound := check.ERRFairnessBound(int64(m)); ft.FM() >= bound {
+			t.Errorf("seed %d: FM = %d >= 3m = %d", seed, ft.FM(), bound)
 		}
 	}
 }
@@ -347,8 +309,8 @@ func TestERROccupancyCosts(t *testing.T) {
 		}
 	}
 	serveWhileBacklogged(d, n)
-	if fm := occ.FM(); fm >= 3*maxCost {
-		t.Errorf("occupancy FM = %d >= 3*maxCost = %d", fm, 3*maxCost)
+	if bound := check.ERRFairnessBound(maxCost); occ.FM() >= bound {
+		t.Errorf("occupancy FM = %d >= 3*maxCost = %d", occ.FM(), bound)
 	}
 	// And flow 2 must have been *throttled* in flits: it pays for its
 	// congestion, roughly 3x fewer flits.
@@ -427,6 +389,55 @@ func TestIdleReset(t *testing.T) {
 	}
 }
 
+// TestTraceRecorderPairsAcrossIdleResets records three busy periods
+// of two flows, the last cut in the middle of its first round. ERR
+// numbers rounds from 1 again after each idle reset; the recorder must
+// still give each round only its own opportunities and MaxSC.
+func TestTraceRecorderPairsAcrossIdleResets(t *testing.T) {
+	e := core.New()
+	rec := &core.TraceRecorder{}
+	e.SetTrace(rec)
+	d := harness.New(2, e)
+	d.Arrive(pkt(0, 4))
+	d.Arrive(pkt(0, 1))
+	d.Arrive(pkt(1, 1))
+	d.Drain()
+	d.Arrive(pkt(0, 1))
+	d.Arrive(pkt(1, 5))
+	d.Drain()
+	d.Arrive(pkt(0, 2))
+	d.Arrive(pkt(0, 1))
+	d.Arrive(pkt(1, 1))
+	d.ServeOne() // flow 0's opportunity ends; flow 1's is still to come
+
+	type round struct {
+		round    int64
+		flows    []int
+		maxSC    int64
+		complete bool
+	}
+	want := []round{
+		{1, []int{0, 1}, 3, true},
+		{2, []int{0}, 0, true},
+		{1, []int{0, 1}, 4, true},
+		{1, []int{0}, 1, false},
+	}
+	var got []round
+	for i, r := range rec.Rounds {
+		g := round{r.Round, nil, r.MaxSC, r.Complete()}
+		for _, op := range rec.Opportunities(i) {
+			if op.Round != r.Round {
+				t.Errorf("recorded round %d holds an opportunity of round %d", i, op.Round)
+			}
+			g.flows = append(g.flows, op.Flow)
+		}
+		got = append(got, g)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rounds %+v, want %+v", got, want)
+	}
+}
+
 // TestERRArrivalDuringService: a packet arriving for the flow in
 // service must not double-insert the flow into the active list.
 func TestERRArrivalDuringService(t *testing.T) {
@@ -462,22 +473,12 @@ func TestERRStarvationFreedom(t *testing.T) {
 		d.Arrive(pkt(1, 1))
 	}
 	d.ServeN(250)
-	// Count flow 0 opportunities: it must appear in every round.
-	rounds := map[int64]bool{}
-	flow0 := map[int64]bool{}
-	for _, ev := range rec.Events {
-		rounds[ev.Round] = true
-		if ev.Flow == 0 {
-			flow0[ev.Round] = true
-		}
-	}
-	// The last round may be in progress; ignore it.
-	for r := range rounds {
-		if r == e.Round() {
-			continue
-		}
-		if !flow0[r] {
-			t.Fatalf("flow 0 starved in round %d", r)
+	// Flow 0 must have an opportunity in every round; the last may be
+	// in progress.
+	for i, r := range rec.Rounds {
+		served := slices.ContainsFunc(rec.Opportunities(i), func(ev core.RoundEvent) bool { return ev.Flow == 0 })
+		if r.Complete() && !served {
+			t.Fatalf("flow 0 starved in round %d", r.Round)
 		}
 	}
 }

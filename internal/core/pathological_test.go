@@ -3,7 +3,6 @@ package core_test
 import (
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -13,7 +12,8 @@ import (
 )
 
 // runVerified drives ERR through the harness with the given script and
-// verifies the trace against Lemma 1 / the allowance guarantee.
+// verifies the trace against Lemma 1, the allowance guarantee and
+// Theorem 2.
 func runVerified(t *testing.T, flows int, m int64, script func(d *harness.Driver)) {
 	t.Helper()
 	e := core.New()
@@ -22,7 +22,7 @@ func runVerified(t *testing.T, flows int, m int64, script func(d *harness.Driver
 	d := harness.New(flows, e)
 	script(d)
 	d.Drain()
-	if err := analysis.VerifyTrace(rec, m, flows); err != nil {
+	if err := check.VerifyTrace(rec, m, flows); err != nil {
 		t.Fatalf("invariant violated: %v", err)
 	}
 	if len(rec.Events) == 0 {

@@ -1,10 +1,11 @@
-package engine
+package engine_test
 
 import (
 	"testing"
 
-	"repro/internal/analysis"
+	"repro/internal/check"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/flit"
 	"repro/internal/metrics"
 	"repro/internal/rng"
@@ -13,8 +14,8 @@ import (
 
 // TestFullSystemTraceVerifies is the cross-module integration check:
 // a paper-style workload (skewed rates and lengths, oversubscribed)
-// driven through the engine with a traced ERR, then audited by the
-// analysis verifier against Lemma 1 and Theorem 2, with the measured
+// driven through the engine with a traced ERR, then audited by
+// check.VerifyTrace against Lemma 1 and Theorem 2, with the measured
 // fairness checked against Theorem 3's 3m bound over the backlogged
 // second half of the run.
 func TestFullSystemTraceVerifies(t *testing.T) {
@@ -43,7 +44,7 @@ func TestFullSystemTraceVerifies(t *testing.T) {
 
 	ft := metrics.NewFairnessTracker(flows)
 	var m int64
-	eng, err := NewEngine(Config{
+	eng, err := engine.NewEngine(engine.Config{
 		Flows:     flows,
 		Scheduler: e,
 		Source:    traffic.NewMulti(sources...),
@@ -63,11 +64,11 @@ func TestFullSystemTraceVerifies(t *testing.T) {
 	}
 	eng.Run(cycles)
 
-	if err := analysis.VerifyTrace(rec, m, 3); err != nil {
+	if err := check.VerifyTrace(rec, m, 3); err != nil {
 		t.Fatalf("trace verification failed: %v", err)
 	}
-	if fm := ft.FM(); fm >= analysis.ERRFairnessBound(m) {
-		t.Errorf("measured FM %d >= 3m = %d", fm, analysis.ERRFairnessBound(m))
+	if bound := check.ERRFairnessBound(m); ft.FM() >= bound {
+		t.Errorf("measured FM %d >= 3m = %d", ft.FM(), bound)
 	}
 	if m < 100 {
 		t.Fatalf("workload degenerate: m = %d", m)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"text/tabwriter"
 
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/exec"
@@ -71,13 +72,13 @@ func RunTable1(p Table1Params) (*Table1Result, error) {
 			pkt: func() sched.Scheduler { return sched.NewFCFS() }},
 		{name: "FQ (WFQ)", bound: "m", complexity: "O(log n)",
 			pkt:     func() sched.Scheduler { return sched.NewWFQ(nil) },
-			boundFn: func(m, max int64) int64 { return m }},
+			boundFn: func(m, _ int64) int64 { return check.FQFairnessBound(m) }},
 		{name: "DRR", bound: "Max + 2m", complexity: "O(1)",
 			pkt:     func() sched.Scheduler { return sched.NewDRR(p.Fig4.DRRQuantum, nil) },
-			boundFn: func(m, max int64) int64 { return max + 2*m }},
+			boundFn: check.DRRFairnessBound},
 		{name: "ERR", bound: "3m", complexity: "O(1)",
 			pkt:     func() sched.Scheduler { return core.New() },
-			boundFn: func(m, max int64) int64 { return 3 * m }},
+			boundFn: func(m, _ int64) int64 { return check.ERRFairnessBound(m) }},
 	}
 	// One job per discipline, all on the identical workload; the
 	// measured FM and the largest arrived packet reduce in submission

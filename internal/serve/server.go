@@ -40,10 +40,6 @@ type Config struct {
 	// 32 MiB.
 	GlobalBytes int64
 
-	// Unit is the wall-clock cost unit billed to flows (see
-	// sched.CostClock). Default 1ms.
-	Unit time.Duration
-
 	// DebtCap bounds a flow's deferred surplus count in cost units
 	// (0 = unbounded). Default 0.
 	DebtCap int64
@@ -58,27 +54,19 @@ type Config struct {
 	Weight func(tenant string) int64
 
 	// CostOf converts a measured handler duration into billed cost
-	// units; nil means sched.CostClock{Unit: Unit}.Cost. Tests use
-	// this to bill deterministic costs.
+	// units; nil bills 1 ms units, rounded up (sched.CostClock). Tests
+	// use this to bill deterministic costs.
 	CostOf func(r *http.Request, measured time.Duration) int64
 
 	// Degradation watermarks, as fractions of GlobalBytes occupancy.
-	// Tier 1 (shed writes) engages at WriteHigh and releases at
-	// WriteLow; tier 2 (health checks only) engages at FullHigh and
+	// Tier 1 (shed writes: any method but GET, HEAD and OPTIONS)
+	// engages at WriteHigh and releases at WriteLow; tier 2 (health
+	// checks, URL path "/healthz", only) engages at FullHigh and
 	// releases at FullLow. Releases additionally wait out DegradeDwell
 	// to avoid flapping. Defaults: 0.50/0.25, 0.85/0.40, 1s.
 	WriteHigh, WriteLow float64
 	FullHigh, FullLow   float64
 	DegradeDwell        time.Duration
-
-	// IsWrite classifies requests shed at tier 1; nil means any method
-	// other than GET, HEAD or OPTIONS.
-	IsWrite func(r *http.Request) bool
-
-	// IsHealth classifies health-check requests, which bypass the
-	// queue and survive every degradation tier; nil means URL path
-	// "/healthz".
-	IsHealth func(r *http.Request) bool
 
 	// Faults optionally injects service-side chaos (slow and stuck
 	// handlers) around Handler. Nil injects nothing.
@@ -104,11 +92,8 @@ func (c *Config) fill() {
 	if c.GlobalBytes <= 0 {
 		c.GlobalBytes = 32 << 20
 	}
-	if c.Unit <= 0 {
-		c.Unit = time.Millisecond
-	}
 	if c.CostOf == nil {
-		cc := sched.CostClock{Unit: c.Unit}
+		cc := sched.CostClock{Unit: time.Millisecond}
 		c.CostOf = func(_ *http.Request, d time.Duration) int64 { return cc.Cost(d) }
 	}
 	if c.WriteHigh <= 0 {
@@ -125,18 +110,6 @@ func (c *Config) fill() {
 	}
 	if c.DegradeDwell <= 0 {
 		c.DegradeDwell = time.Second
-	}
-	if c.IsWrite == nil {
-		c.IsWrite = func(r *http.Request) bool {
-			switch r.Method {
-			case http.MethodGet, http.MethodHead, http.MethodOptions:
-				return false
-			}
-			return true
-		}
-	}
-	if c.IsHealth == nil {
-		c.IsHealth = func(r *http.Request) bool { return r.URL.Path == "/healthz" }
 	}
 	if c.Registry == nil {
 		c.Registry = obs.Default()
@@ -403,6 +376,16 @@ func (s *Server) effectiveDeadline(r *http.Request, now time.Time) time.Time {
 	return now.Add(d)
 }
 
+// isWrite reports whether r is shed at tier 1: any method but GET,
+// HEAD and OPTIONS.
+func isWrite(r *http.Request) bool {
+	switch r.Method {
+	case http.MethodGet, http.MethodHead, http.MethodOptions:
+		return false
+	}
+	return true
+}
+
 func reject(w http.ResponseWriter, code int, reason string) {
 	w.Header().Set("X-Shed-Reason", reason)
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
@@ -415,7 +398,7 @@ func reject(w http.ResponseWriter, code int, reason string) {
 // enqueue, wait for a dispatch grant (or eviction), run the handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	now := s.cfg.now()
-	if s.cfg.IsHealth(r) {
+	if r.URL.Path == "/healthz" {
 		// Health checks bypass the queue: they must answer even when
 		// tier 2 sheds everything else — but report draining so a
 		// balancer stops sending traffic here.
@@ -437,7 +420,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		reject(w, http.StatusServiceUnavailable, "degraded")
 		return
 	case tierShedWrites:
-		if s.cfg.IsWrite(r) {
+		if isWrite(r) {
 			s.countDegraded(tenant)
 			reject(w, http.StatusServiceUnavailable, "degraded-writes")
 			return

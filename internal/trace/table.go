@@ -11,26 +11,19 @@ import (
 // WriteRecorderTable renders a core ERR round recording as the kind of
 // table the paper's Figure 3 depicts: per round, each flow's
 // allowance, the flits it sent, and its resulting surplus count. The
-// format is pinned by the core golden tests. Rounds are walked in
-// recording order, each with the next Visits opportunities (fewer
-// when the recording stops mid-round): ERR numbers rounds from 1 again
-// after it goes idle, so a round number alone does not name a round.
-// (The renderer lives here rather than on core.TraceRecorder so the
-// dependency points from the recorder package to the scheduler, never
-// the reverse — wormhole's and engine's tests import core, and trace
-// imports wormhole.)
+// format is pinned by the core golden tests. Each recorded round lists
+// the opportunities the recorder paired with it. (The renderer lives
+// here rather than on core.TraceRecorder so the dependency points from
+// the recorder package to the scheduler, never the reverse —
+// wormhole's and engine's tests import core, and trace imports
+// wormhole.)
 func WriteRecorderTable(w io.Writer, rec *core.TraceRecorder) error {
-	events := rec.Events
-	for _, r := range rec.Rounds {
+	for i, r := range rec.Rounds {
 		if _, err := fmt.Fprintf(w, "Round %d (PreviousMaxSC=%d, visits=%d)\n",
 			r.Round, r.PrevMaxSC, r.Visits); err != nil {
 			return err
 		}
-		var maxSC int64
-		for n := 0; n < r.Visits && len(events) > 0 && events[0].Round == r.Round; n++ {
-			op := events[0]
-			events = events[1:]
-			maxSC = max(maxSC, op.Surplus)
+		for _, op := range rec.Opportunities(i) {
 			mark := ""
 			if op.Left {
 				mark = "  [drained]"
@@ -41,7 +34,7 @@ func WriteRecorderTable(w io.Writer, rec *core.TraceRecorder) error {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "  MaxSC=%d\n", maxSC); err != nil {
+		if _, err := fmt.Fprintf(w, "  MaxSC=%d\n", r.MaxSC); err != nil {
 			return err
 		}
 	}

@@ -76,7 +76,8 @@ type Arena struct {
 // NewArena returns an arena sized for n routers of cfg's dimensions
 // (only Ports, VCs, BufFlits, and SharedBufFlits are consulted).
 func NewArena(cfg Config, n int) *Arena {
-	p, v, b := cfg.Ports, cfg.VCs, cfg.BufFlits
+	// Negative dimensions size nothing; NewRouter refuses them by name.
+	p, v, b := max(cfg.Ports, 0), max(cfg.VCs, 0), max(cfg.BufFlits, 0)
 	shared := cfg.SharedBufFlits > 0
 	entriesPer := p * v * b
 	if shared {
@@ -140,13 +141,13 @@ func (a *Arena) Routers() int { return a.used }
 // cfg's dimensions must match the arena's; Route, OutVC, and NewArb
 // may differ per router.
 func (a *Arena) NewRouter(id int, cfg Config) (*Router, error) {
-	if cfg.Ports < 1 || cfg.VCs < 1 || cfg.BufFlits < 1 {
-		return nil, fmt.Errorf("wormhole: invalid config %+v", cfg)
-	}
-	if cfg.VCs > 64 {
-		// The per-port occupancy and per-output allocation bitmasks
-		// pack VC state into single words.
-		return nil, fmt.Errorf("wormhole: %d VCs per port exceeds the supported 64", cfg.VCs)
+	switch {
+	case cfg.Ports < 1:
+		return nil, fmt.Errorf("wormhole: Ports %d: below 1", cfg.Ports)
+	case cfg.VCs < 1 || cfg.VCs > MaxVCs:
+		return nil, fmt.Errorf("wormhole: VCs %d: outside [1, %d]", cfg.VCs, MaxVCs)
+	case cfg.BufFlits < 1:
+		return nil, fmt.Errorf("wormhole: BufFlits %d: below 1", cfg.BufFlits)
 	}
 	if cfg.NewArb == nil || cfg.Route == nil {
 		return nil, fmt.Errorf("wormhole: NewArb and Route are required")
@@ -157,7 +158,8 @@ func (a *Arena) NewRouter(id int, cfg Config) (*Router, error) {
 	}
 	if cfg.Ports != a.ports || cfg.VCs != a.vcs || cfg.BufFlits != a.bufFlits ||
 		(cfg.SharedBufFlits > 0) != a.shared {
-		return nil, fmt.Errorf("wormhole: config dimensions %+v do not match the arena's", cfg)
+		return nil, fmt.Errorf("wormhole: config dimensions Ports=%d VCs=%d BufFlits=%d SharedBufFlits=%d do not match the arena's",
+			cfg.Ports, cfg.VCs, cfg.BufFlits, cfg.SharedBufFlits)
 	}
 	if a.used >= a.n {
 		return nil, fmt.Errorf("wormhole: arena of %d routers exhausted", a.n)

@@ -120,13 +120,18 @@ type OutputFault interface {
 	Corrupt(f flit.Flit, cycle int64) flit.Flit
 }
 
+// MaxVCs is the most virtual channels a port may have: the per-port
+// occupancy and per-output allocation bitmasks pack VC state into
+// single words.
+const MaxVCs = 64
+
 // Config configures a Router.
 type Config struct {
 	// Ports is the number of ports (inputs == outputs). Port 0 is by
 	// convention the local (injection/ejection) port in package noc,
 	// but the router itself attaches no meaning to port numbers.
 	Ports int
-	// VCs is the number of virtual channels per port.
+	// VCs is the number of virtual channels per port, 1..MaxVCs.
 	VCs int
 	// BufFlits is the capacity of each input VC FIFO in flits — or,
 	// when SharedBufFlits is set, the per-VC *reservation* inside the

@@ -1,6 +1,7 @@
 package wormhole
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -35,6 +36,23 @@ func injectPacket(t *testing.T, r *Router, port, vc int, p flit.Packet, cycle in
 func TestNewRouterValidation(t *testing.T) {
 	if _, err := NewRouter(0, Config{}); err == nil {
 		t.Error("empty config accepted")
+	}
+	// A bad dimension is named with its value, negative ones included.
+	for _, c := range []struct {
+		ports, vcs, buf int
+		want            string
+	}{
+		{0, 1, 4, "Ports 0"},
+		{2, 0, 4, "VCs 0"},
+		{2, -1, 4, "VCs -1"},
+		{2, MaxVCs + 1, 4, "VCs 65"},
+		{2, 1, 0, "BufFlits 0"},
+		{2, 1, -3, "BufFlits -3"},
+	} {
+		_, err := NewRouter(0, testConfig(c.ports, c.vcs, c.buf))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%d ports, %d VCs, %d flits: error %v, want one naming %q", c.ports, c.vcs, c.buf, err, c.want)
+		}
 	}
 	cfg := testConfig(2, 1, 4)
 	cfg.NewArb = func() sched.Scheduler { return sched.NewDRR(64, nil) }
