@@ -570,6 +570,7 @@ func BenchmarkNoCTiledStepping(b *testing.B) {
 		k, tile, workers int
 	}{
 		{64, 0, 1}, // default tile (8 at K=64), serial commit path
+		{64, 0, 2}, // default tile, one worker per core on a 2-core host
 		{64, 0, 4}, // default tile, parallel interior commit
 		{64, 16, 4},
 	}

@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -55,5 +57,36 @@ func TestCLIGolden(t *testing.T) {
 				t.Errorf("errtrace %q differs from testdata/%s.golden:\n%s", c.args, c.golden, got)
 			}
 		})
+	}
+}
+
+// TestOutOfRangeFlagsRefused: under -random, a flow count outside
+// 1..254, a packet count below 1 or a maximum length below 1 must stop
+// errtrace with exit status 2 and a message naming the flag, not
+// panic, hang or print an empty table.
+func TestOutOfRangeFlagsRefused(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-flows", []string{"-random", "-flows", "0"}},
+		{"-flows", []string{"-random", "-flows", "255"}},
+		{"-packets", []string{"-random", "-packets", "0"}},
+		{"-packets", []string{"-random", "-packets", "-3"}},
+		{"-maxlen", []string{"-random", "-maxlen", "0"}},
+	} {
+		cmd := exec.Command(exe, c.args...)
+		cmd.Args[0] = "errtrace"
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		_, err := cmd.Output()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), c.flag) {
+			t.Errorf("errtrace %q: %v, stderr %q; want exit status 2 naming %s", c.args, err, stderr.String(), c.flag)
+		}
 	}
 }

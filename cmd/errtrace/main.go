@@ -33,10 +33,15 @@ func main() {
 	if *random {
 		// Validate up front: an out-of-range flow count would panic
 		// deep inside the harness (metrics and the service log cap
-		// flow ids at 254), and a non-positive length would hang the
-		// length distribution.
+		// flow ids at 254), a non-positive length would hang the
+		// length distribution, and no packets print an empty table.
 		if *flows < 1 || *flows > 254 {
 			fmt.Fprintf(os.Stderr, "errtrace: -flows must be in 1..254 (got %d)\n", *flows)
+			flag.Usage()
+			os.Exit(2)
+		}
+		if *packets < 1 {
+			fmt.Fprintf(os.Stderr, "errtrace: -packets must be >= 1 (got %d)\n", *packets)
 			flag.Usage()
 			os.Exit(2)
 		}

@@ -125,9 +125,11 @@ func TestRefusesUnappliedFaults(t *testing.T) {
 }
 
 // TestOutOfRangeFlagsRefused: an injection rate outside [0, 1], packet
-// lengths no uniform draw can produce, a negative cycle count, or a
-// trace sampling rate below 1 must stop nocsim with exit status 1 and
-// a message naming the flag, not panic or run something else.
+// lengths no uniform draw can produce, a negative cycle count, a trace
+// sampling rate below 1, a radix below 2, a tile edge outside [0, k],
+// an odd VC count on a torus, or a negative -parallel-mesh must stop
+// nocsim with exit status 1 and a message naming the flag, not panic
+// or run something else.
 func TestOutOfRangeFlagsRefused(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
@@ -147,6 +149,12 @@ func TestOutOfRangeFlagsRefused(t *testing.T) {
 		{"-vcs", []string{"-vcs", "65"}},
 		{"-buf", []string{"-buf", "0"}},
 		{"-buf", []string{"-buf", "-1"}},
+		{"-k", []string{"-k", "1"}},
+		{"-tile", []string{"-tile", "99"}},
+		{"-tile", []string{"-tile", "-1"}},
+		{"-vcs", []string{"-torus", "-vcs", "1"}},
+		{"-vcs", []string{"-torus", "-vcs", "3"}},
+		{"-parallel-mesh", []string{"-parallel-mesh", "-1"}},
 	} {
 		cmd := exec.Command(exe, c.args...)
 		cmd.Args[0] = "nocsim"

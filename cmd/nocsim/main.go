@@ -59,6 +59,14 @@ func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLe
 		return fmt.Errorf("-vcs %d: outside [1, %d]", vcs, wormhole.MaxVCs)
 	case buf < 1:
 		return fmt.Errorf("-buf %d: below 1", buf)
+	case k < 2:
+		return fmt.Errorf("-k %d: below 2", k)
+	case tile < 0 || tile > k:
+		return fmt.Errorf("-tile %d: outside [0, %d] (0 = K-derived default)", tile, k)
+	case torus && vcs%2 != 0:
+		return fmt.Errorf("-vcs %d: -torus needs an even count >= 2 (dateline VC switching)", vcs)
+	case parallel < 0:
+		return fmt.Errorf("-parallel-mesh %d: below 0 (0 = GOMAXPROCS)", parallel)
 	}
 	var newArb func() sched.Scheduler
 	switch arb {

@@ -263,7 +263,7 @@ func (s *idSet) len() int { return s.n }
 // The mesh is partitioned into square tiles of Config.Tile edge
 // length, and routers are stored tile-major (physical ids remap the
 // row-major node ids so a tile's routers, FIFOs, and bitmap words are
-// contiguous in memory). Within a cycle, each tile — owned by exactly
+// contiguous in memory). Within a cycle, each tile — claimed by exactly
 // one worker — Computes its active routers against frozen cycle-start
 // state and immediately applies the effects that stay inside the tile
 // (wormhole.Effects.ApplyDomain); only effects that cross a tile
@@ -325,14 +325,14 @@ type Mesh struct {
 	// nothing and nothing is keyed to a worker count (a pool of any
 	// size, attached at any time, reuses the same scratch): tileOff
 	// splits the sorted active ids into per-tile spans; rest[t]
-	// buffers tile t's deferred boundary effects; tileTasks[i] commits
-	// the tiles in [groupBound[i], groupBound[i+1]).
-	tileOff    []int32
-	rest       []wormhole.Effects
-	tileTasks  []func()
-	groupBound []int
-	tileIDs    []int
-	tileCycle  int64
+	// buffers tile t's deferred boundary effects; every tileTasks
+	// entry is claimTiles, which runs tiles claimed from tileNext.
+	tileOff   []int32
+	rest      []wormhole.Effects
+	tileTasks []func()
+	tileNext  atomic.Int64
+	tileIDs   []int
+	tileCycle int64
 	// parCommit is set for the duration of the parallel tile phase:
 	// the routers' onActive hooks switch to the active set's CAS path.
 	// Written only by the stepping goroutine, strictly before and
@@ -993,8 +993,8 @@ func (m *Mesh) RegisterObs(reg *obs.Registry) {
 // SetPool, if any, and then consults the watchdog Protect armed. The
 // result is byte-identical at any worker count:
 // computes touch only router-own state; each tile's interior effects
-// are applied by the worker owning the tile, in a fixed tile-ascending
-// order; and the only effects committed by the serial phase are the
+// are applied in a fixed order by the one worker that claims the
+// tile; and the only effects committed by the serial phase are the
 // tile-boundary crossings, again in tile-ascending order. No part of
 // the schedule depends on the worker count.
 func (m *Mesh) Step() {
@@ -1015,17 +1015,20 @@ func (m *Mesh) Step() {
 	// Compute + interior commit, tile by tile. Physical ids are
 	// tile-major, so the sorted active set splits into contiguous
 	// per-tile spans; the parallel path runs the identical per-tile
-	// code on worker-owned contiguous tile ranges.
+	// code, each worker claiming the next tile until none is left.
 	m.partitionTiles(ids)
 	m.tileIDs = ids
 	m.tileCycle = m.cycle
-	if g := m.planGroups(len(ids)); g > 1 {
+	if g := m.tileWorkers(len(ids)); g > 1 {
+		m.tileNext.Store(0)
 		m.parCommit = true
 		m.pool.Do(m.tileTasks[:g]...)
 		m.parCommit = false
 		m.activeR.recount()
 	} else {
-		m.runTiles(0, m.numTiles)
+		for t := 0; t < m.numTiles; t++ {
+			m.runTile(t)
+		}
 	}
 	// Serial boundary commit, ascending tile order: the flit handoffs
 	// and credit returns that crossed a tile edge, plus every sink
@@ -1104,85 +1107,59 @@ func (m *Mesh) partitionTiles(ids []int) {
 	}
 }
 
-// planGroups decides how many worker groups this cycle's tile phase
-// fans out over and fills groupBound with contiguous tile ranges
-// balanced by active-router population. Grouping only chooses which
-// worker executes a tile — per-tile work and order are fixed — so the
-// choice cannot affect artifacts. Returns 1 (run inline) without a
-// pool or meaningful parallel work.
-func (m *Mesh) planGroups(active int) int {
+// tileWorkers returns how many workers this cycle's tile phase fans
+// out over — the pool's, capped by the tiles and the active routers —
+// and grows tileTasks to that many claimTiles entries (grow-only: a
+// pool of any size, attached or swapped between any two steps, reuses
+// them). Workers only choose which goroutine runs a tile, never the
+// per-tile work or order, so the choice cannot affect artifacts.
+// Returns 1 (run inline) without a pool or meaningful parallel work.
+func (m *Mesh) tileWorkers(active int) int {
 	if m.pool == nil || active <= 1 {
 		return 1
 	}
-	g := m.pool.Workers()
-	if g > m.numTiles {
-		g = m.numTiles
+	g := min(m.pool.Workers(), m.numTiles, active)
+	for len(m.tileTasks) < g {
+		m.tileTasks = append(m.tileTasks, m.claimTiles)
 	}
-	if g > active {
-		g = active
-	}
-	if g <= 1 {
-		return 1
-	}
-	m.ensureTasks(g)
-	m.groupBound[0] = 0
-	t := 0
-	for i := 1; i < g; i++ {
-		target := int32(active * i / g)
-		for t < m.numTiles && m.tileOff[t] < target {
-			t++
-		}
-		m.groupBound[i] = t
-	}
-	m.groupBound[g] = m.numTiles
 	return g
 }
 
-// ensureTasks grows the worker task list (and its bound slice) to g
-// entries. Tasks are grow-only and capture only their index: a pool
-// of any size — attached mid-run, swapped between steps, shrunk,
-// grown — reuses the same closures reading the current groupBound, so
-// changing worker counts never rebuilds or reallocates per-cycle
-// state.
-func (m *Mesh) ensureTasks(g int) {
-	if len(m.groupBound) < g+1 {
-		nb := make([]int, g+1)
-		copy(nb, m.groupBound)
-		m.groupBound = nb
-	}
-	for len(m.tileTasks) < g {
-		i := len(m.tileTasks)
-		m.tileTasks = append(m.tileTasks, func() {
-			m.runTiles(m.groupBound[i], m.groupBound[i+1])
-		})
+// claimTiles is the parallel tile phase's task: it claims the next
+// tile from tileNext and runs it until no tile is left. The claims
+// balance the tiles over whichever workers are running.
+func (m *Mesh) claimTiles() {
+	for {
+		t := int(m.tileNext.Add(1)) - 1
+		if t >= m.numTiles {
+			return
+		}
+		m.runTile(t)
 	}
 }
 
-// runTiles computes and interior-commits tiles [lo, hi): per tile, in
-// ascending physical-id order, every active router computes against
-// frozen cycle-start state; then each router's buffered effects are
-// applied to same-tile targets and deferred to the tile's rest buffer
+// runTile computes and interior-commits tile t: in ascending
+// physical-id order, every active router computes against frozen
+// cycle-start state; then each router's buffered effects are applied
+// to same-tile targets and deferred to the tile's rest buffer
 // otherwise (wormhole.Effects.ApplyDomain). Interior commits mutate
 // only this tile's routers — plus the active set, via its CAS path —
-// so disjoint tile ranges run concurrently, and the fixed per-tile
-// order makes serial and parallel execution byte-identical.
-func (m *Mesh) runTiles(lo, hi int) {
-	ids := m.tileIDs
+// so distinct tiles run concurrently, and the fixed per-tile order
+// makes serial and parallel execution byte-identical.
+func (m *Mesh) runTile(t int) {
+	span := m.tileIDs[m.tileOff[t]:m.tileOff[t+1]]
+	if len(span) == 0 {
+		return
+	}
 	cyc := m.tileCycle
-	for t := lo; t < hi; t++ {
-		span := ids[m.tileOff[t]:m.tileOff[t+1]]
-		if len(span) == 0 {
-			continue
-		}
-		for _, id := range span {
-			fx := &m.fx[id]
-			fx.Reset()
-			m.physR[id].Compute(cyc, fx)
-		}
-		rest := &m.rest[t]
-		for _, id := range span {
-			m.fx[id].ApplyDomain(t, rest)
-		}
+	for _, id := range span {
+		fx := &m.fx[id]
+		fx.Reset()
+		m.physR[id].Compute(cyc, fx)
+	}
+	rest := &m.rest[t]
+	for _, id := range span {
+		m.fx[id].ApplyDomain(t, rest)
 	}
 }
 

@@ -1,8 +1,10 @@
 package noc
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/rng"
 )
@@ -98,27 +100,38 @@ func TestFaultFrozenRouterWorklist(t *testing.T) {
 // TestMeshStepAllocsZero gates the zero-allocation steady state at the
 // mesh level: once warm, a saturated Mesh.Step cycle — forwarding,
 // delivery, credit return, latency accounting, active-set maintenance
-// — must not allocate. Telemetry is wired, since the production path
-// always runs with it.
+// — must not allocate, stepped serially or on a 2-worker pool (the
+// pool hand-off and the claimed tiles included). Telemetry is wired,
+// since the production path always runs with it.
 func TestMeshStepAllocsZero(t *testing.T) {
-	m, err := NewMesh(Config{K: 8, VCs: 2, BufFlits: 8, NewArb: newERR})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.RegisterObs(obs.NewRegistry())
-	inj := NewInjector(m, 0.30, Uniform{Nodes: m.Nodes()}, rng.NewUniform(1, 8), rng.New(5))
-	inj.MaxPending = 4
-	for c := 0; c < 2000; c++ {
-		inj.Step()
-		m.Step()
-	}
-	if m.InFlight() == 0 {
-		t.Fatal("warm phase did not saturate the mesh")
-	}
-	// Deep backlog: thousands of flits keep every router busy for far
-	// longer than the measurement window, with no injector in the loop.
-	if got := testing.AllocsPerRun(100, func() { m.Step() }); got != 0 {
-		t.Errorf("Mesh.Step allocates %.1f times per cycle in steady state, want 0", got)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
+			m, err := NewMesh(Config{K: 8, VCs: 2, BufFlits: 8, NewArb: newERR})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if workers > 1 {
+				p := exec.NewPool(workers)
+				defer p.Close()
+				m.SetPool(p)
+			}
+			m.RegisterObs(obs.NewRegistry())
+			inj := NewInjector(m, 0.30, Uniform{Nodes: m.Nodes()}, rng.NewUniform(1, 8), rng.New(5))
+			inj.MaxPending = 4
+			for c := 0; c < 2000; c++ {
+				inj.Step()
+				m.Step()
+			}
+			if m.InFlight() == 0 {
+				t.Fatal("warm phase did not saturate the mesh")
+			}
+			// Deep backlog: thousands of flits keep every router busy
+			// for far longer than the measurement window, with no
+			// injector in the loop.
+			if got := testing.AllocsPerRun(100, func() { m.Step() }); got != 0 {
+				t.Errorf("Mesh.Step allocates %.1f times per cycle in steady state, want 0", got)
+			}
+		})
 	}
 }
 
