@@ -13,6 +13,10 @@ import (
 	"repro/internal/engine"
 )
 
+// TestEngineCycleAllocsZero steps the 8-flow bench configuration one
+// cycle at a time, and Figure 6's shape (fig6Engine at 10 flows) in
+// runs of 1000 cycles, each holding ~200 departures and as many
+// partial re-polls of the source.
 func TestEngineCycleAllocsZero(t *testing.T) {
 	e, err := engine.NewEngine(benchERRConfig())
 	if err != nil {
@@ -21,5 +25,12 @@ func TestEngineCycleAllocsZero(t *testing.T) {
 	e.Run(4096)
 	if got := testing.AllocsPerRun(200, func() { e.Run(1) }); got != 0 {
 		t.Errorf("engine cycle allocates %.1f times in steady state, want 0", got)
+	}
+
+	const warm, runs, cycles = 4096, 100, 1000
+	e = fig6Engine(t, 10, warm+(runs+1)*cycles)
+	e.Run(warm)
+	if got := testing.AllocsPerRun(runs, func() { e.Run(cycles) }); got != 0 {
+		t.Errorf("fig6 engine allocates %.1f times per %d cycles in steady state, want 0", got, cycles)
 	}
 }

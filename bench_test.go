@@ -19,6 +19,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/flit"
 	"repro/internal/harness"
+	"repro/internal/metrics"
 	"repro/internal/min"
 	"repro/internal/noc"
 	"repro/internal/obs"
@@ -349,6 +350,63 @@ func BenchmarkEngineCycleFBRRSparse(b *testing.B) {
 			}
 			b.ResetTimer()
 			e.Run(int64(b.N))
+		})
+	}
+}
+
+// fig6Engine builds Figure 6's engine at the given flow count the way
+// experiments.RunFig6 and RunSim do: ERR, every flow Backlogged at
+// depth 4 with truncated-exponential lengths (lambda = 0.2 on [1, 64])
+// behind one traffic.Multi, and RunSim's callbacks feeding a
+// throughput table, delay statistics and a ServiceLog hinted for
+// cycles. The log's stride exceeds cycles, so its per-stride
+// checkpoint (one small slice per 4096 cycles in RunSim) stays out of
+// allocation counts.
+func fig6Engine(tb testing.TB, flows int, cycles int64) *engine.Engine {
+	src := rng.New(rng.Derive(1, uint64(flows)))
+	dist := rng.NewTruncExp(0.2, 1, 64)
+	sources := make([]traffic.Source, flows)
+	for f := range sources {
+		sources[f] = traffic.NewBacklogged(f, 4, dist, src.Split())
+	}
+	served := metrics.NewThroughputTable(flows, flit.DefaultFlitBytes)
+	delays := metrics.NewDelayStats(flows)
+	svc := metrics.NewServiceLogCap(flows, int(cycles)+1, cycles)
+	e, err := engine.NewEngine(engine.Config{
+		Flows:     flows,
+		Scheduler: core.New(),
+		Source:    traffic.NewMulti(sources...),
+		OnFlit: func(_ int64, flow int) {
+			served.Serve(flow, 1)
+			svc.Record(flow)
+		},
+		OnIdle:      func(int64) { svc.Record(metrics.Idle) },
+		OnStall:     func(int64, int) { svc.Record(metrics.Stalled) },
+		OnDeparture: func(p flit.Packet, cycle, _ int64) { delays.Departure(p, cycle) },
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
+// BenchmarkEngineBacklogged runs Figure 6's engine (fig6Engine) for
+// 4096 cycles per op at 2, 10 and 64 flows and reports ns/cycle.
+// traffic.Multi re-polls only the departed flow's source, so the
+// traffic work per departure, and with it ns/cycle, does not grow with
+// the flow count.
+func BenchmarkEngineBacklogged(b *testing.B) {
+	const cyclesPerOp = 4096
+	for _, flows := range []int{2, 10, 64} {
+		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
+			e := fig6Engine(b, flows, int64(b.N+1)*cyclesPerOp)
+			e.Run(cyclesPerOp)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Run(cyclesPerOp)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cyclesPerOp), "ns/cycle")
 		})
 	}
 }

@@ -144,6 +144,10 @@ type Engine struct {
 	quieter traffic.Quieter
 	quiet   bool
 	polls   int64
+	// changes counts the events that can change a queue length and
+	// lastChange names the flow of the latest (see QueueChanges).
+	changes    uint64
+	lastChange int
 }
 
 // NewEngine validates cfg and returns an engine.
@@ -186,6 +190,23 @@ func (e *Engine) QueueLen(flow int) int {
 	return n
 }
 
+// QueueChanges returns the number of events so far that can change a
+// QueueLen, and the flow of the latest: every Inject call, every
+// departure in packet mode and every end of packet in flit mode. A
+// rejected Inject changes no queue but is counted too, so a source
+// whose k returned packets were just injected sees exactly k more
+// events unless something else also happened. traffic.Multi reads it
+// to re-poll only the children that one change can wake.
+func (e *Engine) QueueChanges() (n uint64, last int) { return e.changes, e.lastChange }
+
+// changed records an event that can change flow's queue length; it
+// voids the source's promise.
+func (e *Engine) changed(flow int) {
+	e.quiet = false
+	e.changes++
+	e.lastChange = flow
+}
+
 // Cycle returns the current simulation cycle.
 func (e *Engine) Cycle() int64 { return e.cycle }
 
@@ -224,7 +245,7 @@ func (e *Engine) Backlog() int {
 // flit.ErrZeroLength, flit.ErrBadFlow), reported to OnReject, and
 // never reach a queue or the scheduler.
 func (e *Engine) Inject(p flit.Packet) error {
-	e.quiet = false
+	e.changed(p.Flow)
 	err := p.Validate()
 	if err == nil && p.Flow >= e.cfg.Flows {
 		err = fmt.Errorf("%w: flow %d >= %d flows", flit.ErrBadFlow, p.Flow, e.cfg.Flows)
@@ -328,7 +349,7 @@ func (e *Engine) stepPacketMode() {
 	}
 	// Tail flit forwarded: the packet departs.
 	e.inService = false
-	e.quiet = false
+	e.changed(e.current.Flow)
 	if e.cfg.OnDeparture != nil {
 		e.cfg.OnDeparture(e.current, e.cycle, e.occupancy)
 	}
@@ -364,7 +385,7 @@ func (e *Engine) stepFlitMode() {
 	}
 	end := e.remaining[flow] == 0
 	if end {
-		e.quiet = false
+		e.changed(flow)
 		if e.cfg.OnDeparture != nil {
 			e.cfg.OnDeparture(e.partial[flow], e.cycle, int64(e.partial[flow].Length))
 		}

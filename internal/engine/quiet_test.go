@@ -130,11 +130,14 @@ const (
 
 // Source shapes.
 const (
-	srcMulti  = iota // one Backlogged per flow
-	srcSingle        // one Backlogged flow, the rest idle
-	srcWindow        // a Window, closing mid-run, over Backlogged flows and a Bernoulli one
-	srcMixed         // Backlogged flows next to a Bernoulli one (never quiet)
-	srcMirror        // Backlogged flows and a mirror, whose promise a growing queue voids
+	srcMulti         = iota // one Backlogged per flow
+	srcSingle               // one Backlogged flow, the rest idle
+	srcWindow               // a Window, closing mid-run, over Backlogged flows and a Bernoulli one
+	srcMixed                // Backlogged flows next to a Bernoulli one (never quiet)
+	srcMirror               // Backlogged flows and a mirror, whose promise a growing queue voids
+	srcWindowQuiet          // a Window, closing mid-run, over Backlogged flows only (fig5's shape)
+	srcMirrorAmong          // a mirror between Backlogged flows, into a flow one of them tops up
+	srcReinjectOther        // Backlogged flows; OnDeparture re-injects into another flow
 	numSources
 )
 
@@ -213,6 +216,11 @@ func (c oracleCase) newSource(r *rng.Source) traffic.Source {
 		return traffic.NewMulti(backlogged(0), traffic.NewBernoulli(1, 0.05, dist, r.Split()), backlogged(2))
 	case srcMirror:
 		return traffic.NewMulti(backlogged(0), backlogged(1), backlogged(2), &mirror{From: 0, To: 3, Dist: dist, Src: r.Split()})
+	case srcWindowQuiet:
+		from := r.Int63n(100)
+		return traffic.NewWindow(all(), from, from+r.Int63n(600))
+	case srcMirrorAmong:
+		return traffic.NewMulti(backlogged(0), &mirror{From: 0, To: 2, Dist: dist, Src: r.Split()}, backlogged(1), backlogged(2), backlogged(3))
 	}
 	return all()
 }
@@ -262,6 +270,10 @@ func (c oracleCase) run(t testing.TB, hide bool) oracleRun {
 		delays.Departure(p, cycle)
 		if reinject && reinjectSrc.Bernoulli(0.3) {
 			e.Inject(flit.Packet{Flow: reinjectSrc.Intn(oracleFlows), Length: 1 + reinjectSrc.Intn(6)})
+		}
+		if c.source == srcReinjectOther && reinjectSrc.Bernoulli(0.3) {
+			other := (p.Flow + 1 + reinjectSrc.Intn(oracleFlows-1)) % oracleFlows
+			e.Inject(flit.Packet{Flow: other, Length: 1 + reinjectSrc.Intn(6)})
 		}
 	}
 	cfg.OnInject = func(p flit.Packet, cycle int64) {
@@ -380,6 +392,9 @@ func FuzzEngineQuietOracle(f *testing.F) {
 	f.Add(uint8(12), uint8(2), uint8(3), uint64(3), false, []byte{0xC1, 0x41, 0x3F})
 	f.Add(uint8(11), uint8(2), uint8(1), uint64(9), true, []byte{0x00, 0x80, 0x00, 0x40, 0x3F})
 	f.Add(uint8(5), uint8(0), uint8(4), uint64(11), false, []byte{0x41, 0x41, 0xC3, 0x3F})
+	f.Add(uint8(0), uint8(0), uint8(5), uint64(13), false, []byte{0x45, 0x3F, 0x3F})
+	f.Add(uint8(3), uint8(1), uint8(6), uint64(17), true, []byte{0x3F, 0x41, 0x3F})
+	f.Add(uint8(12), uint8(0), uint8(7), uint64(19), false, []byte{0x3F, 0x7F, 0x3F})
 	f.Fuzz(func(t *testing.T, disc, stall, source uint8, seed uint64, observe bool, script []byte) {
 		if len(script) > 64 {
 			script = script[:64]

@@ -143,6 +143,9 @@ func (b *Backlogged) QuietAfter(cycle int64, q QueueView) bool {
 	return q.QueueLen(b.Flow) >= b.Depth
 }
 
+// quietFlow implements oneFlow: the promise reads only Flow's queue.
+func (b *Backlogged) quietFlow() int { return b.Flow }
+
 // OnOff is a two-state bursty source: in the On state it emits
 // packets at OnRate per cycle (Bernoulli); state dwell times are
 // geometric with the given mean cycles. It models the bursty sources
@@ -218,10 +221,49 @@ func (w *Window) QuietAfter(cycle int64, q QueueView) bool {
 	return ok && in.QuietAfter(cycle, q)
 }
 
-// Multi combines several sources into one.
+// oneFlow is implemented by a Quieter whose promise reads the queue
+// of one flow only, the flow quietFlow returns.
+type oneFlow interface{ quietFlow() int }
+
+// changeCounter is the optional side of a QueueView that counts the
+// events that can change a queue length and names the flow of the
+// latest (engine.Engine.QueueChanges).
+type changeCounter interface {
+	QueueChanges() (n uint64, last int)
+}
+
+// Multi combines several sources into one. Sources must not change
+// once Multi has been polled.
+//
+// Multi keeps its own record of its promise. When the QueueView counts
+// its changes (changeCounter) and exactly one change has happened
+// since Multi last promised quiet, only the children whose promise
+// reads the changed flow can emit: the single-flow children of that
+// flow (Backlogged) and every child that may read any flow. Arrivals
+// polls just those, in index order, so the packets and the random
+// draws are those of a poll of every child, and the QuietAfter that
+// follows asks just those again, plus the children of the flows the
+// returned packets changed. In every other case both visit every
+// child.
 type Multi struct {
 	Sources []Source
 	buf     []flit.Packet
+	// out is what the last partial poll returned.
+	out []flit.Packet
+
+	// The index, built on the first partial poll: byFlow[f] lists in
+	// index order the children whose promise reads flow f alone,
+	// anyFlow every other child.
+	indexed bool
+	byFlow  [][]int
+	anyFlow []int
+
+	// The record. promised: QuietAfter last answered true, at change
+	// count mark. partial: the last Arrivals polled only flow polled's
+	// children and anyFlow, at change count mark.
+	promised, partial bool
+	mark              uint64
+	polled            int
 }
 
 // NewMulti returns a source combining the given sources.
@@ -229,20 +271,119 @@ func NewMulti(sources ...Source) *Multi { return &Multi{Sources: sources} }
 
 // Arrivals implements Source.
 func (m *Multi) Arrivals(cycle int64, q QueueView) []flit.Packet {
+	if cc, ok := q.(changeCounter); ok && m.promised {
+		if n, last := cc.QueueChanges(); n == m.mark+1 {
+			m.out = m.pollFlow(cycle, q, last)
+			m.promised, m.partial, m.mark, m.polled = false, true, n, last
+			return m.out
+		}
+	}
+	m.promised, m.partial = false, false
 	m.buf = m.buf[:0]
 	for _, s := range m.Sources {
 		m.buf = append(m.buf, s.Arrivals(cycle, q)...)
 	}
+	return m.result()
+}
+
+func (m *Multi) result() []flit.Packet {
 	if len(m.buf) == 0 {
 		return nil
 	}
 	return m.buf
 }
 
+// pollFlow returns the arrivals of flow f's children and of anyFlow,
+// merged in index order. A lone child's packets are returned as they
+// are: they stay valid until its next call, which only a later call
+// of Multi makes.
+func (m *Multi) pollFlow(cycle int64, q QueueView, f int) []flit.Packet {
+	if !m.indexed {
+		m.index()
+	}
+	own, every := m.children(f), m.anyFlow
+	if len(own) == 1 && len(every) == 0 {
+		return m.Sources[own[0]].Arrivals(cycle, q)
+	}
+	m.buf = m.buf[:0]
+	for len(own)+len(every) > 0 {
+		var i int
+		if len(every) == 0 || len(own) > 0 && own[0] < every[0] {
+			i, own = own[0], own[1:]
+		} else {
+			i, every = every[0], every[1:]
+		}
+		m.buf = append(m.buf, m.Sources[i].Arrivals(cycle, q)...)
+	}
+	return m.result()
+}
+
+func (m *Multi) index() {
+	m.indexed = true
+	for i, s := range m.Sources {
+		o, ok := s.(oneFlow)
+		if !ok || o.quietFlow() < 0 {
+			m.anyFlow = append(m.anyFlow, i)
+			continue
+		}
+		f := o.quietFlow()
+		for len(m.byFlow) <= f {
+			m.byFlow = append(m.byFlow, nil)
+		}
+		m.byFlow[f] = append(m.byFlow[f], i)
+	}
+}
+
+// children returns the single-flow children of flow f.
+func (m *Multi) children(f int) []int {
+	if f < 0 || f >= len(m.byFlow) {
+		return nil
+	}
+	return m.byFlow[f]
+}
+
 // QuietAfter implements Quieter: quiet when every child is.
 func (m *Multi) QuietAfter(cycle int64, q QueueView) bool {
-	for _, s := range m.Sources {
-		if in, ok := s.(Quieter); !ok || !in.QuietAfter(cycle, q) {
+	var n uint64
+	cc, counted := q.(changeCounter)
+	if counted {
+		n, _ = cc.QueueChanges()
+	}
+	// After a partial poll the changes since the promise are the one
+	// it polled for plus one per packet it returned (a rejected
+	// packet is counted too); any other count means something else
+	// changed a queue, and every child is asked.
+	partial := m.partial && counted && n == m.mark+uint64(len(m.out))
+	m.promised, m.partial = false, false
+	if partial {
+		if !m.quiet(m.children(m.polled), cycle, q) || !m.quiet(m.anyFlow, cycle, q) {
+			return false
+		}
+		for i, p := range m.out {
+			if p.Flow == m.polled || i > 0 && p.Flow == m.out[i-1].Flow {
+				continue
+			}
+			if !m.quiet(m.children(p.Flow), cycle, q) {
+				return false
+			}
+		}
+	} else {
+		for _, s := range m.Sources {
+			if in, ok := s.(Quieter); !ok || !in.QuietAfter(cycle, q) {
+				return false
+			}
+		}
+	}
+	m.promised, m.mark = true, n
+	return true
+}
+
+// quiet reports whether every child in idx promises quiet. Only a
+// Multi whose children all promised quiet polls partially, so each
+// is a Quieter.
+func (m *Multi) quiet(idx []int, cycle int64, q QueueView) bool {
+	for _, i := range idx {
+		if !m.Sources[i].(Quieter).QuietAfter(cycle, q) {
 			return false
 		}
 	}

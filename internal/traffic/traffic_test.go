@@ -287,3 +287,134 @@ func TestQuietAfter(t *testing.T) {
 		}
 	}
 }
+
+// countingView is a QueueView that counts its changes the way the
+// engine does (engine.Engine.QueueChanges) and its QueueLen reads per
+// flow.
+type countingView struct {
+	lens, reads []int
+	n           uint64
+	last        int
+}
+
+func (v *countingView) QueueLen(flow int) int {
+	v.reads[flow]++
+	return v.lens[flow]
+}
+
+func (v *countingView) QueueChanges() (uint64, int) { return v.n, v.last }
+
+func (v *countingView) change(flow, delta int) {
+	v.lens[flow] += delta
+	v.n++
+	v.last = flow
+}
+
+// poll asks m for arrivals and injects them, then asks for its
+// promise, like one engine poll; it returns the reads per flow.
+func (v *countingView) poll(t *testing.T, m *Multi, cycle int64) []int {
+	t.Helper()
+	clear(v.reads)
+	for _, p := range m.Arrivals(cycle, v) {
+		v.change(p.Flow, 1)
+	}
+	if !m.QuietAfter(cycle, v) {
+		t.Fatalf("cycle %d: Multi of refilled Backlogged flows not quiet", cycle)
+	}
+	return v.reads
+}
+
+// probe is a quiet source whose promise may read any flow; it counts
+// the calls it gets and returns emit once.
+type probe struct {
+	polls, asks int
+	emit        []flit.Packet
+}
+
+func (p *probe) Arrivals(int64, QueueView) []flit.Packet {
+	p.polls++
+	out := p.emit
+	p.emit = nil
+	return out
+}
+
+func (p *probe) QuietAfter(int64, QueueView) bool { p.asks++; return true }
+
+// TestMultiReadsOnlyTheChangedFlow pins the O(1) re-poll: after one
+// change to flow f since its promise, a Multi of per-flow Backlogged
+// sources reads f's queue once to refill it and once to promise
+// again, and no other queue; a child whose promise may read any flow
+// is polled and asked every time, and a packet it returns into flow g
+// has g's child asked again. After two changes, with no promise held,
+// or when something other than its own packets changed a queue before
+// QuietAfter, it reads every flow.
+func TestMultiReadsOnlyTheChangedFlow(t *testing.T) {
+	for _, n := range []int{2, 10, 64} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			v := &countingView{lens: make([]int, n), reads: make([]int, n)}
+			sources := make([]Source, n)
+			for f := range sources {
+				sources[f] = NewBacklogged(f, 4, rng.NewUniform(1, 64), rng.New(uint64(f)))
+			}
+			wide := &probe{}
+			m := NewMulti(append(sources, wide)...)
+			readsAll := func(what string, reads []int) {
+				t.Helper()
+				for g, r := range reads {
+					if r == 0 {
+						t.Errorf("%s: flow %d not read (reads %v)", what, g, reads)
+						return
+					}
+				}
+			}
+			readsAll("first poll", v.poll(t, m, 0))
+			cycle := int64(1)
+			for k, f := range []int{0, n - 1, n / 2, n / 2} {
+				want := make([]int, n)
+				want[f] = 2
+				*wide = probe{}
+				if k == 3 {
+					g := (f + 1) % n
+					wide.emit = []flit.Packet{{Flow: g, Length: 1}}
+					want[g] = 1
+				}
+				v.change(f, -1)
+				reads := v.poll(t, m, cycle)
+				if wide.polls != 1 || wide.asks != 1 {
+					t.Fatalf("one change to flow %d: any-flow child polled %d and asked %d times, want 1 and 1", f, wide.polls, wide.asks)
+				}
+				for g, r := range reads {
+					if r != want[g] {
+						t.Fatalf("one change to flow %d: flow %d read %d times, want %d", f, g, r, want[g])
+					}
+				}
+				cycle++
+			}
+			v.change(0, -1)
+			v.change(n-1, -1)
+			readsAll("two changes", v.poll(t, m, cycle))
+			cycle++
+
+			fresh := NewMulti(sources...)
+			v.change(1, -1)
+			readsAll("no promise held", v.poll(t, fresh, cycle))
+			cycle++
+
+			// A change between Arrivals and QuietAfter that m did not
+			// return (an injection from a callback) voids the partial
+			// promise.
+			readsAll("catching up", v.poll(t, m, cycle))
+			cycle++
+			v.change(1, -1)
+			clear(v.reads)
+			for _, p := range m.Arrivals(cycle, v) {
+				v.change(p.Flow, 1)
+			}
+			v.change(0, 1)
+			if !m.QuietAfter(cycle, v) {
+				t.Fatal("Multi not quiet after an extra injection")
+			}
+			readsAll("unaccounted change", v.reads)
+		})
+	}
+}
