@@ -53,6 +53,7 @@ import (
 	"strings"
 
 	"repro/internal/obs"
+	"repro/internal/queue"
 )
 
 // Invariant identifiers, as they appear in Violation.Invariant and in
@@ -168,36 +169,20 @@ func (e event) String() string {
 	return fmt.Sprintf("c%-8d event kind=%d", e.cycle, e.kind)
 }
 
-// ring is a fixed-capacity event buffer.
-type ring struct {
-	buf  []event
-	next int
-	full bool
+// addEvent appends e to the recorder's trace, overwriting the oldest
+// event once the trace holds DefaultTraceEvents.
+func (r *Recorder) addEvent(e event) {
+	if r.trace.Len() == r.trace.Cap() {
+		r.trace.Pop()
+	}
+	r.trace.Push(e)
 }
 
-func newRing(n int) *ring { return &ring{buf: make([]event, n)} }
-
-func (r *ring) add(e event) {
-	r.buf[r.next] = e
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-// dump returns the buffered events oldest-first, formatted.
-func (r *ring) dump() []string {
-	var evs []event
-	if r.full {
-		evs = append(evs, r.buf[r.next:]...)
-		evs = append(evs, r.buf[:r.next]...)
-	} else {
-		evs = r.buf[:r.next]
-	}
-	out := make([]string, len(evs))
-	for i, e := range evs {
-		out[i] = e.String()
+// dumpTrace returns the buffered events oldest-first, formatted.
+func (r *Recorder) dumpTrace() []string {
+	out := make([]string, r.trace.Len())
+	for i := range out {
+		out[i] = r.trace.At(i).String()
 	}
 	return out
 }
@@ -222,7 +207,7 @@ type Recorder struct {
 	max        int
 	violations []*Violation
 	dropped    int
-	trace      *ring
+	trace      queue.Ring[event]
 
 	// counter, when set, counts every violation in an obs registry.
 	counter *obs.Counter
@@ -230,10 +215,9 @@ type Recorder struct {
 
 // NewRecorder returns a recorder with the default caps.
 func NewRecorder() *Recorder {
-	return &Recorder{
-		max:   DefaultMaxViolations,
-		trace: newRing(DefaultTraceEvents),
-	}
+	r := &Recorder{max: DefaultMaxViolations}
+	r.trace.Reserve(DefaultTraceEvents)
+	return r
 }
 
 // Register wires the recorder's violation count into reg as the
@@ -265,7 +249,7 @@ func (r *Recorder) report(cycle int64, invariant string, flow int, format string
 		Invariant: invariant,
 		Flow:      flow,
 		Detail:    fmt.Sprintf(format, argv...),
-		Trace:     r.trace.dump(),
+		Trace:     r.dumpTrace(),
 	})
 }
 

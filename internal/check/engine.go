@@ -72,7 +72,7 @@ func (c *EngineChecker) Wire(cfg *engine.Config) {
 	prevInj := cfg.OnInject
 	cfg.OnInject = func(p flit.Packet, cycle int64) {
 		c.injected += int64(p.Length)
-		c.trace.add(event{cycle: cycle, kind: evInject, a: int64(p.Flow), b: int64(p.Length), c: p.ID})
+		c.addEvent(event{cycle: cycle, kind: evInject, a: int64(p.Flow), b: int64(p.Length), c: p.ID})
 		if prevInj != nil {
 			prevInj(p, cycle)
 		}
@@ -82,7 +82,7 @@ func (c *EngineChecker) Wire(cfg *engine.Config) {
 		// Rejected packets are not violations — rejection is the
 		// correct handling of malformed traffic — but they belong in
 		// the event trace.
-		c.trace.add(event{cycle: cycle, kind: evReject, a: int64(p.Flow), b: int64(p.Length)})
+		c.addEvent(event{cycle: cycle, kind: evReject, a: int64(p.Flow), b: int64(p.Length)})
 		if prevRej != nil {
 			prevRej(p, cycle, err)
 		}
@@ -102,7 +102,7 @@ func (c *EngineChecker) Wire(cfg *engine.Config) {
 		if occupancy > c.maxCost {
 			c.maxCost = occupancy
 		}
-		c.trace.add(event{cycle: cycle, kind: evDepart, a: int64(p.Flow), b: p.ID, c: occupancy})
+		c.addEvent(event{cycle: cycle, kind: evDepart, a: int64(p.Flow), b: p.ID, c: occupancy})
 		if p.Flow >= 0 && p.Flow < len(c.lastID) {
 			if p.ID <= c.lastID[p.Flow] {
 				c.report(cycle, InvFIFO, p.Flow,
@@ -157,7 +157,7 @@ func (c *EngineChecker) Tick() {
 
 // RoundStart implements core.TraceSink.
 func (c *EngineChecker) RoundStart(round, prevMaxSC int64, visits int) {
-	c.trace.add(event{cycle: c.cycle(), kind: evRound, a: round, b: prevMaxSC, c: int64(visits)})
+	c.addEvent(event{cycle: c.cycle(), kind: evRound, a: round, b: prevMaxSC, c: int64(visits)})
 }
 
 // Opportunity implements core.TraceSink — the allowance and Lemma 1

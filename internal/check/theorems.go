@@ -42,7 +42,7 @@ func ServiceBounds(n, sumMaxSC, m int64) (lo, hi int64) {
 // [0, m-1]. A flow that drained is waived from the lower half: it may
 // stop short of its allowance, and Figure 1 resets its surplus count.
 func (r *Recorder) opportunity(cycle, m, round int64, flow int, allowance, sent, surplus int64, left bool) {
-	r.trace.add(event{cycle: cycle, kind: evOpportunity, a: int64(flow), b: allowance, c: sent, d: surplus})
+	r.addEvent(event{cycle: cycle, kind: evOpportunity, a: int64(flow), b: allowance, c: sent, d: surplus})
 	if allowance < 1 {
 		r.report(cycle, InvAllowance, flow,
 			"round %d: allowance %d < 1 (every flow may send at least one packet per round)",
@@ -77,7 +77,7 @@ func VerifyTrace(rec *core.TraceRecorder, m int64, window int) error {
 		if rd.Round == 1 {
 			first = i
 		}
-		r.trace.add(event{cycle: -1, kind: evRound, a: rd.Round, b: rd.PrevMaxSC, c: int64(rd.Visits)})
+		r.addEvent(event{cycle: -1, kind: evRound, a: rd.Round, b: rd.PrevMaxSC, c: int64(rd.Visits)})
 		for _, op := range rec.Opportunities(i) {
 			r.opportunity(-1, m, op.Round, op.Flow, op.Allowance, op.Sent, op.Surplus, op.Left)
 		}

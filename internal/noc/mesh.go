@@ -346,7 +346,7 @@ type Mesh struct {
 	// sched is a min-heap of future injections (SendAt), ordered by
 	// (cycle, submission order); schedSeq breaks same-cycle ties so
 	// release order matches submission order deterministically.
-	sched    []schedSend
+	sched    queue.Heap[schedSend]
 	schedSeq int64
 	// events is the discrete-event queue proper: externally known
 	// wake-up cycles — fault-window edges registered by Protect or
@@ -672,9 +672,9 @@ type schedSend struct {
 	src, dst, length int
 }
 
-// schedLess orders the SendAt heap by release cycle, then submission
+// Less orders the SendAt heap by release cycle, then submission
 // order.
-func schedLess(a, b schedSend) bool {
+func (a schedSend) Less(b schedSend) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
@@ -688,44 +688,15 @@ func (m *Mesh) SendAt(at int64, src, dst, length int) {
 		m.Send(src, dst, length)
 		return
 	}
-	m.sched = append(m.sched, schedSend{at: at, seq: m.schedSeq, src: src, dst: dst, length: length})
+	m.sched.Push(schedSend{at: at, seq: m.schedSeq, src: src, dst: dst, length: length})
 	m.schedSeq++
-	// Sift up.
-	i := len(m.sched) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !schedLess(m.sched[i], m.sched[p]) {
-			break
-		}
-		m.sched[i], m.sched[p] = m.sched[p], m.sched[i]
-		i = p
-	}
 }
 
 // releaseDue pops every scheduled send due at or before the current
 // cycle, in (cycle, submission) order.
 func (m *Mesh) releaseDue() {
-	for len(m.sched) > 0 && m.sched[0].at <= m.cycle {
-		s := m.sched[0]
-		n := len(m.sched) - 1
-		m.sched[0] = m.sched[n]
-		m.sched = m.sched[:n]
-		// Sift down.
-		i := 0
-		for {
-			c := 2*i + 1
-			if c >= n {
-				break
-			}
-			if c+1 < n && schedLess(m.sched[c+1], m.sched[c]) {
-				c++
-			}
-			if !schedLess(m.sched[c], m.sched[i]) {
-				break
-			}
-			m.sched[i], m.sched[c] = m.sched[c], m.sched[i]
-			i = c
-		}
+	for m.sched.Len() > 0 && m.sched.Peek().at <= m.cycle {
+		s := m.sched.Pop()
 		m.Send(s.src, s.dst, s.length)
 	}
 }
@@ -883,8 +854,8 @@ func (m *Mesh) nextEventCycle(end int64) int64 {
 		return m.cycle
 	}
 	next := end
-	if len(m.sched) > 0 && m.sched[0].at < next {
-		next = m.sched[0].at
+	if m.sched.Len() > 0 && m.sched.Peek().at < next {
+		next = m.sched.Peek().at
 	}
 	if m.activeR.len() > 0 {
 		if at := m.events.DropDue(m.cycle); at < next {
@@ -1284,7 +1255,7 @@ func (m *Mesh) Run(n int64) {
 func (m *Mesh) Drain(maxCycles int64) bool {
 	end := m.horizonEnd(maxCycles)
 	for m.cycle < end {
-		if m.InFlight() == 0 && len(m.sched) == 0 {
+		if m.InFlight() == 0 && m.sched.Len() == 0 {
 			return true
 		}
 		if next := m.nextEventCycle(end); next > m.cycle {
@@ -1293,7 +1264,7 @@ func (m *Mesh) Drain(maxCycles int64) bool {
 		}
 		m.Step()
 	}
-	return m.InFlight() == 0 && len(m.sched) == 0
+	return m.InFlight() == 0 && m.sched.Len() == 0
 }
 
 // Router returns a router by id (tests, instrumentation).

@@ -16,10 +16,6 @@ type TraceConfig struct {
 	// hooks are installed, the mesh pays nothing, and the returned
 	// Trace stays empty (including its rollup).
 	SampleEvery int
-	// RingCap is the per-router hop-record ring capacity.
-	RingCap int
-	// MeshRingCap is the inject/deliver ring capacity.
-	MeshRingCap int
 	// EpochCycles is the Jain fairness epoch length.
 	EpochCycles int64
 	// Reg receives the rollup metrics; nil creates a private registry.
@@ -39,8 +35,6 @@ func (m *Mesh) EnableTrace(cfg TraceConfig) *trace.Trace {
 	tc := trace.Config{
 		Seed:        cfg.Seed,
 		SampleEvery: cfg.SampleEvery,
-		RingCap:     cfg.RingCap,
-		MeshRingCap: cfg.MeshRingCap,
 		Flows:       m.Nodes(),
 		EpochCycles: cfg.EpochCycles,
 		Reg:         cfg.Reg,

@@ -5,21 +5,21 @@ package queue
 // O(1) add-to-tail, and O(1) remove-from-head, which is what Theorem 1
 // of the paper relies on for the O(1) work complexity of ERR.
 //
-// Implementation: a growable ring of flow ids plus a membership
-// bitmap indexed by flow id. The same flow may not appear twice.
-// The zero value is an empty list; flows of any non-negative id may
-// be added (the bitmap grows on demand).
+// Implementation: a Ring of flow ids plus a membership bitmap indexed
+// by flow id. The same flow may not appear twice, so the ring is
+// reserved as large as the bitmap and never grows or shrinks between
+// bitmap growths. The zero value is an empty list; flows of any
+// non-negative id may be added (the bitmap grows on demand).
 type ActiveList struct {
-	ring       []int
-	head, size int
-	member     []bool
+	ring   Ring[int]
+	member []bool
 }
 
 // Len returns the number of flows in the list.
-func (l *ActiveList) Len() int { return l.size }
+func (l *ActiveList) Len() int { return l.ring.Len() }
 
 // Empty reports whether the list has no flows.
-func (l *ActiveList) Empty() bool { return l.size == 0 }
+func (l *ActiveList) Empty() bool { return l.ring.Len() == 0 }
 
 // Contains reports whether flow id is currently in the list.
 // This is ExistsInActiveList from the paper's pseudo-code.
@@ -38,59 +38,33 @@ func (l *ActiveList) PushTail(id int) {
 		panic("queue: flow already in ActiveList")
 	}
 	if id >= len(l.member) {
-		nm := make([]bool, id+1)
+		nm := make([]bool, max(id+1, 2*len(l.member)))
 		copy(nm, l.member)
 		l.member = nm
+		l.ring.Reserve(len(nm))
 	}
-	if l.size == len(l.ring) {
-		l.grow()
-	}
-	l.ring[(l.head+l.size)%len(l.ring)] = id
-	l.size++
+	l.ring.Push(id)
 	l.member[id] = true
 }
 
 // PopHead removes and returns the flow id at the head. It panics if
 // the list is empty.
 func (l *ActiveList) PopHead() int {
-	if l.size == 0 {
-		panic("queue: PopHead from empty ActiveList")
-	}
-	id := l.ring[l.head]
-	l.head = (l.head + 1) % len(l.ring)
-	l.size--
+	id := l.ring.Pop()
 	l.member[id] = false
 	return id
 }
 
 // PeekHead returns the flow id at the head without removing it.
 // It panics if the list is empty.
-func (l *ActiveList) PeekHead() int {
-	if l.size == 0 {
-		panic("queue: PeekHead on empty ActiveList")
-	}
-	return l.ring[l.head]
-}
+func (l *ActiveList) PeekHead() int { return l.ring.Peek() }
 
 // Snapshot returns the flow ids in FIFO order (head first). Intended
 // for tests and tracing; O(n).
 func (l *ActiveList) Snapshot() []int {
-	out := make([]int, l.size)
-	for i := 0; i < l.size; i++ {
-		out[i] = l.ring[(l.head+i)%len(l.ring)]
+	out := make([]int, l.ring.Len())
+	for i := range out {
+		out[i] = *l.ring.At(i)
 	}
 	return out
-}
-
-func (l *ActiveList) grow() {
-	n := len(l.ring) * 2
-	if n == 0 {
-		n = 8
-	}
-	nr := make([]int, n)
-	for i := 0; i < l.size; i++ {
-		nr[i] = l.ring[(l.head+i)%len(l.ring)]
-	}
-	l.ring = nr
-	l.head = 0
 }

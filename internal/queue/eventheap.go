@@ -20,13 +20,13 @@ type Event struct {
 	Kind uint8
 }
 
-// eventLess is the total order of the event queue: fire cycle, then
+// Less is the total order of the event queue: fire cycle, then
 // entity id, then kind. The order below At is a determinism contract,
 // not an optimisation: same-cycle events must pop in a fixed
 // (id, kind) order no matter what order they were pushed in, so every
 // consumer that drains due events observes one canonical sequence
 // (pinned by TestEventHeapDeterministicOrder and raced in CI).
-func eventLess(a, b Event) bool {
+func (a Event) Less(b Event) bool {
 	if a.At != b.At {
 		return a.At < b.At
 	}
@@ -42,64 +42,18 @@ func eventLess(a, b Event) bool {
 // contract), and because the order is total over the struct, the pop
 // sequence of any multiset of events is independent of insertion
 // order even though a binary heap is not stable. The zero value is an
-// empty heap; Push amortises to zero allocations once the backing
-// array has grown to the working-set size.
+// empty heap.
 type EventHeap struct {
-	h []Event
+	Heap[Event]
 }
-
-// Len returns the number of queued events.
-func (q *EventHeap) Len() int { return len(q.h) }
 
 // NextAt returns the fire cycle of the earliest event, or EventNever
 // when the heap is empty — min() composes without an emptiness check.
 func (q *EventHeap) NextAt() int64 {
-	if len(q.h) == 0 {
+	if q.Len() == 0 {
 		return EventNever
 	}
-	return q.h[0].At
-}
-
-// Push queues an event.
-func (q *EventHeap) Push(e Event) {
-	q.h = append(q.h, e)
-	i := len(q.h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !eventLess(q.h[i], q.h[p]) {
-			break
-		}
-		q.h[i], q.h[p] = q.h[p], q.h[i]
-		i = p
-	}
-}
-
-// Pop removes and returns the earliest event. It panics on an empty
-// heap (callers gate on Len or NextAt).
-func (q *EventHeap) Pop() Event {
-	if len(q.h) == 0 {
-		panic("queue: Pop from empty EventHeap")
-	}
-	top := q.h[0]
-	n := len(q.h) - 1
-	q.h[0] = q.h[n]
-	q.h = q.h[:n]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && eventLess(q.h[c+1], q.h[c]) {
-			c++
-		}
-		if !eventLess(q.h[c], q.h[i]) {
-			break
-		}
-		q.h[i], q.h[c] = q.h[c], q.h[i]
-		i = c
-	}
-	return top
+	return q.Peek().At
 }
 
 // DropDue pops every event with At <= now, returning the fire cycle
@@ -108,7 +62,7 @@ func (q *EventHeap) Pop() Event {
 // a "next interesting cycle" bound: edges the simulation has already
 // stepped past carry no information and are shed on the next query.
 func (q *EventHeap) DropDue(now int64) int64 {
-	for len(q.h) > 0 && q.h[0].At <= now {
+	for q.Len() > 0 && q.Peek().At <= now {
 		q.Pop()
 	}
 	return q.NextAt()

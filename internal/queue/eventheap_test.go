@@ -74,7 +74,7 @@ func TestEventHeapDeterministicOrder(t *testing.T) {
 		}
 	}
 	want := append([]Event(nil), events...)
-	sort.Slice(want, func(i, j int) bool { return eventLess(want[i], want[j]) })
+	sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
 
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {

@@ -2,38 +2,36 @@ package queue
 
 import "repro/internal/flit"
 
-// FlitQueue is a FIFO of flits backed by a growable ring buffer,
-// optionally bounded by a capacity (in flits) so it can model a
-// finite hardware buffer with credit-based flow control. The zero
-// value is an unbounded empty queue; use NewFlitQueue for a bounded
-// one. All operations are amortised O(1).
+// FlitQueue is a FIFO of flits on a Ring, optionally bounded by a
+// capacity (in flits) so it can model a finite hardware buffer with
+// credit-based flow control. The zero value is an unbounded empty
+// queue; use NewFlitQueue for a bounded one, which allocates its
+// capacity once. All operations are amortised O(1).
 type FlitQueue struct {
-	buf        []flit.Flit
-	head, size int
-	cap        int // 0 means unbounded
+	r   Ring[flit.Flit]
+	cap int // 0 means unbounded
 }
 
 // NewFlitQueue returns a flit FIFO bounded to capacity flits.
 // capacity <= 0 yields an unbounded queue.
 func NewFlitQueue(capacity int) *FlitQueue {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &FlitQueue{cap: capacity}
+	q := &FlitQueue{cap: max(capacity, 0)}
+	q.r.Reserve(q.cap)
+	return q
 }
 
 // Len returns the number of queued flits.
-func (q *FlitQueue) Len() int { return q.size }
+func (q *FlitQueue) Len() int { return q.r.Len() }
 
 // Empty reports whether the queue holds no flits.
-func (q *FlitQueue) Empty() bool { return q.size == 0 }
+func (q *FlitQueue) Empty() bool { return q.r.Len() == 0 }
 
 // Cap returns the capacity in flits (0 = unbounded).
 func (q *FlitQueue) Cap() int { return q.cap }
 
 // Full reports whether a bounded queue has no free slots. Unbounded
 // queues are never full.
-func (q *FlitQueue) Full() bool { return q.cap > 0 && q.size >= q.cap }
+func (q *FlitQueue) Full() bool { return q.cap > 0 && q.r.Len() >= q.cap }
 
 // Free returns the number of free slots; for unbounded queues it
 // returns a large positive number.
@@ -41,7 +39,7 @@ func (q *FlitQueue) Free() int {
 	if q.cap == 0 {
 		return int(^uint(0) >> 1) // MaxInt
 	}
-	return q.cap - q.size
+	return q.cap - q.r.Len()
 }
 
 // Push appends a flit. It reports whether the flit was accepted; a
@@ -51,45 +49,12 @@ func (q *FlitQueue) Push(f flit.Flit) bool {
 	if q.Full() {
 		return false
 	}
-	if q.size == len(q.buf) {
-		q.grow()
-	}
-	q.buf[(q.head+q.size)%len(q.buf)] = f
-	q.size++
+	q.r.Push(f)
 	return true
 }
 
 // Pop removes and returns the flit at the head. It panics if empty.
-func (q *FlitQueue) Pop() flit.Flit {
-	if q.size == 0 {
-		panic("queue: Pop from empty FlitQueue")
-	}
-	f := q.buf[q.head]
-	q.head = (q.head + 1) % len(q.buf)
-	q.size--
-	return f
-}
+func (q *FlitQueue) Pop() flit.Flit { return q.r.Pop() }
 
 // Peek returns the head flit without removing it. It panics if empty.
-func (q *FlitQueue) Peek() flit.Flit {
-	if q.size == 0 {
-		panic("queue: Peek on empty FlitQueue")
-	}
-	return q.buf[q.head]
-}
-
-func (q *FlitQueue) grow() {
-	n := len(q.buf) * 2
-	if n == 0 {
-		n = 16
-	}
-	if q.cap > 0 && n > q.cap {
-		n = q.cap
-	}
-	nb := make([]flit.Flit, n)
-	for i := 0; i < q.size; i++ {
-		nb[i] = q.buf[(q.head+i)%len(q.buf)]
-	}
-	q.buf = nb
-	q.head = 0
-}
+func (q *FlitQueue) Peek() flit.Flit { return q.r.Peek() }

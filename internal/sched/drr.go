@@ -31,7 +31,7 @@ type DRR struct {
 	// (flow ids are dense small integers; slices keep the hot path
 	// allocation-free).
 	deficit []int64
-	lengths []*fifoInt
+	lengths []queue.Ring[int]
 	current int
 }
 
@@ -78,7 +78,7 @@ func (d *DRR) grow(flow int) {
 	nd := make([]int64, flow+1)
 	copy(nd, d.deficit)
 	d.deficit = nd
-	nl := make([]*fifoInt, flow+1)
+	nl := make([]queue.Ring[int], flow+1)
 	copy(nl, d.lengths)
 	d.lengths = nl
 }
@@ -98,26 +98,17 @@ func (d *DRR) OnArrival(flow int, wasEmpty bool) {
 // OnArrivalLength implements LengthAware.
 func (d *DRR) OnArrivalLength(flow int, length int) {
 	d.grow(flow)
-	q := d.lengths[flow]
-	if q == nil {
-		q = &fifoInt{}
-		d.lengths[flow] = q
-	}
-	q.push(length)
+	d.lengths[flow].Push(length)
 }
 
 // headLen returns the length of flow's head packet. It panics if the
 // engine never supplied it (the engine always pairs OnArrival with
 // OnArrivalLength for LengthAware schedulers).
 func (d *DRR) headLen(flow int) int64 {
-	var q *fifoInt
-	if flow < len(d.lengths) {
-		q = d.lengths[flow]
-	}
-	if q == nil || q.empty() {
+	if flow >= len(d.lengths) || d.lengths[flow].Len() == 0 {
 		panic("sched: DRR has no recorded length for head packet")
 	}
-	return int64(q.peek())
+	return int64(d.lengths[flow].Peek())
 }
 
 // NextFlow implements Scheduler.
@@ -148,7 +139,7 @@ func (d *DRR) OnPacketDone(flow int, cost int64, nowEmpty bool) {
 	if flow != d.current {
 		panic("sched: DRR completion for a flow not in service")
 	}
-	length := int64(d.lengths[flow].pop())
+	length := int64(d.lengths[flow].Pop())
 	d.deficit[flow] -= length
 	if d.deficit[flow] < 0 {
 		panic("sched: DRR deficit went negative")

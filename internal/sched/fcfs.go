@@ -1,5 +1,7 @@
 package sched
 
+import "repro/internal/queue"
+
 // FCFS serves packets in global arrival order (First-Come-First-
 // Served), the discipline "most wormhole switches used today" employ
 // per the paper's Section 2. It provides no isolation: a source that
@@ -11,7 +13,7 @@ package sched
 // the head of this list serves exactly the globally oldest packet.
 // All operations are O(1).
 type FCFS struct {
-	order fifoInt
+	order queue.Ring[int]
 }
 
 // NewFCFS returns an FCFS scheduler.
@@ -21,64 +23,20 @@ func NewFCFS() *FCFS { return &FCFS{} }
 func (f *FCFS) Name() string { return "FCFS" }
 
 // OnArrival implements Scheduler.
-func (f *FCFS) OnArrival(flow int, wasEmpty bool) { f.order.push(flow) }
+func (f *FCFS) OnArrival(flow int, wasEmpty bool) { f.order.Push(flow) }
 
 // NextFlow implements Scheduler.
 func (f *FCFS) NextFlow() int {
-	if f.order.empty() {
+	if f.order.Len() == 0 {
 		panic("sched: FCFS.NextFlow with no queued packets")
 	}
-	return f.order.peek()
+	return f.order.Peek()
 }
 
 // OnPacketDone implements Scheduler.
 func (f *FCFS) OnPacketDone(flow int, cost int64, nowEmpty bool) {
-	got := f.order.pop()
+	got := f.order.Pop()
 	if got != flow {
 		panic("sched: FCFS served a packet out of order")
 	}
-}
-
-// fifoInt is a minimal growable ring buffer of ints shared by the
-// schedulers in this package.
-type fifoInt struct {
-	buf        []int
-	head, size int
-}
-
-func (q *fifoInt) empty() bool { return q.size == 0 }
-func (q *fifoInt) len() int    { return q.size }
-
-func (q *fifoInt) push(v int) {
-	if q.size == len(q.buf) {
-		n := len(q.buf) * 2
-		if n == 0 {
-			n = 8
-		}
-		nb := make([]int, n)
-		for i := 0; i < q.size; i++ {
-			nb[i] = q.buf[(q.head+i)%len(q.buf)]
-		}
-		q.buf = nb
-		q.head = 0
-	}
-	q.buf[(q.head+q.size)%len(q.buf)] = v
-	q.size++
-}
-
-func (q *fifoInt) pop() int {
-	if q.size == 0 {
-		panic("sched: pop from empty fifo")
-	}
-	v := q.buf[q.head]
-	q.head = (q.head + 1) % len(q.buf)
-	q.size--
-	return v
-}
-
-func (q *fifoInt) peek() int {
-	if q.size == 0 {
-		panic("sched: peek on empty fifo")
-	}
-	return q.buf[q.head]
 }

@@ -4,23 +4,24 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/queue"
 )
 
-// White-box tests of the shared machinery: the tag heap and ring
-// buffers every discipline builds on.
+// White-box tests of the shared machinery: the tag heap order and
+// the queue.Ring and queue.Heap every discipline builds on.
 
 func TestTagHeapOrdering(t *testing.T) {
-	h := newTagHeap()
-	h.push(3, 5.0)
-	h.push(1, 2.0)
-	h.push(2, 9.0)
-	if f, tag := h.peekMin(); f != 1 || tag != 2.0 {
-		t.Fatalf("peekMin = (%d,%v)", f, tag)
+	var h queue.Heap[tagEntry]
+	h.Push(tagEntry{3, 5.0})
+	h.Push(tagEntry{1, 2.0})
+	h.Push(tagEntry{2, 9.0})
+	if e := h.Peek(); e.flow != 1 || e.tag != 2.0 {
+		t.Fatalf("Peek = %+v", e)
 	}
 	order := []int{}
 	for h.Len() > 0 {
-		f, _ := h.popMin()
-		order = append(order, f)
+		order = append(order, h.Pop().flow)
 	}
 	want := []int{1, 3, 2}
 	for i := range want {
@@ -31,14 +32,13 @@ func TestTagHeapOrdering(t *testing.T) {
 }
 
 func TestTagHeapTieBreakDeterministic(t *testing.T) {
-	h := newTagHeap()
-	h.push(7, 1.0)
-	h.push(2, 1.0)
-	h.push(5, 1.0)
+	var h queue.Heap[tagEntry]
+	h.Push(tagEntry{7, 1.0})
+	h.Push(tagEntry{2, 1.0})
+	h.Push(tagEntry{5, 1.0})
 	order := []int{}
 	for h.Len() > 0 {
-		f, _ := h.popMin()
-		order = append(order, f)
+		order = append(order, h.Pop().flow)
 	}
 	// Equal tags break ties by flow id.
 	want := []int{2, 5, 7}
@@ -49,28 +49,51 @@ func TestTagHeapTieBreakDeterministic(t *testing.T) {
 	}
 }
 
+// TestTagHeapPanics checks the empty-heap panics and that a flow is in
+// a timestamp discipline's heap at most once: a flow's later arrivals,
+// while it is queued or in service, extend its tag FIFO instead.
 func TestTagHeapPanics(t *testing.T) {
-	h := newTagHeap()
-	assertPanics(t, "popMin empty", func() { h.popMin() })
-	assertPanics(t, "peekMin empty", func() { h.peekMin() })
-	h.push(1, 1.0)
-	assertPanics(t, "duplicate push", func() { h.push(1, 2.0) })
+	var h queue.Heap[tagEntry]
+	assertPanics(t, "Pop empty", func() { h.Pop() })
+	assertPanics(t, "Peek empty", func() { h.Peek() })
+	type tagged struct {
+		s    LengthAware
+		heap *queue.Heap[tagEntry]
+	}
+	scfq, stfq, wfq, vc := NewSCFQ(nil), NewSTFQ(nil), NewWFQ(nil), NewVirtualClock(nil)
+	for _, c := range []tagged{{scfq, &scfq.heap}, {stfq, &stfq.heap}, {wfq, &wfq.heap}, {vc, &vc.heap}} {
+		arrive := func(flow int) {
+			c.s.OnArrival(flow, false)
+			c.s.OnArrivalLength(flow, 4)
+		}
+		arrive(1)
+		arrive(1)
+		arrive(2)
+		if n := c.heap.Len(); n != 2 {
+			t.Fatalf("%s: heap holds %d entries for 2 queued flows", c.s.Name(), n)
+		}
+		f := c.s.NextFlow()
+		arrive(f)
+		if n := c.heap.Len(); n != 1 {
+			t.Fatalf("%s: heap holds %d entries with flow %d in service", c.s.Name(), n, f)
+		}
+	}
 }
 
 // Property: the tag heap pops tags in non-decreasing order for any
 // insertion sequence of unique flows.
 func TestTagHeapSortedProperty(t *testing.T) {
 	prop := func(tags []float64) bool {
-		h := newTagHeap()
+		var h queue.Heap[tagEntry]
 		for i, tg := range tags {
 			if math.IsNaN(tg) {
 				tg = 0 // NaN tags are meaningless; normalise
 			}
-			h.push(i, tg)
+			h.Push(tagEntry{i, tg})
 		}
 		last := math.Inf(-1)
 		for h.Len() > 0 {
-			_, tg := h.popMin()
+			tg := h.Pop().tag
 			if tg < last {
 				return false
 			}
@@ -84,38 +107,38 @@ func TestTagHeapSortedProperty(t *testing.T) {
 }
 
 func TestFifoIntWrap(t *testing.T) {
-	var q fifoInt
+	var q queue.Ring[int]
 	for round := 0; round < 20; round++ {
 		for i := 0; i < 5; i++ {
-			q.push(round*5 + i)
+			q.Push(round*5 + i)
 		}
 		for i := 0; i < 5; i++ {
-			if got := q.pop(); got != round*5+i {
+			if got := q.Pop(); got != round*5+i {
 				t.Fatalf("round %d: got %d", round, got)
 			}
 		}
 	}
-	if q.len() != 0 || !q.empty() {
+	if q.Len() != 0 {
 		t.Error("fifo not empty after balanced ops")
 	}
-	assertPanics(t, "pop empty", func() { q.pop() })
-	assertPanics(t, "peek empty", func() { q.peek() })
+	assertPanics(t, "pop empty", func() { q.Pop() })
+	assertPanics(t, "peek empty", func() { q.Peek() })
 }
 
 func TestFifoF64Wrap(t *testing.T) {
-	var q fifoF64
+	var q queue.Ring[float64]
 	for i := 0; i < 100; i++ {
-		q.push(float64(i))
+		q.Push(float64(i))
 	}
 	for i := 0; i < 100; i++ {
-		if q.peek() != float64(i) {
+		if q.Peek() != float64(i) {
 			t.Fatalf("peek at %d wrong", i)
 		}
-		if q.pop() != float64(i) {
+		if q.Pop() != float64(i) {
 			t.Fatalf("pop at %d wrong", i)
 		}
 	}
-	assertPanics(t, "pop empty", func() { q.pop() })
+	assertPanics(t, "pop empty", func() { q.Pop() })
 }
 
 func TestWeightFnValidation(t *testing.T) {

@@ -1,5 +1,7 @@
 package sched
 
+import "repro/internal/queue"
+
 // SCFQ is Self-Clocked Fair Queuing (Golestani, INFOCOM 1994) — the
 // paper the relative fairness measure comes from. Each arriving
 // packet k of flow i receives the finish tag
@@ -12,10 +14,10 @@ package sched
 // arrival, hence LengthAware.
 type SCFQ struct {
 	weight  func(flow int) float64
-	heap    *tagHeap
-	tags    map[int]*fifoF64 // queued head-to-tail finish tags per flow
-	lastTag map[int]float64  // F_i of the most recent arrival
-	v       float64          // tag of packet in (or last in) service
+	heap    queue.Heap[tagEntry]
+	tags    map[int]*queue.Ring[float64] // queued head-to-tail finish tags per flow
+	lastTag map[int]float64              // F_i of the most recent arrival
+	v       float64                      // tag of packet in (or last in) service
 	current int
 	pending int // flow whose OnArrival awaits its OnArrivalLength
 }
@@ -24,8 +26,7 @@ type SCFQ struct {
 func NewSCFQ(weight func(flow int) float64) *SCFQ {
 	return &SCFQ{
 		weight:  weightFn(weight),
-		heap:    newTagHeap(),
-		tags:    make(map[int]*fifoF64),
+		tags:    make(map[int]*queue.Ring[float64]),
 		lastTag: make(map[int]float64),
 		current: -1,
 		pending: -1,
@@ -59,13 +60,13 @@ func (s *SCFQ) OnArrivalLength(flow int, length int) {
 	s.lastTag[flow] = tag
 	q := s.tags[flow]
 	if q == nil {
-		q = &fifoF64{}
+		q = &queue.Ring[float64]{}
 		s.tags[flow] = q
 	}
-	wasIdle := q.empty() && flow != s.current
-	q.push(tag)
+	wasIdle := q.Len() == 0 && flow != s.current
+	q.Push(tag)
 	if wasIdle {
-		s.heap.push(flow, tag)
+		s.heap.Push(tagEntry{flow, tag})
 	}
 }
 
@@ -74,10 +75,10 @@ func (s *SCFQ) NextFlow() int {
 	if s.current != -1 {
 		panic("sched: SCFQ.NextFlow while a packet is in service")
 	}
-	flow, tag := s.heap.popMin()
-	s.current = flow
-	s.v = tag
-	return flow
+	e := s.heap.Pop()
+	s.current = e.flow
+	s.v = e.tag
+	return e.flow
 }
 
 // OnPacketDone implements Scheduler.
@@ -87,9 +88,9 @@ func (s *SCFQ) OnPacketDone(flow int, cost int64, nowEmpty bool) {
 	}
 	s.current = -1
 	q := s.tags[flow]
-	q.pop()
-	if !q.empty() {
-		s.heap.push(flow, q.peek())
+	q.Pop()
+	if q.Len() > 0 {
+		s.heap.Push(tagEntry{flow, q.Peek()})
 	}
 }
 

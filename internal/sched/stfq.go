@@ -1,5 +1,7 @@
 package sched
 
+import "repro/internal/queue"
+
 // STFQ is Start-time Fair Queuing (Goyal, Vin & Cheng, SIGCOMM 1996):
 // like SCFQ it self-clocks its virtual time from the packet in
 // service, but it serves packets in increasing *start*-tag order,
@@ -12,8 +14,8 @@ package sched
 // baseline for the Table 1 family.
 type STFQ struct {
 	weight  func(flow int) float64
-	heap    *tagHeap
-	starts  map[int]*fifoF64 // queued start tags per flow
+	heap    queue.Heap[tagEntry]
+	starts  map[int]*queue.Ring[float64] // queued start tags per flow
 	lastFin map[int]float64
 	v       float64
 	current int
@@ -24,8 +26,7 @@ type STFQ struct {
 func NewSTFQ(weight func(flow int) float64) *STFQ {
 	return &STFQ{
 		weight:  weightFn(weight),
-		heap:    newTagHeap(),
-		starts:  make(map[int]*fifoF64),
+		starts:  make(map[int]*queue.Ring[float64]),
 		lastFin: make(map[int]float64),
 		current: -1,
 		pending: -1,
@@ -56,13 +57,13 @@ func (s *STFQ) OnArrivalLength(flow int, length int) {
 	s.lastFin[flow] = start + float64(length)/s.weight(flow)
 	q := s.starts[flow]
 	if q == nil {
-		q = &fifoF64{}
+		q = &queue.Ring[float64]{}
 		s.starts[flow] = q
 	}
-	wasIdle := q.empty() && flow != s.current
-	q.push(start)
+	wasIdle := q.Len() == 0 && flow != s.current
+	q.Push(start)
 	if wasIdle {
-		s.heap.push(flow, start)
+		s.heap.Push(tagEntry{flow, start})
 	}
 }
 
@@ -71,10 +72,10 @@ func (s *STFQ) NextFlow() int {
 	if s.current != -1 {
 		panic("sched: STFQ.NextFlow while a packet is in service")
 	}
-	flow, start := s.heap.popMin()
-	s.current = flow
-	s.v = start
-	return flow
+	e := s.heap.Pop()
+	s.current = e.flow
+	s.v = e.tag
+	return e.flow
 }
 
 // OnPacketDone implements Scheduler.
@@ -84,9 +85,9 @@ func (s *STFQ) OnPacketDone(flow int, cost int64, nowEmpty bool) {
 	}
 	s.current = -1
 	q := s.starts[flow]
-	q.pop()
-	if !q.empty() {
-		s.heap.push(flow, q.peek())
+	q.Pop()
+	if q.Len() > 0 {
+		s.heap.Push(tagEntry{flow, q.Peek()})
 	}
 }
 

@@ -1,122 +1,21 @@
 package sched
 
-import "container/heap"
-
-// tagHeap is a min-heap of flows keyed by the finish tag of each
-// flow's head packet. Shared by the timestamp disciplines (SCFQ,
-// WFQ, VirtualClock), giving them their characteristic O(log n)
-// work complexity — the cost the paper's Table 1 charges to "Fair
-// Queuing".
-type tagHeap struct {
-	entries []tagEntry
-	pos     map[int]int // flow -> index in entries, for debug checks
-}
-
+// tagEntry is a flow in the heap of a timestamp discipline (SCFQ,
+// STFQ, WFQ, VirtualClock), keyed by its head packet's tag. The heap
+// gives them their characteristic O(log n) work complexity — the cost
+// the paper's Table 1 charges to "Fair Queuing".
 type tagEntry struct {
 	flow int
 	tag  float64
 }
 
-func newTagHeap() *tagHeap {
-	return &tagHeap{pos: make(map[int]int)}
-}
-
-func (h *tagHeap) Len() int { return len(h.entries) }
-
-func (h *tagHeap) Less(i, j int) bool {
-	if h.entries[i].tag != h.entries[j].tag {
-		return h.entries[i].tag < h.entries[j].tag
+// Less orders by tag, breaking ties on flow id so equal tags are
+// served deterministically.
+func (a tagEntry) Less(b tagEntry) bool {
+	if a.tag != b.tag {
+		return a.tag < b.tag
 	}
-	// Deterministic tie-break on flow id.
-	return h.entries[i].flow < h.entries[j].flow
-}
-
-func (h *tagHeap) Swap(i, j int) {
-	h.entries[i], h.entries[j] = h.entries[j], h.entries[i]
-	h.pos[h.entries[i].flow] = i
-	h.pos[h.entries[j].flow] = j
-}
-
-func (h *tagHeap) Push(x any) {
-	e := x.(tagEntry)
-	h.pos[e.flow] = len(h.entries)
-	h.entries = append(h.entries, e)
-}
-
-func (h *tagHeap) Pop() any {
-	e := h.entries[len(h.entries)-1]
-	h.entries = h.entries[:len(h.entries)-1]
-	delete(h.pos, e.flow)
-	return e
-}
-
-// push inserts flow with the given head tag. The flow must not
-// already be present.
-func (h *tagHeap) push(flow int, tag float64) {
-	if _, ok := h.pos[flow]; ok {
-		panic("sched: flow already in tag heap")
-	}
-	heap.Push(h, tagEntry{flow: flow, tag: tag})
-}
-
-// popMin removes and returns the flow with the smallest head tag.
-func (h *tagHeap) popMin() (flow int, tag float64) {
-	if h.Len() == 0 {
-		panic("sched: popMin on empty tag heap")
-	}
-	e := heap.Pop(h).(tagEntry)
-	return e.flow, e.tag
-}
-
-// peekMin returns the flow with the smallest head tag without
-// removing it.
-func (h *tagHeap) peekMin() (flow int, tag float64) {
-	if h.Len() == 0 {
-		panic("sched: peekMin on empty tag heap")
-	}
-	return h.entries[0].flow, h.entries[0].tag
-}
-
-// fifoF64 is a growable ring buffer of float64 tags.
-type fifoF64 struct {
-	buf        []float64
-	head, size int
-}
-
-func (q *fifoF64) empty() bool { return q.size == 0 }
-
-func (q *fifoF64) push(v float64) {
-	if q.size == len(q.buf) {
-		n := len(q.buf) * 2
-		if n == 0 {
-			n = 8
-		}
-		nb := make([]float64, n)
-		for i := 0; i < q.size; i++ {
-			nb[i] = q.buf[(q.head+i)%len(q.buf)]
-		}
-		q.buf = nb
-		q.head = 0
-	}
-	q.buf[(q.head+q.size)%len(q.buf)] = v
-	q.size++
-}
-
-func (q *fifoF64) pop() float64 {
-	if q.size == 0 {
-		panic("sched: pop from empty tag fifo")
-	}
-	v := q.buf[q.head]
-	q.head = (q.head + 1) % len(q.buf)
-	q.size--
-	return v
-}
-
-func (q *fifoF64) peek() float64 {
-	if q.size == 0 {
-		panic("sched: peek on empty tag fifo")
-	}
-	return q.buf[q.head]
+	return a.flow < b.flow
 }
 
 // weightFn normalises a user-supplied weight function.

@@ -1,5 +1,7 @@
 package sched
 
+import "repro/internal/queue"
+
 // VirtualClock (Zhang, SIGCOMM 1990) emulates time-division
 // multiplexing rather than GPS: each flow owns a virtual clock that
 // advances by L / rate_i per packet, reset forward to real time when
@@ -12,8 +14,8 @@ package sched
 // difference from SCFQ).
 type VirtualClock struct {
 	weight  func(flow int) float64
-	heap    *tagHeap
-	tags    map[int]*fifoF64
+	heap    queue.Heap[tagEntry]
+	tags    map[int]*queue.Ring[float64]
 	vc      map[int]float64
 	now     float64
 	current int
@@ -26,8 +28,7 @@ type VirtualClock struct {
 func NewVirtualClock(weight func(flow int) float64) *VirtualClock {
 	return &VirtualClock{
 		weight:  weightFn(weight),
-		heap:    newTagHeap(),
-		tags:    make(map[int]*fifoF64),
+		tags:    make(map[int]*queue.Ring[float64]),
 		vc:      make(map[int]float64),
 		current: -1,
 		pending: -1,
@@ -62,13 +63,13 @@ func (v *VirtualClock) OnArrivalLength(flow int, length int) {
 	v.vc[flow] = clock
 	q := v.tags[flow]
 	if q == nil {
-		q = &fifoF64{}
+		q = &queue.Ring[float64]{}
 		v.tags[flow] = q
 	}
-	wasIdle := q.empty() && flow != v.current
-	q.push(clock)
+	wasIdle := q.Len() == 0 && flow != v.current
+	q.Push(clock)
 	if wasIdle {
-		v.heap.push(flow, clock)
+		v.heap.Push(tagEntry{flow, clock})
 	}
 }
 
@@ -77,9 +78,8 @@ func (v *VirtualClock) NextFlow() int {
 	if v.current != -1 {
 		panic("sched: VirtualClock.NextFlow while a packet is in service")
 	}
-	flow, _ := v.heap.popMin()
-	v.current = flow
-	return flow
+	v.current = v.heap.Pop().flow
+	return v.current
 }
 
 // OnPacketDone implements Scheduler.
@@ -89,9 +89,9 @@ func (v *VirtualClock) OnPacketDone(flow int, cost int64, nowEmpty bool) {
 	}
 	v.current = -1
 	q := v.tags[flow]
-	q.pop()
-	if !q.empty() {
-		v.heap.push(flow, q.peek())
+	q.Pop()
+	if q.Len() > 0 {
+		v.heap.Push(tagEntry{flow, q.Peek()})
 	}
 }
 

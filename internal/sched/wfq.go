@@ -1,6 +1,6 @@
 package sched
 
-import "container/heap"
+import "repro/internal/queue"
 
 // WFQ is Weighted Fair Queuing (Demers, Keshav & Shenker, SIGCOMM
 // 1989; PGPS of Parekh & Gallager): packets are stamped with the
@@ -23,49 +23,38 @@ type WFQ struct {
 	weight func(flow int) float64
 
 	// Packetized server state: flows ordered by head finish tag.
-	heap *tagHeap
-	tags map[int]*fifoF64
+	heap queue.Heap[tagEntry]
+	tags map[int]*queue.Ring[float64]
 
 	// Fluid GPS state for exact virtual time.
 	vtime    float64
 	lastReal float64
 	activeW  float64
-	fluid    *finHeap        // all not-yet-fluid-departed packet tags
-	fluidCnt map[int]int     // per-flow count of packets in fluid
-	lastFin  map[int]float64 // last assigned finish tag per flow
+	fluid    queue.Heap[finEntry] // all not-yet-fluid-departed packet tags
+	fluidCnt map[int]int          // per-flow count of packets in fluid
+	lastFin  map[int]float64      // last assigned finish tag per flow
 
 	now     float64
 	current int
 	pending int
 }
 
-// finHeap is a min-heap of (finish tag, flow) for fluid departures.
-type finHeap []finEntry
-
+// finEntry is one packet's finish tag in the fluid system.
 type finEntry struct {
 	tag  float64
 	flow int
 }
 
-func (h finHeap) Len() int           { return len(h) }
-func (h finHeap) Less(i, j int) bool { return h[i].tag < h[j].tag }
-func (h finHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *finHeap) Push(x any)        { *h = append(*h, x.(finEntry)) }
-func (h *finHeap) Pop() any {
-	old := *h
-	e := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return e
-}
+// Less orders fluid departures by finish tag alone; equal tags pop in
+// the heap's own order.
+func (a finEntry) Less(b finEntry) bool { return a.tag < b.tag }
 
 // NewWFQ returns a WFQ scheduler with exact GPS virtual time; nil
 // weight means equal weights.
 func NewWFQ(weight func(flow int) float64) *WFQ {
 	return &WFQ{
 		weight:   weightFn(weight),
-		heap:     newTagHeap(),
-		tags:     make(map[int]*fifoF64),
-		fluid:    &finHeap{},
+		tags:     make(map[int]*queue.Ring[float64]),
 		fluidCnt: make(map[int]int),
 		lastFin:  make(map[int]float64),
 		current:  -1,
@@ -97,7 +86,7 @@ func (w *WFQ) advance(t float64) {
 			return
 		}
 		// Next fluid departure.
-		for w.fluid.Len() > 0 && (*w.fluid)[0].tag <= w.vtime {
+		for w.fluid.Len() > 0 && w.fluid.Peek().tag <= w.vtime {
 			w.departOne()
 			if w.activeW == 0 {
 				break
@@ -111,7 +100,7 @@ func (w *WFQ) advance(t float64) {
 			w.activeW = 0
 			continue
 		}
-		next := (*w.fluid)[0].tag
+		next := w.fluid.Peek().tag
 		realNeeded := (next - w.vtime) * w.activeW
 		if w.lastReal+realNeeded <= t {
 			w.vtime = next
@@ -126,7 +115,7 @@ func (w *WFQ) advance(t float64) {
 
 // departOne removes the smallest-tag packet from the fluid system.
 func (w *WFQ) departOne() {
-	e := heap.Pop(w.fluid).(finEntry)
+	e := w.fluid.Pop()
 	w.fluidCnt[e.flow]--
 	if w.fluidCnt[e.flow] == 0 {
 		w.activeW -= w.weight(e.flow)
@@ -162,17 +151,17 @@ func (w *WFQ) OnArrivalLength(flow int, length int) {
 		w.activeW += w.weight(flow)
 	}
 	w.fluidCnt[flow]++
-	heap.Push(w.fluid, finEntry{tag: fin, flow: flow})
+	w.fluid.Push(finEntry{tag: fin, flow: flow})
 	// Packetized bookkeeping.
 	q := w.tags[flow]
 	if q == nil {
-		q = &fifoF64{}
+		q = &queue.Ring[float64]{}
 		w.tags[flow] = q
 	}
-	wasIdle := q.empty() && flow != w.current
-	q.push(fin)
+	wasIdle := q.Len() == 0 && flow != w.current
+	q.Push(fin)
 	if wasIdle {
-		w.heap.push(flow, fin)
+		w.heap.Push(tagEntry{flow, fin})
 	}
 }
 
@@ -181,9 +170,8 @@ func (w *WFQ) NextFlow() int {
 	if w.current != -1 {
 		panic("sched: WFQ.NextFlow while a packet is in service")
 	}
-	flow, _ := w.heap.popMin()
-	w.current = flow
-	return flow
+	w.current = w.heap.Pop().flow
+	return w.current
 }
 
 // OnPacketDone implements Scheduler.
@@ -193,9 +181,9 @@ func (w *WFQ) OnPacketDone(flow int, cost int64, nowEmpty bool) {
 	}
 	w.current = -1
 	q := w.tags[flow]
-	q.pop()
-	if !q.empty() {
-		w.heap.push(flow, q.peek())
+	q.Pop()
+	if q.Len() > 0 {
+		w.heap.Push(tagEntry{flow, q.Peek()})
 	}
 }
 

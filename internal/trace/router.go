@@ -2,51 +2,22 @@ package trace
 
 import (
 	"repro/internal/flit"
+	"repro/internal/queue"
 	"repro/internal/wormhole"
 )
 
 // headEnt tracks one sampled head flit queued in an input VC, from
-// arrival until its grant promotes it to a hopState.
+// arrival until its grant promotes it to a hopState. Each (input port,
+// VC) queues its sampled heads in a Ring reserved for bufFlits+2 of
+// them (a VC cannot buffer more heads than flits, plus slack for a
+// head granted but not yet departed). Grants happen in FIFO order per
+// VC, so the front entry is always the next sampled head that can be
+// granted; on the pathological overflow (malformed single-flit
+// floods) the newest head is refused, deterministically.
 type headEnt struct {
 	pktID    int64
 	arrive   int64
 	eligible int64 // -1 until announced to the arbiter
-}
-
-// headQ is a small FIFO of sampled heads per (input port, VC). Grants
-// happen in FIFO order per VC, so the front entry is always the next
-// sampled head that can be granted. Capacity is bufFlits+2 (a VC
-// cannot buffer more heads than flits, plus slack for a head granted
-// but not yet departed); on the pathological overflow (malformed
-// single-flit floods) the newest head is dropped, deterministically.
-type headQ struct {
-	buf        []headEnt
-	head, size int
-}
-
-func (q *headQ) push(e headEnt) bool {
-	if q.size == len(q.buf) {
-		return false
-	}
-	i := q.head + q.size
-	if i >= len(q.buf) {
-		i -= len(q.buf)
-	}
-	q.buf[i] = e
-	q.size++
-	return true
-}
-
-func (q *headQ) front() *headEnt { return &q.buf[q.head] }
-
-func (q *headQ) pop() headEnt {
-	e := q.buf[q.head]
-	q.head++
-	if q.head == len(q.buf) {
-		q.head = 0
-	}
-	q.size--
-	return e
 }
 
 // hopState is the in-progress hop span of a traced lock, indexed by
@@ -74,7 +45,7 @@ type RouterTrace struct {
 	vcs   int
 	s     Sampler
 	ring  ring
-	heads []headQ
+	heads []queue.Ring[headEnt]
 	hops  []hopState
 	t     *Trace
 }
@@ -86,13 +57,13 @@ func newRouterTrace(id, ports, vcs, bufFlits int, t *Trace) *RouterTrace {
 		id:    int32(id),
 		vcs:   vcs,
 		s:     t.s,
-		heads: make([]headQ, ports*vcs),
+		heads: make([]queue.Ring[headEnt], ports*vcs),
 		hops:  make([]hopState, ports*vcs),
 		t:     t,
 	}
-	rt.ring.init(t.cfg.RingCap, func() { t.dropped.Inc() })
+	rt.ring.init(routerRingCap, func() { t.dropped.Inc() })
 	for i := range rt.heads {
-		rt.heads[i].buf = make([]headEnt, bufFlits+2)
+		rt.heads[i].Reserve(bufFlits + 2)
 	}
 	return rt
 }
@@ -102,9 +73,12 @@ func (rt *RouterTrace) HeadArrived(port, vc int, h flit.Flit, cycle int64) {
 	if !rt.s.Sample(h.PktID) {
 		return
 	}
-	if !rt.heads[port*rt.vcs+vc].push(headEnt{pktID: h.PktID, arrive: cycle, eligible: -1}) {
+	q := &rt.heads[port*rt.vcs+vc]
+	if q.Len() == q.Cap() {
 		rt.t.dropped.Inc()
+		return
 	}
+	q.Push(headEnt{pktID: h.PktID, arrive: cycle, eligible: -1})
 }
 
 // HeadEligible implements wormhole.Tracer. Only the FIFO-front packet
@@ -112,10 +86,10 @@ func (rt *RouterTrace) HeadArrived(port, vc int, h flit.Flit, cycle int64) {
 // announced packet is unsampled.
 func (rt *RouterTrace) HeadEligible(port, vc int, pktID, cycle int64) {
 	q := &rt.heads[port*rt.vcs+vc]
-	if q.size == 0 {
+	if q.Len() == 0 {
 		return
 	}
-	if e := q.front(); e.pktID == pktID && e.eligible < 0 {
+	if e := q.At(0); e.pktID == pktID && e.eligible < 0 {
 		e.eligible = cycle
 	}
 }
@@ -126,10 +100,10 @@ func (rt *RouterTrace) HeadEligible(port, vc int, pktID, cycle int64) {
 func (rt *RouterTrace) Granted(port, vc, outPort, outVC int, pktID, cycle int64) bool {
 	idx := port*rt.vcs + vc
 	q := &rt.heads[idx]
-	if q.size == 0 || q.front().pktID != pktID {
+	if q.Len() == 0 || q.At(0).pktID != pktID {
 		return false
 	}
-	e := q.pop()
+	e := q.Pop()
 	st := &rt.hops[idx]
 	if st.active {
 		// A traced hop is still open on this input VC (possible only

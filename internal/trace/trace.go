@@ -142,6 +142,14 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
+// The recorder's ring capacities, in records: each router's hop ring
+// and the inject/deliver ring. A full ring overwrites its oldest
+// records, counted in the "trace.records_dropped" metric.
+const (
+	routerRingCap = 1024
+	meshRingCap   = 16384
+)
+
 // Config configures a Trace.
 type Config struct {
 	// Seed derives the sampling decision (independent of the traffic
@@ -150,12 +158,6 @@ type Config struct {
 	// SampleEvery traces roughly one in this many packets (0 = none,
 	// 1 = every packet).
 	SampleEvery int
-	// RingCap is the per-router hop-record ring capacity (default
-	// 1024). A full ring overwrites its oldest records, counted in
-	// the "trace.records_dropped" metric.
-	RingCap int
-	// MeshRingCap is the inject/deliver ring capacity (default 16384).
-	MeshRingCap int
 	// Flows is the per-flow rollup width (number of source nodes /
 	// flows); rollups ignore flow ids outside [0, Flows).
 	Flows int
@@ -180,12 +182,6 @@ type Trace struct {
 
 // New builds a Trace from cfg, applying defaults for zero fields.
 func New(cfg Config) *Trace {
-	if cfg.RingCap <= 0 {
-		cfg.RingCap = 1024
-	}
-	if cfg.MeshRingCap <= 0 {
-		cfg.MeshRingCap = 16384
-	}
 	if cfg.EpochCycles <= 0 {
 		cfg.EpochCycles = 16384
 	}
@@ -202,7 +198,7 @@ func New(cfg Config) *Trace {
 		sampled: cfg.Reg.Counter("trace.packets_sampled"),
 		dropped: cfg.Reg.Counter("trace.records_dropped"),
 	}
-	t.mesh.init(cfg.MeshRingCap, func() { t.dropped.Inc() })
+	t.mesh.init(meshRingCap, func() { t.dropped.Inc() })
 	return t
 }
 

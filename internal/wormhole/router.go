@@ -1201,10 +1201,15 @@ type StallSink struct {
 	Capacity int
 	Drain    func(cycle int64) bool
 	Inner    Sink
-	buffered []flit.Flit
+	buffered queue.Ring[sunkFlit]
 	credUp   creditReturn
-	vcs      []int
 	perVC    []int
+}
+
+// sunkFlit is a flit a StallSink holds, with the VC it arrived on.
+type sunkFlit struct {
+	f  flit.Flit
+	vc int
 }
 
 // NewStallSink returns a stall sink with the given buffer capacity.
@@ -1224,36 +1229,35 @@ func (s *StallSink) AcceptFlit(f flit.Flit, vc int, cycle int64) {
 		panic("wormhole: StallSink overflow (credit protocol violated)")
 	}
 	s.perVC[vc]++
-	s.buffered = append(s.buffered, f)
-	s.vcs = append(s.vcs, vc)
+	s.buffered.Push(sunkFlit{f, vc})
 }
 
 // BufFlits implements Endpoint.
 func (s *StallSink) BufFlits() int { return s.Capacity }
 
 // Bind attaches the sink to the router output feeding it so drained
-// flits return credits. Call after ConnectEndpoint.
+// flits return credits, and sizes its buffer for every VC of that
+// output. Call after ConnectEndpoint.
 func (s *StallSink) Bind(r *Router, po int) {
 	s.credUp = func(vc int, cycle int64) { r.creditArrived(po, vc, cycle) }
+	s.buffered.Reserve(s.Capacity * r.cfg.VCs)
 }
 
 // Len returns the number of flits the sink holds. Step consults the
 // drain pattern only while it holds some.
-func (s *StallSink) Len() int { return len(s.buffered) }
+func (s *StallSink) Len() int { return s.buffered.Len() }
 
 // Step drains at most one flit if the drain pattern allows.
 func (s *StallSink) Step(cycle int64) {
-	if len(s.buffered) == 0 || s.Drain == nil || !s.Drain(cycle) {
+	if s.buffered.Len() == 0 || s.Drain == nil || !s.Drain(cycle) {
 		return
 	}
-	f, vc := s.buffered[0], s.vcs[0]
-	s.buffered = s.buffered[1:]
-	s.vcs = s.vcs[1:]
-	s.perVC[vc]--
+	e := s.buffered.Pop()
+	s.perVC[e.vc]--
 	if s.credUp != nil {
-		s.credUp(vc, cycle)
+		s.credUp(e.vc, cycle)
 	}
-	s.Inner.AcceptFlit(f, vc, cycle)
+	s.Inner.AcceptFlit(e.f, e.vc, cycle)
 }
 
 // WaitEdge is one edge of the channel-wait graph: an in-flight packet

@@ -148,7 +148,7 @@ func TestCreditBackpressure(t *testing.T) {
 		r.Step(c)
 		ss.Step(c)
 	}
-	if got := len(ss.buffered); got != 2 {
+	if got := ss.Len(); got != 2 {
 		t.Errorf("%d flits crossed the link, want exactly 2 (credit limit)", got)
 	}
 }
