@@ -15,8 +15,10 @@ import (
 
 // TestEngineCycleAllocsZero steps the 8-flow bench configuration one
 // cycle at a time, and Figure 6's shape (fig6Engine at 10 flows) in
-// runs of 1000 cycles, each holding ~200 departures and as many
-// partial re-polls of the source.
+// runs of 4096 cycles, each holding ~800 departures, as many partial
+// re-polls of the source, and one ServiceLog checkpoint (AllocsPerRun
+// truncates its average, so a run shorter than the checkpoint stride
+// would hide one allocation per checkpoint).
 func TestEngineCycleAllocsZero(t *testing.T) {
 	e, err := engine.NewEngine(benchERRConfig())
 	if err != nil {
@@ -27,7 +29,7 @@ func TestEngineCycleAllocsZero(t *testing.T) {
 		t.Errorf("engine cycle allocates %.1f times in steady state, want 0", got)
 	}
 
-	const warm, runs, cycles = 4096, 100, 1000
+	const warm, runs, cycles = 4096, 50, 4096
 	e = fig6Engine(t, 10, warm+(runs+1)*cycles)
 	e.Run(warm)
 	if got := testing.AllocsPerRun(runs, func() { e.Run(cycles) }); got != 0 {

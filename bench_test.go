@@ -359,9 +359,7 @@ func BenchmarkEngineCycleFBRRSparse(b *testing.B) {
 // depth 4 with truncated-exponential lengths (lambda = 0.2 on [1, 64])
 // behind one traffic.Multi, and RunSim's callbacks feeding a
 // throughput table, delay statistics and a ServiceLog hinted for
-// cycles. The log's stride exceeds cycles, so its per-stride
-// checkpoint (one small slice per 4096 cycles in RunSim) stays out of
-// allocation counts.
+// cycles at RunSim's default checkpoint stride.
 func fig6Engine(tb testing.TB, flows int, cycles int64) *engine.Engine {
 	src := rng.New(rng.Derive(1, uint64(flows)))
 	dist := rng.NewTruncExp(0.2, 1, 64)
@@ -371,7 +369,7 @@ func fig6Engine(tb testing.TB, flows int, cycles int64) *engine.Engine {
 	}
 	served := metrics.NewThroughputTable(flows, flit.DefaultFlitBytes)
 	delays := metrics.NewDelayStats(flows)
-	svc := metrics.NewServiceLogCap(flows, int(cycles)+1, cycles)
+	svc := metrics.NewServiceLogCap(flows, 0, cycles)
 	e, err := engine.NewEngine(engine.Config{
 		Flows:     flows,
 		Scheduler: core.New(),

@@ -18,8 +18,9 @@ type ServiceLog struct {
 	n      int
 	stride int
 	seq    []uint8
-	// checkpoints[k][f] = flits served to flow f in cycles [0, k*stride).
-	checkpoints [][]int64
+	// checkpoints[k*n+f] = flits served to flow f in cycles
+	// [0, k*stride): one flat table, n counts per stride.
+	checkpoints []int64
 	totals      []int64
 	idle        int64
 	stalled     int64
@@ -48,8 +49,10 @@ func NewServiceLog(n, stride int) *ServiceLog {
 // preallocates the per-cycle sequence and the checkpoint table so a
 // multi-million-cycle run records without append growth — on a
 // 4M-cycle Figure 6 run the unhinted log re-copies its 4 MB sequence
-// ~20 times as append doubles it (see BenchmarkServiceLogRecord).
-// Recording beyond the hint is fine; the log just grows again.
+// ~20 times as append doubles it (see BenchmarkServiceLogRecord), and
+// every checkpoint lands in the preallocated table, so recording
+// within the hint never allocates. Recording beyond the hint is fine;
+// the log just grows again.
 func NewServiceLogCap(n, stride int, expectCycles int64) *ServiceLog {
 	if n < 1 || n > 254 {
 		panic("metrics: ServiceLog supports 1..254 flows")
@@ -64,9 +67,9 @@ func NewServiceLogCap(n, stride int, expectCycles int64) *ServiceLog {
 	}
 	if expectCycles > 0 {
 		l.seq = make([]uint8, 0, expectCycles)
-		l.checkpoints = make([][]int64, 0, expectCycles/int64(stride)+1)
+		l.checkpoints = make([]int64, 0, (expectCycles/int64(stride)+1)*int64(n))
 	}
-	l.checkpoints = append(l.checkpoints, make([]int64, n))
+	l.checkpoints = append(l.checkpoints, l.totals...)
 	return l
 }
 
@@ -86,9 +89,7 @@ func (l *ServiceLog) Record(flow int) {
 		l.totals[flow]++
 	}
 	if len(l.seq)%l.stride == 0 {
-		cp := make([]int64, l.n)
-		copy(cp, l.totals)
-		l.checkpoints = append(l.checkpoints, cp)
+		l.checkpoints = append(l.checkpoints, l.totals...)
 	}
 }
 
@@ -127,7 +128,7 @@ func (l *ServiceLog) CumServed(flow int, t int64) int64 {
 		t = int64(len(l.seq))
 	}
 	k := t / int64(l.stride)
-	c := l.checkpoints[k][flow]
+	c := l.checkpoints[k*int64(l.n)+int64(flow)]
 	for i := k * int64(l.stride); i < t; i++ {
 		if l.seq[i] == uint8(flow) {
 			c++
@@ -143,12 +144,12 @@ func (l *ServiceLog) Sent(flow int, t1, t2 int64) int64 {
 }
 
 // remainder adds sign times the count of each logged byte in
-// [k*stride, t) to h, with t clamped to the log, and returns k:
-// CumServed(f, t) is checkpoints[k][f] plus flow f's count. The bytes
-// go round-robin to four histograms so that a run of one flow's flits
-// does not serialize on a single counter; the Idle and Stalled markers
-// land in cells no flow reads.
-func (l *ServiceLog) remainder(t, sign int64, h *[4][256]int64) int64 {
+// [k*stride, t) to h, with t clamped to the log, and returns
+// checkpoint k: CumServed(f, t) is its count for f plus flow f's
+// count in h. The bytes go round-robin to four histograms so that a
+// run of one flow's flits does not serialize on a single counter; the
+// Idle and Stalled markers land in cells no flow reads.
+func (l *ServiceLog) remainder(t, sign int64, h *[4][256]int64) []int64 {
 	t = max(0, min(t, int64(len(l.seq))))
 	k := t / int64(l.stride)
 	seg := l.seq[k*int64(l.stride) : t]
@@ -162,7 +163,7 @@ func (l *ServiceLog) remainder(t, sign int64, h *[4][256]int64) int64 {
 	for _, b := range seg {
 		h[0][b] += sign
 	}
-	return k
+	return l.checkpoints[k*int64(l.n) : (k+1)*int64(l.n)]
 }
 
 // FM returns the fairness measure of the interval [t1, t2): the
@@ -172,8 +173,8 @@ func (l *ServiceLog) remainder(t, sign int64, h *[4][256]int64) int64 {
 // where per-flow Sent queries would cost O(n * stride).
 func (l *ServiceLog) FM(t1, t2 int64) int64 {
 	var h [4][256]int64
-	from := l.checkpoints[l.remainder(t1, -1, &h)]
-	to := l.checkpoints[l.remainder(t2, 1, &h)]
+	from := l.remainder(t1, -1, &h)
+	to := l.remainder(t2, 1, &h)
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for f := 0; f < l.n; f++ {
 		s := to[f] - from[f] + h[0][f] + h[1][f] + h[2][f] + h[3][f]
