@@ -98,7 +98,7 @@ func run(outDir string, quick bool, seed uint64, parallel int, progress, manifes
 				return fmt.Errorf("%s: manifest: %w", s.file, err)
 			}
 		}
-		fmt.Printf("wrote %-16s (%.1fs)\n", s.file, wall.Seconds())
+		fmt.Printf("wrote %-16s (%d ms)\n", s.file, wall.Milliseconds())
 	}
 	return nil
 }

@@ -62,10 +62,8 @@ type SimConfig struct {
 	Source    traffic.Source
 	Cycles    int64
 	// DrainAfter, when true, keeps stepping after Cycles until all
-	// queues empty (the Figure 5 protocol).
+	// queues empty (the Figure 5 protocol), for at most 16x Cycles.
 	DrainAfter bool
-	// DrainBudget caps the drain phase (0 = 16x Cycles).
-	DrainBudget int64
 	// WithLog records a cycle-resolution metrics.ServiceLog
 	// (costs one byte per cycle).
 	WithLog bool
@@ -179,10 +177,7 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		return fail("", err)
 	}
 	if cfg.DrainAfter {
-		budget := cfg.DrainBudget
-		if budget == 0 {
-			budget = 16 * cfg.Cycles
-		}
+		budget := 16 * cfg.Cycles
 		extra, err := runChecked(e, chk, budget, true)
 		res.Cycles += extra
 		if err != nil {
