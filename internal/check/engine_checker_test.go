@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -95,8 +96,13 @@ func TestEngineCheckerCatchesSurplusMutation(t *testing.T) {
 	if found.Cycle < 0 {
 		t.Errorf("violation is not cycle-stamped: %+v", found)
 	}
-	if len(found.Trace) == 0 {
-		t.Error("violation carries no event trace")
+	// The trace is the last DefaultTraceEvents events, oldest first,
+	// ending with the opportunity that broke the invariant.
+	if len(found.Trace) != check.DefaultTraceEvents {
+		t.Fatalf("violation carries %d trace events, want the last %d", len(found.Trace), check.DefaultTraceEvents)
+	}
+	if last, opp := found.Trace[len(found.Trace)-1], fmt.Sprintf("c%-8d opp ", found.Cycle); !strings.HasPrefix(last, opp) {
+		t.Errorf("trace ends with %q, want the opportunity at cycle %d", last, found.Cycle)
 	}
 }
 

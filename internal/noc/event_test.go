@@ -7,7 +7,45 @@ import (
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/trace"
 )
+
+// TestSendAtReleasesInSubmissionOrder pins SendAt's release order:
+// sends due in one cycle enter the network in the order they were
+// submitted, whatever their sources, after every send due earlier.
+// The differential tests cannot see this order, since the reference
+// releases through the same heap; packet ids, and with them the
+// flight recorder's sampling, follow it. The recorder's inject records
+// show it: Records keeps one cycle's injects in Send order.
+func TestSendAtReleasesInSubmissionOrder(t *testing.T) {
+	m, err := NewMesh(meshCfg(false, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := m.EnableTrace(TraceConfig{SampleEvery: 1})
+	srcs := []int{9, 3, 14, 0, 7, 12, 5, 1, 10, 6, 15, 2, 11, 4, 13, 8}
+	var early, late []int32
+	for i, src := range srcs {
+		at := int64(5)
+		if i%3 == 2 {
+			at = 4
+			early = append(early, int32(src))
+		} else {
+			late = append(late, int32(src))
+		}
+		m.SendAt(at, src, (src+5)%16, 2)
+	}
+	m.Run(10)
+	var got []int32
+	for _, r := range tr.Records() {
+		if r.Kind == trace.KindInject {
+			got = append(got, r.Router)
+		}
+	}
+	if want := append(early, late...); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("inject order by source %v, want %v", got, want)
+	}
+}
 
 // TestEventMatchesSteppedMeshFaults is the adversarial event-core
 // oracle on a mesh: a freeze window spanning an entire idle gap AND

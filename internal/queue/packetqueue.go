@@ -1,9 +1,9 @@
 // Package queue provides the O(1) data structures used by the
-// round-robin schedulers and the wormhole substrates: Ring, the one
-// growable FIFO every queue in the tree is built on; Heap, the one
-// binary min-heap; the packet and flit FIFOs; the ActiveList of flow
-// ids that the DRR family cycles over; and the event heap and bitsets
-// of the network kernel.
+// round-robin schedulers and the wormhole substrates: Ring, a growable
+// FIFO, and Heap, a binary min-heap, on which the packet and flit
+// FIFOs, the ActiveList of flow ids that the round-robin schedulers
+// cycle over, and the network kernel's event heap are built; and the
+// bitsets of the router's work-lists.
 package queue
 
 import (

@@ -1,6 +1,10 @@
 package trace
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/flit"
+)
 
 // TestRingOverwritesOldest pins the ring's flight-recorder semantics:
 // append never fails, a full ring overwrites its oldest record, every
@@ -24,5 +28,29 @@ func TestRingOverwritesOldest(t *testing.T) {
 		if len(ids) != 3 || ids[0] != 2 || ids[1] != 3 || ids[2] != 4 {
 			t.Fatalf("pass %d: surviving ids = %v, want [2 3 4]", pass, ids)
 		}
+	}
+}
+
+// TestHeadsRefuseNewest pins the sampled-head queue's overflow policy:
+// an input VC keeps at most bufFlits+2 sampled heads, and a head that
+// arrives to a full queue is refused and counted as dropped, so the
+// heads already queued keep their grant order.
+func TestHeadsRefuseNewest(t *testing.T) {
+	tr := New(Config{SampleEvery: 1})
+	rt := tr.AddRouter(0, 1, 1, 2)
+	for id := int64(0); id < 6; id++ {
+		rt.HeadArrived(0, 0, flit.Flit{PktID: id}, id)
+	}
+	if got := tr.Dropped(); got != 2 {
+		t.Fatalf("dropped %d heads past bufFlits+2 = 4, want 2", got)
+	}
+	for id := int64(0); id < 4; id++ {
+		if !rt.Granted(0, 0, 0, 0, id, 10+id) {
+			t.Fatalf("head %d not at the front for its grant", id)
+		}
+		rt.Departed(0, 0, 0, 0, flit.Flit{PktID: id, Kind: flit.Tail}, 10+id)
+	}
+	if rt.Granted(0, 0, 0, 0, 4, 20) {
+		t.Fatal("a refused head was granted")
 	}
 }
