@@ -1,9 +1,11 @@
 // Package sched defines the scheduling framework the reproduction is
 // built around, plus the baseline disciplines the paper compares
-// against: FCFS, PBRR, WRR, DRR, SCFQ, approximate WFQ, VirtualClock
-// (all packet-granularity) and FBRR (flit-granularity). The paper's
-// own contribution, Elastic Round Robin, lives in package core and
-// implements the same Scheduler interface.
+// against: FCFS, PBRR, WRR, IWRR, DRR, SCFQ, STFQ, WFQ (with exact
+// GPS virtual time) and VirtualClock, all packet-granularity, and
+// FBRR (flit-granularity). The four timestamp disciplines share one
+// packetized tag server and differ only in how they stamp an arrival.
+// The paper's own contribution, Elastic Round Robin, lives in package
+// core and implements the same Scheduler interface.
 //
 // # The central constraint
 //
@@ -63,10 +65,12 @@ type Scheduler interface {
 }
 
 // LengthAware is implemented by disciplines that require packet
-// lengths before dequeuing (DRR's deficit test, the finish tags of
-// SCFQ/WFQ/VirtualClock). The engine calls OnArrivalLength right
-// after OnArrival. Schedulers that can run in wormhole switches —
-// ERR, PBRR, FCFS — deliberately do not implement this interface.
+// lengths before dequeuing (DRR's deficit test, the tags of SCFQ,
+// STFQ, WFQ and VirtualClock: STFQ queues start tags, the others
+// finish tags, and every one needs the length for the finish tag).
+// The engine calls OnArrivalLength right after OnArrival. Schedulers
+// that can run in wormhole switches — ERR, PBRR, WRR, IWRR, FCFS —
+// deliberately do not implement this interface.
 type LengthAware interface {
 	Scheduler
 	// OnArrivalLength supplies the length in flits of the packet
@@ -84,9 +88,9 @@ type LengthAware interface {
 //     must reschedule the flow by itself — the router will not send
 //     a fresh OnArrival for the already-exposed next packet.
 //
-// The round-robin family (ERR, PBRR, WRR) satisfies both; FCFS
-// satisfies neither (it needs one OnArrival per packet), and the
-// timestamp disciplines fail (1).
+// The round-robin family (ERR, PBRR, WRR, IWRR) satisfies both.
+// FCFS meets (1) but fails (2): it needs one OnArrival per packet.
+// DRR and the timestamp disciplines fail (1).
 type HeadOfLineArb interface {
 	Scheduler
 	// HeadOfLineSafe is a marker method asserting the contract above.
@@ -94,7 +98,8 @@ type HeadOfLineArb interface {
 }
 
 // ClockAware is implemented by disciplines whose tags reference real
-// time (VirtualClock). The engine calls SetNow at the start of every
+// time: VirtualClock clamps its tags to it, and WFQ advances its GPS
+// virtual time by it. The engine calls SetNow at the start of every
 // cycle before delivering arrivals.
 type ClockAware interface {
 	// SetNow tells the scheduler the current simulation cycle.

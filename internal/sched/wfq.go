@@ -20,23 +20,16 @@ import "repro/internal/queue"
 // WFQ is ClockAware (it needs real time to advance V) and
 // LengthAware (tags need lengths at arrival), with O(log n) work.
 type WFQ struct {
-	weight func(flow int) float64
-
-	// Packetized server state: flows ordered by head finish tag.
-	heap queue.Heap[tagEntry]
-	tags map[int]*queue.Ring[float64]
+	tagServer
 
 	// Fluid GPS state for exact virtual time.
 	vtime    float64
 	lastReal float64
 	activeW  float64
 	fluid    queue.Heap[finEntry] // all not-yet-fluid-departed packet tags
-	fluidCnt map[int]int          // per-flow count of packets in fluid
-	lastFin  map[int]float64      // last assigned finish tag per flow
+	fluidCnt []int                // per-flow count of packets in fluid, grown on demand
 
-	now     float64
-	current int
-	pending int
+	now float64
 }
 
 // finEntry is one packet's finish tag in the fluid system.
@@ -52,18 +45,8 @@ func (a finEntry) Less(b finEntry) bool { return a.tag < b.tag }
 // NewWFQ returns a WFQ scheduler with exact GPS virtual time; nil
 // weight means equal weights.
 func NewWFQ(weight func(flow int) float64) *WFQ {
-	return &WFQ{
-		weight:   weightFn(weight),
-		tags:     make(map[int]*queue.Ring[float64]),
-		fluidCnt: make(map[int]int),
-		lastFin:  make(map[int]float64),
-		current:  -1,
-		pending:  -1,
-	}
+	return &WFQ{tagServer: newTagServer("WFQ", weight)}
 }
-
-// Name implements Scheduler.
-func (w *WFQ) Name() string { return "WFQ" }
 
 // VirtualTime advances the fluid reference to the current real time
 // and returns V — exposed for tests and instrumentation.
@@ -125,66 +108,20 @@ func (w *WFQ) departOne() {
 	}
 }
 
-// OnArrival implements Scheduler.
-func (w *WFQ) OnArrival(flow int, wasEmpty bool) {
-	if w.pending != -1 {
-		panic("sched: WFQ OnArrival without OnArrivalLength for previous packet")
-	}
-	w.pending = flow
-}
-
-// OnArrivalLength implements LengthAware.
+// OnArrivalLength implements LengthAware: WFQ queues the finish tag,
+// its start clamped to V, and adds the packet to the fluid system.
 func (w *WFQ) OnArrivalLength(flow int, length int) {
-	if w.pending != flow {
-		panic("sched: WFQ OnArrivalLength does not match OnArrival")
-	}
-	w.pending = -1
 	w.advance(w.now)
-	start := w.vtime
-	if f := w.lastFin[flow]; f > start {
-		start = f
+	_, fin := w.stamp(flow, length, w.vtime)
+	for len(w.fluidCnt) <= flow {
+		w.fluidCnt = append(w.fluidCnt, 0)
 	}
-	fin := start + float64(length)/w.weight(flow)
-	w.lastFin[flow] = fin
-	// Fluid bookkeeping.
 	if w.fluidCnt[flow] == 0 {
 		w.activeW += w.weight(flow)
 	}
 	w.fluidCnt[flow]++
 	w.fluid.Push(finEntry{tag: fin, flow: flow})
-	// Packetized bookkeeping.
-	q := w.tags[flow]
-	if q == nil {
-		q = &queue.Ring[float64]{}
-		w.tags[flow] = q
-	}
-	wasIdle := q.Len() == 0 && flow != w.current
-	q.Push(fin)
-	if wasIdle {
-		w.heap.Push(tagEntry{flow, fin})
-	}
-}
-
-// NextFlow implements Scheduler.
-func (w *WFQ) NextFlow() int {
-	if w.current != -1 {
-		panic("sched: WFQ.NextFlow while a packet is in service")
-	}
-	w.current = w.heap.Pop().flow
-	return w.current
-}
-
-// OnPacketDone implements Scheduler.
-func (w *WFQ) OnPacketDone(flow int, cost int64, nowEmpty bool) {
-	if flow != w.current {
-		panic("sched: WFQ completion for a flow not in service")
-	}
-	w.current = -1
-	q := w.tags[flow]
-	q.Pop()
-	if q.Len() > 0 {
-		w.heap.Push(tagEntry{flow, q.Peek()})
-	}
+	w.enqueue(flow, fin)
 }
 
 var (
