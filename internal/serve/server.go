@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/sched"
 )
 
 // Config configures a Server. Zero values select the documented
@@ -54,8 +53,8 @@ type Config struct {
 	Weight func(tenant string) int64
 
 	// CostOf converts a measured handler duration into billed cost
-	// units; nil bills 1 ms units, rounded up (sched.CostClock). Tests
-	// use this to bill deterministic costs.
+	// units; nil bills whole milliseconds, rounded up, at least 1
+	// (costMillis). Tests use this to bill deterministic costs.
 	CostOf func(r *http.Request, measured time.Duration) int64
 
 	// Degradation watermarks, as fractions of GlobalBytes occupancy.
@@ -93,8 +92,7 @@ func (c *Config) fill() {
 		c.GlobalBytes = 32 << 20
 	}
 	if c.CostOf == nil {
-		cc := sched.CostClock{Unit: time.Millisecond}
-		c.CostOf = func(_ *http.Request, d time.Duration) int64 { return cc.Cost(d) }
+		c.CostOf = func(_ *http.Request, d time.Duration) int64 { return costMillis(d) }
 	}
 	if c.WriteHigh <= 0 {
 		c.WriteHigh = 0.50
@@ -117,6 +115,16 @@ func (c *Config) fill() {
 	if c.now == nil {
 		c.now = time.Now
 	}
+}
+
+// costMillis bills a handler that ran for d in whole milliseconds,
+// rounded up, with a minimum of 1, so that even a free request
+// consumes one unit of its flow's allowance (a scheduler cost must be
+// >= 1). As with a wormhole packet's occupancy, the cost is known only
+// once the work completes (see WallERR). Two requests that both finish
+// within a millisecond cost the same, and a 5 s handler costs 5000.
+func costMillis(d time.Duration) int64 {
+	return max(1, int64((d+time.Millisecond-1)/time.Millisecond))
 }
 
 // reqState is a queued request's lifecycle state. Transitions out of

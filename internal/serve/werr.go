@@ -192,12 +192,12 @@ func (e *WallERR) OnEvicted(flow int, nowEmpty bool) {
 }
 
 // OnServiceDone reports that a request dispatched from flow under
-// token completed at the measured cost (sched.CostClock units; a cost
-// below 1 counts as 1). Completions arrive in any order, possibly
-// after the opportunity that dispatched them closed. The excess over
-// the provisional unit goes to the opportunity if it is still the
-// open one, else straight to the flow's surplus count (deferred
-// billing).
+// token completed at the measured cost (Config.CostOf units, whole
+// milliseconds by default; a cost below 1 counts as 1). Completions
+// arrive in any order, possibly after the opportunity that dispatched
+// them closed. The excess over the provisional unit goes to the
+// opportunity if it is still the open one, else straight to the
+// flow's surplus count (deferred billing).
 func (e *WallERR) OnServiceDone(flow int, token int64, cost int64) {
 	if cost < 1 {
 		cost = 1
