@@ -56,13 +56,18 @@ func TestRouterComputeAllocsZero(t *testing.T) {
 		feed(cycle)
 		r.Step(cycle)
 	}
-	got := testing.AllocsPerRun(200, func() {
-		cycle++
-		feed(cycle)
-		r.Step(cycle)
+	// One measured run of many cycles: AllocsPerRun returns its total,
+	// so an allocation rarer than once per cycle still counts.
+	const cycles = 20000
+	got := testing.AllocsPerRun(1, func() {
+		for c := 0; c < cycles; c++ {
+			cycle++
+			feed(cycle)
+			r.Step(cycle)
+		}
 	})
 	if got != 0 {
-		t.Errorf("saturated Router.Step allocates %.1f times per cycle in steady state, want 0", got)
+		t.Errorf("saturated Router.Step allocates %.0f times in %d steady-state cycles, want 0", got, cycles)
 	}
 }
 
