@@ -644,7 +644,7 @@ func BenchmarkNoCTiledStepping(b *testing.B) {
 // exists for. Steady Bernoulli loads (BenchmarkNoCStepping) never
 // globally idle, so event-to-event advancement neither helps nor
 // hurts there; here each 400k-cycle epoch is mostly gap (idle after a
-// burst drains, or dormant behind a known fault window), and the
+// burst drains, or dormant behind a fault window), and the
 // event core jumps it while the reference steps every router through
 // every cycle. The mesh
 // persists across iterations, so allocs/op is the zero-allocation
@@ -661,15 +661,18 @@ func benchMeshEventCore(b *testing.B, scenario string, reference bool) {
 	m.RegisterObs(obs.NewRegistry())
 	m.SetReference(reference)
 	// The freeze-gap scenario wedges traffic behind a frozen center
-	// router for most of each epoch. The window predicate is installed
-	// once (its bounds move per epoch); the edges are declared known
-	// and re-registered each epoch via ScheduleWake, so the frozen
-	// router is dormant between edges instead of polled.
+	// router for most of each epoch. The freeze hook is installed once
+	// (its window moves per epoch) and answers the remaining window, so
+	// the frozen router is dormant until the thaw instead of polled.
 	var winStart, winEnd int64
 	center := m.NodeID(k/2, k/2)
 	if scenario == "freeze-gap" {
-		m.Router(center).SetFreeze(func(c int64) bool { return c >= winStart && c < winEnd })
-		m.Router(center).SetFaultEdgesKnown(true)
+		m.Router(center).SetFreeze(func(c int64) int64 {
+			if c >= winStart && c < winEnd {
+				return winEnd - c
+			}
+			return 0
+		})
 	}
 	src := rng.New(5)
 	lens := rng.NewUniform(1, 8)
@@ -692,8 +695,6 @@ func benchMeshEventCore(b *testing.B, scenario string, reference bool) {
 			// Thaw 10k cycles before epoch end: the wedged traffic
 			// drains inside the epoch, the remainder idles.
 			winStart, winEnd = start+100, start+epoch-10_000
-			m.ScheduleWake(winStart)
-			m.ScheduleWake(winEnd)
 		}
 		// One packet per node inside a 20-cycle burst (~9% flit
 		// injection while it lasts), then nothing for the rest of the

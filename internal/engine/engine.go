@@ -23,34 +23,22 @@ import (
 	"repro/internal/traffic"
 )
 
-// StallModel injects downstream congestion: before each flit of a
-// packet is forwarded, the model returns how many cycles the output
-// stays blocked. A nil model means no stalls (classic store-and-
-// forward timing, occupancy == length).
+// StallModel injects downstream congestion: before each flit is
+// forwarded, the model returns how many cycles the output stays
+// blocked, in either service mode. A nil model means no stalls
+// (classic store-and-forward timing, occupancy == length).
 type StallModel interface {
 	// FlitStall returns the stall cycles preceding the next flit of
-	// the given flow's current packet (>= 0).
-	FlitStall(flow int) int
+	// flow (>= 0), drawn at cycle: the cycle the flit is chosen, or
+	// the cycle the packet's previous flit was forwarded.
+	FlitStall(flow int, cycle int64) int
 }
 
-// StallFunc adapts a function to a StallModel.
+// StallFunc adapts a function of the flow alone to a StallModel.
 type StallFunc func(flow int) int
 
 // FlitStall implements StallModel.
-func (f StallFunc) FlitStall(flow int) int { return f(flow) }
-
-// CycleStallModel is an optional extension of StallModel for models
-// that need the current cycle — fault injectors stalling a link
-// during a configured window, time-varying congestion. When the
-// configured Stall implements it, the engine calls FlitStallAt
-// instead of FlitStall.
-type CycleStallModel interface {
-	StallModel
-	// FlitStallAt returns the stall cycles preceding the next flit of
-	// the given flow's current packet when that flit becomes eligible
-	// at the given cycle (>= 0).
-	FlitStallAt(flow int, cycle int64) int
-}
+func (f StallFunc) FlitStall(flow int, _ int64) int { return f(flow) }
 
 // Config configures an Engine. Exactly one of Scheduler or FlitSched
 // must be set.
@@ -330,11 +318,7 @@ func (e *Engine) stepPacketMode() {
 	e.occupancy++
 	if e.stallLeft > 0 {
 		e.stallLeft--
-		if e.cfg.OnStall != nil {
-			e.cfg.OnStall(e.cycle, e.current.Flow)
-		} else {
-			e.idle()
-		}
+		e.stalled(e.current.Flow)
 		return
 	}
 	// Forward one flit.
@@ -398,16 +382,21 @@ func (e *Engine) stall(flow int) int {
 	if e.cfg.Stall == nil {
 		return 0
 	}
-	var s int
-	if cs, ok := e.cfg.Stall.(CycleStallModel); ok {
-		s = cs.FlitStallAt(flow, e.cycle)
-	} else {
-		s = e.cfg.Stall.FlitStall(flow)
-	}
+	s := e.cfg.Stall.FlitStall(flow, e.cycle)
 	if s < 0 {
 		panic("engine: negative stall")
 	}
 	return s
+}
+
+// stalled reports a cycle in which flow holds the output without
+// forwarding: to OnStall, or to OnIdle without one.
+func (e *Engine) stalled(flow int) {
+	if e.cfg.OnStall != nil {
+		e.cfg.OnStall(e.cycle, flow)
+	} else {
+		e.idle()
+	}
 }
 
 func (e *Engine) idle() {

@@ -111,16 +111,15 @@ func (d flitDecisionLog) NextFlow() int {
 // cycleStall stalls flow 1 during the first 12 cycles of every 97.
 type cycleStall struct{}
 
-func (cycleStall) FlitStall(int) int { return 0 }
-
-func (cycleStall) FlitStallAt(flow int, cycle int64) int {
+func (cycleStall) FlitStall(flow int, cycle int64) int {
 	if flow == 1 && cycle%97 < 12 {
 		return 2
 	}
 	return 0
 }
 
-// Stall models: none, a stateful random StallModel, a CycleStallModel.
+// Stall models: none, a stateful random StallFunc, one that reads the
+// cycle.
 const (
 	stallNone = iota
 	stallRandom

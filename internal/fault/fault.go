@@ -1,8 +1,6 @@
 package fault
 
 import (
-	"math"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/engine"
@@ -26,8 +24,9 @@ const (
 // faulted experiment is auditable after the fact: how many flits were
 // really lost, not just what probability was asked for.
 type Counters struct {
-	// StallCycles is the number of flit-forwarding attempts the
-	// injector stalled (engine mode counts imposed stall cycles).
+	// StallCycles is the number of cycles the engine's injected
+	// stalls imposed, in either service mode. Network stalls are never
+	// counted: the event core skips the cycles they block.
 	StallCycles int64 `json:"stall_cycles,omitempty"`
 	// Dropped is the number of flits lost in transit.
 	Dropped int64 `json:"dropped,omitempty"`
@@ -107,62 +106,29 @@ func (in *Injector) Spec() *Spec {
 	return in.spec
 }
 
-// permanentStall is the stall length reported for a permanent link
-// stall (dur=0). The engine treats a stall count as cycles to wait,
-// so any value beyond the simulation horizon blocks forever; 2^62
-// leaves headroom against int64 overflow when added to the cycle.
-const permanentStall = math.MaxInt64 >> 2
-
-// stallAt returns the injector-imposed stall (in cycles) for a flit
-// of flow becoming eligible at cycle, considering engine-mode stall
-// directives (router unset). 0 when none applies.
-func (in *Injector) stallAt(flow int, cycle int64) int64 {
-	var worst int64
-	for _, d := range in.spec.only("stall") {
-		if d.Router != -1 || d.Port != -1 {
-			continue // router/port-scoped: handled by OutputFault
-		}
-		if d.Flow != -1 && d.Flow != flow {
-			continue
-		}
-		if !d.active(cycle) {
-			continue
-		}
-		var s int64
-		if d.Dur == 0 {
-			s = permanentStall
-		} else {
-			s = d.At + d.Dur - cycle // remaining window
-		}
-		if s > worst {
-			worst = s
-		}
-	}
-	return worst
-}
-
-// engineStall adapts the injector to engine.CycleStallModel, layering
-// the injected stalls on top of an inner congestion model (which may
-// be nil).
+// engineStall layers the spec's engine stalls (stall directives naming
+// neither router nor port) on top of an inner congestion model, which
+// may be nil.
 type engineStall struct {
 	in    *Injector
 	inner engine.StallModel
+	dirs  []Directive
 }
 
-func (s *engineStall) FlitStall(flow int) int { return s.FlitStallAt(flow, 0) }
-
-func (s *engineStall) FlitStallAt(flow int, cycle int64) int {
-	var base int64
+// FlitStall implements engine.StallModel: the inner model's stall plus
+// the longest injected window still open for flow at cycle.
+func (s *engineStall) FlitStall(flow int, cycle int64) int {
+	var base, inj int64
 	if s.inner != nil {
-		if cs, ok := s.inner.(engine.CycleStallModel); ok {
-			base = int64(cs.FlitStallAt(flow, cycle))
-		} else {
-			base = int64(s.inner.FlitStall(flow))
+		base = int64(s.inner.FlitStall(flow, cycle))
+	}
+	for _, d := range s.dirs {
+		if d.Flow == -1 || d.Flow == flow {
+			inj = max(inj, d.blocks(cycle))
 		}
 	}
-	inj := s.in.stallAt(flow, cycle)
 	s.in.counters.stallCycles.Add(inj)
-	if base+inj > permanentStall {
+	if inj > permanentStall-base {
 		return int(permanentStall)
 	}
 	return int(base + inj)
@@ -175,16 +141,16 @@ func (in *Injector) WrapStall(inner engine.StallModel) engine.StallModel {
 	if in == nil {
 		return inner
 	}
-	any := false
+	var dirs []Directive
 	for _, d := range in.spec.only("stall") {
 		if d.Router == -1 && d.Port == -1 {
-			any = true
+			dirs = append(dirs, d)
 		}
 	}
-	if !any {
+	if len(dirs) == 0 {
 		return inner
 	}
-	return &engineStall{in: in, inner: inner}
+	return &engineStall{in: in, inner: inner, dirs: dirs}
 }
 
 // malformedSource layers malformed-packet emission onto an inner
@@ -264,14 +230,9 @@ type outputFault struct {
 	corrSrc *rng.Source
 }
 
-func (o *outputFault) Stalled(cycle int64) bool {
-	for _, d := range o.stalls {
-		if d.active(cycle) {
-			return true
-		}
-	}
-	return false
-}
+// Stalled implements wormhole.OutputFault: how many cycles the link
+// is still stalled at cycle.
+func (o *outputFault) Stalled(cycle int64) int64 { return longest(o.stalls, cycle) }
 
 func (o *outputFault) Drop(f flit.Flit, cycle int64) bool {
 	for _, d := range o.drops {
@@ -355,44 +316,10 @@ func (in *Injector) OutputFault(router, port int) wormhole.OutputFault {
 	return o
 }
 
-// WindowEdges returns the sorted, deduplicated cycles at which any
-// windowed directive (stall or freeze) changes its answer: each
-// window's opening cycle At and, for transient windows, its closing
-// cycle At+Dur (dur=0 windows are permanent and only open). Between
-// two consecutive edges every Stalled/FreezeFunc predicate is
-// constant, so an event-driven simulation that wakes at each edge may
-// treat fault-blocked routers as dormant in the gaps
-// (wormhole.Router.SetFaultEdgesKnown). A nil injector has no edges.
-func (in *Injector) WindowEdges() []int64 {
-	if in == nil {
-		return nil
-	}
-	var edges []int64
-	for _, d := range in.spec.Directives {
-		if d.Kind != "stall" && d.Kind != "freeze" {
-			continue
-		}
-		edges = append(edges, d.At)
-		// A closing edge beyond the permanent-stall horizon can never
-		// be reached; skipping it also guards the At+Dur sum against
-		// overflow (same headroom rationale as permanentStall).
-		if d.Dur > 0 && d.At <= permanentStall-d.Dur {
-			edges = append(edges, d.At+d.Dur)
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i] < edges[j] })
-	out := edges[:0]
-	for i, e := range edges {
-		if i == 0 || e != out[len(out)-1] {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// FreezeFunc returns the freeze predicate to install on router (via
-// Router.SetFreeze), or nil when no freeze directive targets it.
-func (in *Injector) FreezeFunc(router int) func(cycle int64) bool {
+// FreezeFunc returns the freeze hook to install on router (via
+// Router.SetFreeze): how many cycles the router is still frozen at a
+// cycle. nil when no freeze directive targets the router.
+func (in *Injector) FreezeFunc(router int) func(cycle int64) int64 {
 	if in == nil {
 		return nil
 	}
@@ -405,14 +332,7 @@ func (in *Injector) FreezeFunc(router int) func(cycle int64) bool {
 	if len(dirs) == 0 {
 		return nil
 	}
-	return func(cycle int64) bool {
-		for _, d := range dirs {
-			if d.active(cycle) {
-				return true
-			}
-		}
-		return false
-	}
+	return func(cycle int64) int64 { return longest(dirs, cycle) }
 }
 
 // Malformed returns the malformed kind of the next packet offered at
@@ -467,7 +387,7 @@ func MalformedFlits(kind string, flow, length int, pktID int64) []flit.Flit {
 }
 
 var (
-	_ engine.CycleStallModel = (*engineStall)(nil)
-	_ traffic.Source         = (*malformedSource)(nil)
-	_ wormhole.OutputFault   = (*outputFault)(nil)
+	_ engine.StallModel    = (*engineStall)(nil)
+	_ traffic.Source       = (*malformedSource)(nil)
+	_ wormhole.OutputFault = (*outputFault)(nil)
 )

@@ -60,6 +60,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -106,12 +107,44 @@ type Directive struct {
 	RPS float64
 }
 
-// active reports whether a windowed directive is live at cycle.
-func (d Directive) active(cycle int64) bool {
-	if cycle < d.At {
-		return false
+// permanentStall is the block length of a permanent window. Any value
+// beyond the simulation horizon blocks forever; 2^61 leaves headroom
+// against int64 overflow when a simulator adds it to the cycle.
+const permanentStall = math.MaxInt64 >> 2
+
+// End returns the first cycle after a stall or freeze window, or
+// math.MaxInt64 for a permanent one: dur=0, or a window closing past
+// permanentStall, whose At+Dur could overflow.
+func (d Directive) End() int64 {
+	if d.Dur == 0 || d.Dur > permanentStall-d.At {
+		return math.MaxInt64
 	}
-	return d.Dur == 0 || cycle < d.At+d.Dur
+	return d.At + d.Dur
+}
+
+// blocks is the one window rule every fault hook answers with: how
+// many cycles a stall or freeze window still blocks at cycle, counting
+// cycle itself. It is 0 outside the window, the remaining cycles
+// inside it, and permanentStall inside a permanent window.
+func (d Directive) blocks(cycle int64) int64 {
+	end := d.End()
+	switch {
+	case cycle < d.At || cycle >= end:
+		return 0
+	case end == math.MaxInt64:
+		return permanentStall
+	}
+	return end - cycle
+}
+
+// longest returns how many cycles the windows ds still block at
+// cycle: the longest remainder among those open, 0 when none is.
+func longest(ds []Directive, cycle int64) int64 {
+	var k int64
+	for _, d := range ds {
+		k = max(k, d.blocks(cycle))
+	}
+	return k
 }
 
 // Spec is a parsed fault specification.

@@ -46,7 +46,7 @@ type seqKindFault struct {
 	fromKind, toKind flit.Kind
 }
 
-func (c *seqKindFault) Stalled(int64) bool         { return false }
+func (c *seqKindFault) Stalled(int64) int64        { return 0 }
 func (c *seqKindFault) Drop(flit.Flit, int64) bool { return false }
 func (c *seqKindFault) Corrupt(f flit.Flit, _ int64) flit.Flit {
 	if f.Seq == c.seq && f.Kind == c.fromKind {

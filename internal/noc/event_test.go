@@ -66,6 +66,53 @@ func TestEventMatchesSteppedMeshFaults(t *testing.T) {
 	}
 }
 
+// TestEventMatchesSteppedTwoStalls pins the earliest of several stall
+// ends: worms wait behind two outputs of router 5, east stalled for
+// 50 cycles and north for 1900, with nothing else able to act. The
+// router must wake when the east stall ends, not when the last one
+// does; a router answering the latest end skips the cycles in which
+// the east worm moves.
+func TestEventMatchesSteppedTwoStalls(t *testing.T) {
+	_, fast := assertMatchesReference(t, "event-two-stalls", scenario{
+		cfg:   meshCfg(false, 0),
+		spec:  "stall(router=5,port=1,at=100,dur=50);stall(router=5,port=4,at=100,dur=1900)",
+		sends: []send{{90, 4, 7, 6}, {91, 1, 13, 6}, {93, 4, 7, 5}, {94, 1, 13, 4}, {95, 4, 7, 3}},
+		run:   3000,
+		drain: 2000,
+	})
+	if fast.skipped == 0 {
+		t.Fatal("event core never skipped a stalled cycle")
+	}
+}
+
+// TestEventMatchesSteppedDirectFreeze installs a freeze hook with
+// Router.SetFreeze, without Protect: its block length alone makes the
+// frozen router dormant, so the fast run skips the frozen cycles and
+// still reproduces the reference.
+func TestEventMatchesSteppedDirectFreeze(t *testing.T) {
+	const from, to = 10, 4000
+	ref, fast := assertMatchesReference(t, "event-direct-freeze", scenario{
+		cfg: meshCfg(false, 0),
+		hooks: func(m *Mesh) {
+			m.Router(5).SetFreeze(func(c int64) int64 {
+				if c >= from && c < to {
+					return to - c
+				}
+				return 0
+			})
+		},
+		sends: burstSends(16, 21, []int64{0}, 12),
+		run:   5000,
+		drain: 2000,
+	})
+	if ref.latMax < to-from {
+		t.Fatalf("scenario degenerate: no packet waited out the freeze (max latency %v)", ref.latMax)
+	}
+	if fast.skipped < (to-from)/2 {
+		t.Fatalf("fast run skipped %d cycles, want most of the %d frozen ones", fast.skipped, to-from)
+	}
+}
+
 // TestEventMatchesSteppedTorusFaults repeats the oracle on a torus
 // (dateline VCs, wrap routing) under a stall window and a freeze that
 // opens mid-burst.

@@ -348,18 +348,6 @@ type Mesh struct {
 	// release order matches submission order deterministically.
 	sched    queue.Heap[schedSend]
 	schedSeq int64
-	// events is the discrete-event queue proper: externally known
-	// wake-up cycles — fault-window edges registered by Protect or
-	// ScheduleWake — ordered deterministically by (At, ID, Kind).
-	// Together with the sched heap's head and the routers' NextEventAt
-	// answers it bounds how far Run/Drain may advance event-to-event.
-	events queue.EventHeap
-	// dormancy records that fault-window edges were registered, so
-	// canActNow must probe active routers for dormancy (frozen or
-	// stall-blocked with edges known) instead of assuming an active
-	// router can act. Off on fault-free meshes: the probe walk never
-	// runs, so the no-fault hot path stays O(1) per cycle.
-	dormancy bool
 	// skipped counts cycles jumped over by time skipping.
 	skipped int64
 
@@ -755,55 +743,35 @@ func (m *Mesh) SetReference(on bool) {
 // event-driven advancement.
 func (m *Mesh) Skipped() int64 { return m.skipped }
 
-// ScheduleWake registers an externally known cycle at which mesh
-// state may change without any in-network progress event — a
-// fault-window edge opening or closing — so event-driven Run/Drain
-// will not treat a dormant (fault-blocked) network as skippable past
-// it. Protect registers every window edge of its injector
-// automatically; callers installing windowed fault hooks directly on
-// routers (Router.SetFreeze / SetOutputFault combined with
-// SetFaultEdgesKnown) must register each edge here themselves.
-// Duplicate and past cycles are harmless; events are dropped lazily
-// once due.
-func (m *Mesh) ScheduleWake(at int64) {
-	m.events.Push(queue.Event{At: at, Kind: evWake})
-	m.dormancy = true
-}
-
-// Event kinds on the mesh event queue. Same-cycle events pop in the
-// deterministic (At, ID, Kind) order of queue.EventHeap.
-const (
-	evWake uint8 = iota // externally registered wake (fault-window edge)
-)
-
-// canActNow reports whether stepping the mesh at the current cycle
-// could change simulation state: some active router can act now, some
-// injection front end can make progress, or some drain sink holds
-// flits. A parked front end never can: its port refused its flit and
-// has not drained since (it would be woken). With no fault-window
-// edges registered (m.dormancy off) an active router always counts as
-// actable — the dormancy probe is skipped, keeping the fault-free
-// path O(1) per cycle.
-func (m *Mesh) canActNow() bool {
-	if m.activeR.len() > 0 {
-		if !m.dormancy {
-			return true
-		}
-		// Probe active routers for one that can act at m.cycle; walk
-		// the bitmap hierarchy directly (no closure) to stay off the
-		// heap.
-		for si, sw := range m.activeR.summary {
-			for sw != 0 {
-				wi := si<<6 + bits.TrailingZeros64(sw)
-				sw &= sw - 1
-				w := m.activeR.words[wi]
-				for w != 0 {
-					id := wi<<6 + bits.TrailingZeros64(w)
-					w &= w - 1
-					if m.physR[id].NextEventAt(m.cycle) <= m.cycle {
-						return true
-					}
+// nextEventCycle returns the cycle Run/Drain should handle next: the
+// current cycle when something can act now (step it), otherwise the
+// earliest of the active routers' NextEventAt answers, the next
+// scheduled send and the horizon end. Something can act now when an
+// active router answers the current cycle, an injection front end can
+// make progress, or a drain sink holds flits. A parked front end
+// never can: its port refused its flit and has not drained since (it
+// would be woken). On a fault-free mesh every active router can act,
+// so the walk stops at the first one.
+func (m *Mesh) nextEventCycle(end int64) int64 {
+	if m.reference {
+		return m.cycle
+	}
+	next := end
+	// Walk the bitmap hierarchy directly (no closure) to stay off the
+	// heap.
+	for si, sw := range m.activeR.summary {
+		for sw != 0 {
+			wi := si<<6 + bits.TrailingZeros64(sw)
+			sw &= sw - 1
+			w := m.activeR.words[wi]
+			for w != 0 {
+				id := wi<<6 + bits.TrailingZeros64(w)
+				w &= w - 1
+				at := m.physR[id].NextEventAt(m.cycle)
+				if at <= m.cycle {
+					return m.cycle
 				}
+				next = min(next, at)
 			}
 		}
 	}
@@ -816,7 +784,7 @@ func (m *Mesh) canActNow() bool {
 				id := wi<<6 + bits.TrailingZeros64(w)
 				w &= w - 1
 				if m.injCanProgress(id) {
-					return true
+					return m.cycle
 				}
 			}
 		}
@@ -824,10 +792,13 @@ func (m *Mesh) canActNow() bool {
 	// A drain sink holding flits draws its drain pattern every cycle.
 	for _, d := range m.drains {
 		if d.Len() > 0 {
-			return true
+			return m.cycle
 		}
 	}
-	return false
+	if m.sched.Len() > 0 {
+		next = min(next, m.sched.Peek().at)
+	}
+	return next
 }
 
 // injCanProgress reports whether node id's injection front end can
@@ -840,29 +811,6 @@ func (m *Mesh) injCanProgress(id int) bool {
 		return !st.queue.Empty()
 	}
 	return st.r.CanAccept(st.port, st.vc)
-}
-
-// nextEventCycle returns the cycle Run/Drain should handle next: the
-// current cycle when something can act now (step it), otherwise the
-// earliest future event — scheduled send, registered fault-window
-// edge, or the horizon itself. Fault-window edges only bound the jump
-// while some router holds work: a window opening and closing over a
-// completely idle network is a strict no-op, so a fully idle mesh
-// skips straight across it.
-func (m *Mesh) nextEventCycle(end int64) int64 {
-	if m.reference || m.canActNow() {
-		return m.cycle
-	}
-	next := end
-	if m.sched.Len() > 0 && m.sched.Peek().at < next {
-		next = m.sched.Peek().at
-	}
-	if m.activeR.len() > 0 {
-		if at := m.events.DropDue(m.cycle); at < next {
-			next = at
-		}
-	}
-	return next
 }
 
 // HorizonCap is the absolute cycle horizon of a run. Run and Drain
@@ -1227,9 +1175,9 @@ func (m *Mesh) materialise(st *injState, p flit.Packet) {
 
 // Run advances the mesh by n cycles (clamped to HorizonCap),
 // event-to-event: cycles in which something can act — a router that
-// can forward or grant, an injector with traffic the network will
-// take, a scheduled send or registered fault-window edge coming due —
-// are stepped; provably no-op gaps between events are jumped in one
+// can forward or grant, or whose fault block ends, an injector with
+// traffic the network will take, a scheduled send coming due — are
+// stepped; provably no-op gaps between events are jumped in one
 // move. The run is cycle-stamp- and artifact-identical to a stepped
 // one (SetReference restores literal stepping as the oracle).
 func (m *Mesh) Run(n int64) {

@@ -70,6 +70,9 @@ type scenario struct {
 	// drain pattern's rng — start afresh each time.
 	graph func() Graph
 	spec  string // fault spec ("" = fault-free), installed with seed 99
+	// hooks, when set, installs fault hooks on the routers directly
+	// (Router.SetFreeze, SetOutputFault), without Protect.
+	hooks func(m *Mesh)
 	// inject > 0 selects the injector workload: uniform traffic of 1-6
 	// flit packets at rate packets/node/cycle (0 means 0.15), stepped
 	// manually for inject cycles, then a manual drain of at most 6000
@@ -223,6 +226,9 @@ func runScenario(t *testing.T, s scenario, reference bool, pools ...int) runArti
 			t.Fatal(err)
 		}
 		ws = trace.WindowsFromSpec(inj.Spec())
+	}
+	if s.hooks != nil {
+		s.hooks(m)
 	}
 	var tr *trace.Trace
 	if s.trace != nil {

@@ -41,18 +41,6 @@ func (m *Mesh) Protect(faults string, seed uint64, checked bool) (*fault.Injecto
 				}
 			}
 		}
-		// Register every stall/freeze window edge as a wake event and
-		// declare the edges known, so event-driven Run/Drain may treat
-		// fault-blocked routers as dormant between edges instead of
-		// polling them cycle-by-cycle (see wormhole.Router.NextEventAt).
-		// This must come after the hook installs above:
-		// SetFreeze/SetOutputFault withdraw the declaration.
-		for _, at := range inj.WindowEdges() {
-			m.ScheduleWake(at)
-		}
-		for _, r := range m.routers {
-			r.SetFaultEdgesKnown(true)
-		}
 	}
 	var rec *check.Recorder
 	if checked {

@@ -18,6 +18,7 @@ package wormhole
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/flit"
@@ -111,8 +112,9 @@ type creditReturn func(vc int, cycle int64)
 // without panicking; the invariant checker and the deadlock watchdog
 // are what detect the resulting wedges.
 type OutputFault interface {
-	// Stalled reports whether the link is stalled at cycle.
-	Stalled(cycle int64) bool
+	// Stalled returns how many cycles the link is still stalled at
+	// cycle, counting cycle itself (0 = not stalled).
+	Stalled(cycle int64) int64
 	// Drop reports whether this flit is lost in transit.
 	Drop(f flit.Flit, cycle int64) bool
 	// Corrupt returns the flit as it arrives downstream (possibly
@@ -249,14 +251,10 @@ type Router struct {
 
 	// outFault[o], when non-nil, injects faults on output link o.
 	outFault []OutputFault
-	// frozen, when non-nil, reports whether the whole router is frozen
-	// at a cycle (fault injection: a crashed/wedged switch ASIC).
-	frozen func(cycle int64) bool
-	// faultEdgesKnown records that the owner tracks every fault-window
-	// edge of the installed hooks and wakes the router at each one, so
-	// NextEventAt may treat a fault-blocked router as dormant instead
-	// of polling (see SetFaultEdgesKnown).
-	faultEdgesKnown bool
+	// frozen, when non-nil, returns how many cycles the whole router
+	// is still frozen at a cycle (fault injection: a crashed/wedged
+	// switch ASIC).
+	frozen func(cycle int64) int64
 	// FaultDropped counts flits lost on this router's faulty output
 	// links (the dropped-by-fault term of flit conservation).
 	FaultDropped int64
@@ -538,13 +536,9 @@ func (r *Router) announceHead(port, vc int, h flit.Flit, cycle int64) {
 func (r *Router) ClearActiveHint() { r.activeHint = false }
 
 // SetOutputFault installs (or, with nil, removes) a fault injector on
-// output link port. Installing a fault directly withdraws any
-// SetFaultEdgesKnown declaration: the router can no longer assume its
-// fault windows are externally tracked, so NextEventAt falls back to
-// per-cycle polling until the owner re-declares the edges.
+// output link port.
 func (r *Router) SetOutputFault(port int, f OutputFault) {
 	r.outFault[port] = f
-	r.faultEdgesKnown = false
 	if f != nil {
 		r.outs[port].flags |= outHasFault
 	} else {
@@ -552,28 +546,13 @@ func (r *Router) SetOutputFault(port int, f OutputFault) {
 	}
 }
 
-// SetFreeze installs a freeze predicate: while it returns true the
-// router does nothing — no forwarding, no grants — while its input
-// buffers keep accepting flits until credits exhaust, which is
-// exactly how a wedged switch back-pressures its neighbours. nil
-// removes the predicate. Like SetOutputFault, installing a predicate
-// withdraws any SetFaultEdgesKnown declaration.
-func (r *Router) SetFreeze(f func(cycle int64) bool) {
-	r.frozen = f
-	r.faultEdgesKnown = false
-}
-
-// SetFaultEdgesKnown declares that the caller tracks every cycle at
-// which this router's installed fault hooks change their answer — the
-// opening and closing edges of each freeze and stall window — and
-// will wake the router at those cycles. Only under this declaration
-// may NextEventAt report a fault-blocked router as dormant
-// (EventNever) instead of making it poll every cycle. The declaration
-// is withdrawn automatically by any later SetFreeze/SetOutputFault
-// call, since a directly installed predicate has edges the owner
-// never saw (noc.Mesh.Protect re-declares after installing the
-// window directives whose edges it registered).
-func (r *Router) SetFaultEdgesKnown(on bool) { r.faultEdgesKnown = on }
+// SetFreeze installs a freeze hook, which returns how many cycles the
+// router is still frozen at a cycle, counting that cycle (0 = not
+// frozen). While frozen the router does nothing — no forwarding, no
+// grants — while its input buffers keep accepting flits until credits
+// exhaust, which is exactly how a wedged switch back-pressures its
+// neighbours. nil removes the hook.
+func (r *Router) SetFreeze(f func(cycle int64) int64) { r.frozen = f }
 
 // SetOnActive installs a hook fired when an external event (flit
 // arrival, credit return) leaves a router Runnable. The mesh uses it
@@ -590,68 +569,70 @@ func (r *Router) SetOnActive(fn func()) { r.onActive = fn }
 // without changing any observable state.
 func (r *Router) Runnable() bool { return r.pendingOut.Any() || r.grantable.Any() }
 
-// EventNever is NextEventAt's "no self-scheduled event" answer: the
-// router cannot change state until an external stimulus (flit
-// arrival, credit return, or a fault-window edge the owner tracks)
+// EventNever is NextEventAt's answer for a router that cannot change
+// state until an external stimulus (a flit arrival or a credit return)
 // wakes it.
-const EventNever = queue.EventNever
+const EventNever = math.MaxInt64
 
 // NextEventAt reports the earliest cycle >= now at which stepping
-// this router could change simulation state: now itself when it can
-// act (some output may forward, or a grant is possible), or
-// EventNever when every piece of held work is blocked on an external
-// event. Three router states are dormant:
+// this router could change simulation state:
 //
-//   - not Runnable: every worm is hard-blocked; acceptFlit or
-//     creditArrived re-enters it on the work-lists and fires onActive;
-//   - frozen, with SetFaultEdgesKnown declared: Compute is a no-op
-//     until the freeze window's closing edge, which the owner wakes
-//     it at;
-//   - every pending output stall-blocked by an edges-known fault, with
-//     nothing grantable: tryForward returns before mutating anything
-//     until a window edge, an arrival, or a credit changes the answer.
+//   - EventNever when it is not Runnable: every worm is hard-blocked,
+//     and acceptFlit or creditArrived re-enters it on the work-lists
+//     and fires onActive;
+//   - now+k when its freeze hook blocks it for k cycles: Compute is a
+//     no-op until then;
+//   - the earliest end among its pending outputs' stalls when every
+//     pending output is stalled and nothing is grantable: tryForward
+//     returns before mutating anything until then;
+//   - now otherwise.
 //
-// A fault installed directly via SetFreeze/SetOutputFault (edges
-// unknown) makes the router report now — an arbitrary predicate may
-// change its answer at any cycle, so the router must poll. Skipping a
-// dormant router's cycles is byte-identical to stepping them except
-// for the visit telemetry (cellsVisited) the skipped polls would have
-// accrued.
+// A fault window that opens later needs no wake: it only blocks more,
+// and a blocked router is asked again when its block ends. Skipping
+// the cycles before the answer is byte-identical to stepping them
+// except for the visit telemetry (cellsVisited) the skipped polls
+// would have accrued.
 func (r *Router) NextEventAt(now int64) int64 {
-	if !r.pendingOut.Any() && !r.grantable.Any() {
+	if !r.Runnable() {
 		return EventNever
 	}
-	if r.frozen != nil && r.frozen(now) {
-		if r.faultEdgesKnown {
-			return EventNever
+	if r.frozen != nil {
+		if k := r.frozen(now); k > 0 {
+			return after(now, k)
 		}
-		return now
 	}
 	if r.grantable.Any() {
 		return now
 	}
-	// Runnable through pendingOut alone: dormant only if every pending
-	// output is held shut by a stalled, edges-known fault. A pending
-	// output without locks is actable (stepping clears the stale bit),
-	// as is any unfaulted or unstalled one.
-	if !r.faultEdgesKnown {
-		return now
-	}
+	// Runnable through pendingOut alone. A pending output without
+	// locks is actable (stepping clears the stale bit), as is any
+	// unfaulted or unstalled one.
+	next := int64(EventNever)
 	pw := r.pendingOut.Words()
 	for wi, w := range pw {
 		for w != 0 {
 			o := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
-			if r.outs[o].lockCount == 0 {
-				return now
-			}
 			f := r.outFault[o]
-			if f == nil || !f.Stalled(now) {
+			if r.outs[o].lockCount == 0 || f == nil {
 				return now
 			}
+			k := f.Stalled(now)
+			if k == 0 {
+				return now
+			}
+			next = min(next, after(now, k))
 		}
 	}
-	return EventNever
+	return next
+}
+
+// after returns now+k, saturating at EventNever.
+func after(now, k int64) int64 {
+	if k > EventNever-now {
+		return EventNever
+	}
+	return now + k
 }
 
 // CanAccept reports whether input (port, vc) could accept a flit
@@ -861,7 +842,7 @@ func (r *Router) Step(cycle int64) {
 // the caller commits the effects afterwards with fx.Apply, ordering
 // commits however its determinism contract requires.
 func (r *Router) Compute(cycle int64, fx *Effects) {
-	if r.frozen != nil && r.frozen(cycle) {
+	if r.frozen != nil && r.frozen(cycle) > 0 {
 		// A frozen router does nothing, but its work-lists are left
 		// intact — the cells stay enqueued and are processed on the
 		// first unfrozen cycle, and occupancy on allocated outputs
@@ -959,7 +940,7 @@ func (r *Router) tryForward(o int, cycle int64, fx *Effects) (quiesce bool) {
 	gated := false
 	if oh.flags != 0 {
 		fault = r.outFault[o]
-		if fault != nil && fault.Stalled(cycle) {
+		if fault != nil && fault.Stalled(cycle) > 0 {
 			return false // link down: nothing traverses this output
 		}
 		gated = r.gateOut[o] != nil
@@ -1283,12 +1264,12 @@ type WaitEdge struct {
 // not its radix.
 func (r *Router) WaitEdges(cycle int64) []WaitEdge {
 	var edges []WaitEdge
-	frozen := r.frozen != nil && r.frozen(cycle)
+	frozen := r.frozen != nil && r.frozen(cycle) > 0
 	for o := 0; o < r.cfg.Ports; o++ {
 		if r.outs[o].lockCount == 0 {
 			continue
 		}
-		stalled := r.outFault[o] != nil && r.outFault[o].Stalled(cycle)
+		stalled := r.outFault[o] != nil && r.outFault[o].Stalled(cycle) > 0
 		for v := 0; v < r.cfg.VCs; v++ {
 			l := r.locks[o*r.cfg.VCs+v]
 			if !l.active {
