@@ -153,6 +153,23 @@ func TestWatchdogAbortsPermanentStall(t *testing.T) {
 	}
 }
 
+// TestStallPastHorizonIsPermanent pins the window rule's overflow
+// guard end to end: a stall whose at+dur lies past the horizon (here
+// it overflows int64) wedges the run like a permanent stall. It used
+// to inject nothing: at+dur wrapped negative, the window never opened,
+// and the run printed the fault-free output.
+func TestStallPastHorizonIsPermanent(t *testing.T) {
+	cfg := backloggedCfg(2, 50_000, core.New(), 1)
+	cfg.FaultSpec = "stall(at=100,dur=9223372036854775807)"
+	cfg.FaultSeed = 1
+	cfg.Check = true
+	cfg.WatchdogCycles = 500
+	_, err := RunSim(cfg)
+	if vs := check.AsViolations(err); len(vs) == 0 || vs[0].Invariant != check.InvWatchdog {
+		t.Fatalf("a stall closing past the horizon did not wedge the run: %v", err)
+	}
+}
+
 // TestEngineRefusesUnappliedFaults pins the engine family's fault
 // rule: the single-server engine has no routers, ports or flit
 // streams, so router-scoped directives and the flit-level malformed

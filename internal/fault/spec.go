@@ -166,7 +166,8 @@ func (s *Spec) WatchdogBudget() int64 {
 		return limit
 	}
 	for _, d := range s.Directives {
-		if (d.Kind == "stall" || d.Kind == "freeze") && 4*d.Dur > limit {
+		finite := d.End() != math.MaxInt64 // 4*Dur cannot overflow
+		if (d.Kind == "stall" || d.Kind == "freeze") && finite && 4*d.Dur > limit {
 			limit = 4 * d.Dur
 		}
 	}

@@ -185,6 +185,7 @@ func TestParseServeDirectiveErrors(t *testing.T) {
 
 // TestWatchdogBudget pins the one watchdog budget rule: four times the
 // longest finite stall or freeze window, never below 1<<16 cycles.
+// A window closing past the horizon is permanent, not finite.
 func TestWatchdogBudget(t *testing.T) {
 	for _, c := range []struct {
 		spec string
@@ -197,6 +198,10 @@ func TestWatchdogBudget(t *testing.T) {
 		{"freeze(router=5,at=1000)", 1 << 16},
 		{"drop(p=0.5);stall(at=1,dur=30000);freeze(at=2,dur=20000)", 120_000},
 		{"burst(tenant=a,rps=5,at=0,dur=1000000)", 1 << 16},
+		// Windows closing past the horizon are permanent; 4*Dur
+		// would wrap.
+		{"freeze(at=10,dur=4611686018428436480)", 1 << 16},
+		{"stall(at=10,dur=9223372036854775807)", 1 << 16},
 	} {
 		spec, err := fault.Parse(c.spec)
 		if err != nil {

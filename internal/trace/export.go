@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
 	"repro/internal/fault"
@@ -42,11 +41,7 @@ func WindowsFromSpec(spec *fault.Spec) []FaultWindow {
 		default:
 			continue
 		}
-		end := int64(math.MaxInt64)
-		if d.Dur > 0 {
-			end = d.At + d.Dur
-		}
-		ws = append(ws, FaultWindow{Router: int32(d.Router), Port: port, At: d.At, End: end})
+		ws = append(ws, FaultWindow{Router: int32(d.Router), Port: port, At: d.At, End: d.End()})
 	}
 	return ws
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/flit"
 	"repro/internal/trace"
 )
@@ -108,6 +109,31 @@ func TestFaultCycles(t *testing.T) {
 	}
 	if n := trace.FaultCycles(trace.Record{Kind: trace.KindInject}, ws); n != 0 {
 		t.Fatalf("inject records must not attribute fault cycles, got %d", n)
+	}
+}
+
+// TestWindowsFromSpecEnds pins each window's End: At+Dur for a
+// finite window, math.MaxInt64 for a permanent one, including a window
+// closing past the horizon, whose At+Dur used to wrap negative and
+// attribute no fault cycles at all.
+func TestWindowsFromSpecEnds(t *testing.T) {
+	spec, err := fault.Parse("stall(router=5,port=1,at=10,dur=20);freeze(router=5,at=10);stall(router=5,port=1,at=10,dur=9223372036854775807);drop(p=0.5)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := trace.WindowsFromSpec(spec)
+	want := []int64{30, math.MaxInt64, math.MaxInt64}
+	if len(ws) != len(want) {
+		t.Fatalf("%d windows, want %d", len(ws), len(want))
+	}
+	for i, w := range ws {
+		if w.At != 10 || w.End != want[i] {
+			t.Errorf("window %d = [%d, %d), want [10, %d)", i, w.At, w.End, want[i])
+		}
+	}
+	hop := trace.Record{Kind: trace.KindHop, Router: 5, OutPort: 1, Grant: 100, Cycle: 119}
+	if n := trace.FaultCycles(hop, ws[2:]); n != 20 {
+		t.Errorf("FaultCycles under the past-horizon stall = %d, want 20", n)
 	}
 }
 
