@@ -109,9 +109,14 @@ type Engine struct {
 	occupancy int64
 	stallLeft int
 
-	// Flit-granularity service state: per-flow partial packet.
+	// Flit-granularity service state: per-flow partial packet and the
+	// cycles it has held the output, and the flow whose selected flit
+	// holds the output (held, while holding) until its stall runs out.
 	partial   []flit.Packet
 	remaining []int
+	occupied  []int64
+	holding   bool
+	held      int
 	// partialFlows counts flows with remaining > 0, so the per-cycle
 	// pending check and Backlog are O(1) instead of O(flows).
 	partialFlows int
@@ -158,6 +163,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.FlitSched != nil {
 		e.partial = make([]flit.Packet, cfg.Flows)
 		e.remaining = make([]int, cfg.Flows)
+		e.occupied = make([]int64, cfg.Flows)
 	}
 	e.clock, _ = cfg.Scheduler.(sched.ClockAware)
 	e.quieter, _ = cfg.Source.(traffic.Quieter)
@@ -340,25 +346,41 @@ func (e *Engine) stepPacketMode() {
 	e.cfg.Scheduler.OnPacketDone(e.current.Flow, e.occupancy, e.queues[e.current.Flow].Empty())
 }
 
+// stepFlitMode forwards one flit of the flow the flit scheduler
+// selects. The stall is drawn once, when the flit is selected; the
+// flit holds the output until it has run out, as a packet's first
+// flit does in packet mode.
 func (e *Engine) stepFlitMode() {
-	// Any flow with a partial packet or queued packets has flits;
-	// backlogPackets counts the queued ones and partialFlows the
-	// mid-service ones, so the check is O(1).
-	if e.backlogPackets == 0 && e.partialFlows == 0 {
-		e.idle()
+	if !e.holding {
+		// Any flow with a partial packet or queued packets has flits;
+		// backlogPackets counts the queued ones and partialFlows the
+		// mid-service ones, so the check is O(1).
+		if e.backlogPackets == 0 && e.partialFlows == 0 {
+			e.idle()
+			return
+		}
+		flow := e.cfg.FlitSched.NextFlow()
+		if e.remaining[flow] == 0 {
+			q := &e.queues[flow]
+			if q.Empty() {
+				panic("engine: flit scheduler selected an empty flow")
+			}
+			e.partial[flow] = q.Pop()
+			e.backlogPackets--
+			e.remaining[flow] = e.partial[flow].Length
+			e.partialFlows++
+		}
+		e.holding, e.held = true, flow
+		e.stallLeft = e.stall(flow)
+	}
+	flow := e.held
+	e.occupied[flow]++
+	if e.stallLeft > 0 {
+		e.stallLeft--
+		e.stalled(flow)
 		return
 	}
-	flow := e.cfg.FlitSched.NextFlow()
-	if e.remaining[flow] == 0 {
-		q := &e.queues[flow]
-		if q.Empty() {
-			panic("engine: flit scheduler selected an empty flow")
-		}
-		e.partial[flow] = q.Pop()
-		e.backlogPackets--
-		e.remaining[flow] = e.partial[flow].Length
-		e.partialFlows++
-	}
+	e.holding = false
 	e.remaining[flow]--
 	e.backlogFlits--
 	if e.remaining[flow] == 0 {
@@ -371,8 +393,9 @@ func (e *Engine) stepFlitMode() {
 	if end {
 		e.changed(flow)
 		if e.cfg.OnDeparture != nil {
-			e.cfg.OnDeparture(e.partial[flow], e.cycle, int64(e.partial[flow].Length))
+			e.cfg.OnDeparture(e.partial[flow], e.cycle, e.occupied[flow])
 		}
+		e.occupied[flow] = 0
 	}
 	nowEmpty := end && e.queues[flow].Empty()
 	e.cfg.FlitSched.OnFlitDone(flow, end, nowEmpty)

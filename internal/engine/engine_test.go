@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -184,6 +185,56 @@ func TestFlitModeDeparture(t *testing.T) {
 	// Interleaving 0,1,0: flow 1 departs at cycle 1, flow 0 at cycle 2.
 	if len(deps) != 2 || deps[0] != 1 || deps[1] != 2 {
 		t.Errorf("departures %v, want [1 2]", deps)
+	}
+}
+
+// TestFlitModeStalls pins the stall model under a flit scheduler: the
+// stall is drawn when FBRR selects a flit and holds the output that
+// many cycles, each reported to OnStall for the selected flow. One
+// stall cycle per flit forwards one flit every two cycles, and each
+// packet's occupancy counts its stall cycles. Without OnStall the
+// stall cycles go to OnIdle.
+func TestFlitModeStalls(t *testing.T) {
+	for _, withOnStall := range []bool{true, false} {
+		e, err := NewEngine(Config{
+			Flows: 2, FlitSched: sched.NewFBRR(),
+			Stall: StallFunc(func(int) int { return 1 }),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var flits, stalls, idles []int64
+		var flows, stallFlows []int
+		e.cfg.OnFlit = func(cycle int64, flow int) {
+			flits = append(flits, cycle)
+			flows = append(flows, flow)
+		}
+		if withOnStall {
+			e.cfg.OnStall = func(cycle int64, flow int) {
+				stalls = append(stalls, cycle)
+				stallFlows = append(stallFlows, flow)
+			}
+		}
+		e.cfg.OnIdle = func(cycle int64) { idles = append(idles, cycle) }
+		e.cfg.OnDeparture = func(p flit.Packet, cycle, occ int64) {
+			if occ != 2*int64(p.Length) {
+				t.Errorf("flow %d occupancy %d, want %d", p.Flow, occ, 2*p.Length)
+			}
+		}
+		e.Inject(flit.Packet{Flow: 0, Length: 2})
+		e.Inject(flit.Packet{Flow: 1, Length: 2})
+		e.Run(9)
+		if fmt.Sprint(flits, flows) != "[1 3 5 7] [0 1 0 1]" {
+			t.Errorf("flits at %v of flows %v, want [1 3 5 7] of [0 1 0 1]", flits, flows)
+		}
+		wantStalls, wantIdles := "[0 2 4 6] [0 1 0 1]", "[8]"
+		if !withOnStall {
+			wantStalls, wantIdles = "[] []", "[0 2 4 6 8]"
+		}
+		if fmt.Sprint(stalls, stallFlows) != wantStalls || fmt.Sprint(idles) != wantIdles {
+			t.Errorf("OnStall at %v of flows %v, OnIdle at %v; want %s, %s (OnStall set: %v)",
+				stalls, stallFlows, idles, wantStalls, wantIdles, withOnStall)
+		}
 	}
 }
 
