@@ -19,17 +19,13 @@ import (
 // as many partial re-polls of the source, and one ServiceLog
 // checkpoint. AllocsPerRun truncates its average over runs, so a run
 // shorter than an allocation's period would hide it; over one run it
-// returns the total. The first half warms up for a million cycles
-// (~30,000 departures) because the Go runtime builds each call
-// site's interface type-assertion cache (traffic.Multi asserts its
-// children's Quieter side) at a random slow-path call, about one in
-// 1024, and that one-off allocation must land before the window.
+// returns the total.
 func TestEngineCycleAllocsZero(t *testing.T) {
 	e, err := engine.NewEngine(benchERRConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Run(1_000_000)
+	e.Run(4096)
 	if got := testing.AllocsPerRun(1, func() { e.Run(100_000) }); got != 0 {
 		t.Errorf("engine allocates %.0f times in 100,000 steady-state cycles, want 0", got)
 	}

@@ -127,8 +127,12 @@ type Engine struct {
 	backlogFlits int64
 	rejected     int64
 
-	// clock is the Scheduler's sched.ClockAware side, nil without it.
-	clock sched.ClockAware
+	// lengths and clock are the Scheduler's sched.LengthAware and
+	// sched.ClockAware sides, nil without them. They are resolved once:
+	// Go builds a call site's interface type-assertion cache at a
+	// random call, allocating, so no per-cycle call asserts a type.
+	lengths sched.LengthAware
+	clock   sched.ClockAware
 	// quieter is the Source's traffic.Quieter side, nil without it.
 	// quiet memoizes its promise: set after a poll it answered true,
 	// cleared by every change of a queue length (an injection, a
@@ -151,22 +155,21 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if (cfg.Scheduler == nil) == (cfg.FlitSched == nil) {
 		return nil, errors.New("engine: exactly one of Scheduler or FlitSched must be set")
 	}
-	if cfg.Stall != nil && cfg.Scheduler != nil && !cfg.AllowLengthAwareStalls {
-		if _, ok := cfg.Scheduler.(sched.LengthAware); ok {
-			return nil, errors.New("engine: length-aware scheduler cannot run with a stall model (see Config.AllowLengthAwareStalls)")
-		}
-	}
 	e := &Engine{
 		cfg:    cfg,
 		queues: make([]queue.PacketQueue, cfg.Flows),
+	}
+	e.lengths, _ = cfg.Scheduler.(sched.LengthAware)
+	e.clock, _ = cfg.Scheduler.(sched.ClockAware)
+	e.quieter, _ = cfg.Source.(traffic.Quieter)
+	if cfg.Stall != nil && e.lengths != nil && !cfg.AllowLengthAwareStalls {
+		return nil, errors.New("engine: length-aware scheduler cannot run with a stall model (see Config.AllowLengthAwareStalls)")
 	}
 	if cfg.FlitSched != nil {
 		e.partial = make([]flit.Packet, cfg.Flows)
 		e.remaining = make([]int, cfg.Flows)
 		e.occupied = make([]int64, cfg.Flows)
 	}
-	e.clock, _ = cfg.Scheduler.(sched.ClockAware)
-	e.quieter, _ = cfg.Source.(traffic.Quieter)
 	return e, nil
 }
 
@@ -261,8 +264,8 @@ func (e *Engine) Inject(p flit.Packet) error {
 	e.backlogFlits += int64(p.Length)
 	if s := e.cfg.Scheduler; s != nil {
 		s.OnArrival(p.Flow, wasEmpty)
-		if la, ok := s.(sched.LengthAware); ok {
-			la.OnArrivalLength(p.Flow, p.Length)
+		if e.lengths != nil {
+			e.lengths.OnArrivalLength(p.Flow, p.Length)
 		}
 	} else {
 		e.cfg.FlitSched.OnArrival(p.Flow, wasEmpty)

@@ -193,6 +193,8 @@ func (o *OnOff) Arrivals(cycle int64, q QueueView) []flit.Packet {
 type Window struct {
 	Inner    Source
 	From, To int64
+	// quieter is Inner's Quieter side, resolved once by NewWindow.
+	quieter Quieter
 }
 
 // NewWindow returns a windowed source.
@@ -200,7 +202,9 @@ func NewWindow(inner Source, from, to int64) *Window {
 	if to < from {
 		panic("traffic: Window with to < from")
 	}
-	return &Window{Inner: inner, From: from, To: to}
+	w := &Window{Inner: inner, From: from, To: to}
+	w.quieter, _ = inner.(Quieter)
+	return w
 }
 
 // Arrivals implements Source.
@@ -217,8 +221,7 @@ func (w *Window) QuietAfter(cycle int64, q QueueView) bool {
 	if cycle+1 >= w.To {
 		return true
 	}
-	in, ok := w.Inner.(Quieter)
-	return ok && in.QuietAfter(cycle, q)
+	return w.quieter != nil && w.quieter.QuietAfter(cycle, q)
 }
 
 // oneFlow is implemented by a Quieter whose promise reads the queue
@@ -233,7 +236,9 @@ type changeCounter interface {
 }
 
 // Multi combines several sources into one. Sources must not change
-// once Multi has been polled.
+// once Multi has been polled, and every call must pass the QueueView
+// of the first: Multi resolves the children's and the view's optional
+// sides once, on that call.
 //
 // Multi keeps its own record of its promise. When the QueueView counts
 // its changes (changeCounter) and exactly one change has happened
@@ -251,12 +256,15 @@ type Multi struct {
 	// out is what the last partial poll returned.
 	out []flit.Packet
 
-	// The index, built on the first partial poll: byFlow[f] lists in
-	// index order the children whose promise reads flow f alone,
-	// anyFlow every other child.
-	indexed bool
-	byFlow  [][]int
-	anyFlow []int
+	// Resolved on the first call (resolve): quieters[i] is child i's
+	// Quieter side and counter the view's changeCounter side, nil
+	// without one; byFlow[f] lists in index order the children whose
+	// promise reads flow f alone, anyFlow every other child.
+	resolved bool
+	quieters []Quieter
+	counter  changeCounter
+	byFlow   [][]int
+	anyFlow  []int
 
 	// The record. promised: QuietAfter last answered true, at change
 	// count mark. partial: the last Arrivals polled only flow polled's
@@ -271,8 +279,9 @@ func NewMulti(sources ...Source) *Multi { return &Multi{Sources: sources} }
 
 // Arrivals implements Source.
 func (m *Multi) Arrivals(cycle int64, q QueueView) []flit.Packet {
-	if cc, ok := q.(changeCounter); ok && m.promised {
-		if n, last := cc.QueueChanges(); n == m.mark+1 {
+	m.resolve(q)
+	if m.counter != nil && m.promised {
+		if n, last := m.counter.QueueChanges(); n == m.mark+1 {
 			m.out = m.pollFlow(cycle, q, last)
 			m.promised, m.partial, m.mark, m.polled = false, true, n, last
 			return m.out
@@ -298,9 +307,6 @@ func (m *Multi) result() []flit.Packet {
 // are: they stay valid until its next call, which only a later call
 // of Multi makes.
 func (m *Multi) pollFlow(cycle int64, q QueueView, f int) []flit.Packet {
-	if !m.indexed {
-		m.index()
-	}
 	own, every := m.children(f), m.anyFlow
 	if len(own) == 1 && len(every) == 0 {
 		return m.Sources[own[0]].Arrivals(cycle, q)
@@ -318,9 +324,18 @@ func (m *Multi) pollFlow(cycle int64, q QueueView, f int) []flit.Packet {
 	return m.result()
 }
 
-func (m *Multi) index() {
-	m.indexed = true
+// resolve reads, once, each child's optional sides and the view's
+// changeCounter side, so no poll asserts a type: Go builds a call
+// site's interface type-assertion cache at a random call, allocating.
+func (m *Multi) resolve(q QueueView) {
+	if m.resolved {
+		return
+	}
+	m.resolved = true
+	m.counter, _ = q.(changeCounter)
+	m.quieters = make([]Quieter, len(m.Sources))
 	for i, s := range m.Sources {
+		m.quieters[i], _ = s.(Quieter)
 		o, ok := s.(oneFlow)
 		if !ok || o.quietFlow() < 0 {
 			m.anyFlow = append(m.anyFlow, i)
@@ -344,16 +359,17 @@ func (m *Multi) children(f int) []int {
 
 // QuietAfter implements Quieter: quiet when every child is.
 func (m *Multi) QuietAfter(cycle int64, q QueueView) bool {
+	m.resolve(q)
 	var n uint64
-	cc, counted := q.(changeCounter)
-	if counted {
-		n, _ = cc.QueueChanges()
+	if m.counter != nil {
+		n, _ = m.counter.QueueChanges()
 	}
 	// After a partial poll the changes since the promise are the one
 	// it polled for plus one per packet it returned (a rejected
 	// packet is counted too); any other count means something else
-	// changed a queue, and every child is asked.
-	partial := m.partial && counted && n == m.mark+uint64(len(m.out))
+	// changed a queue, and every child is asked. Only a counting view
+	// polls partially.
+	partial := m.partial && n == m.mark+uint64(len(m.out))
 	m.promised, m.partial = false, false
 	if partial {
 		if !m.quiet(m.children(m.polled), cycle, q) || !m.quiet(m.anyFlow, cycle, q) {
@@ -368,8 +384,8 @@ func (m *Multi) QuietAfter(cycle int64, q QueueView) bool {
 			}
 		}
 	} else {
-		for _, s := range m.Sources {
-			if in, ok := s.(Quieter); !ok || !in.QuietAfter(cycle, q) {
+		for _, in := range m.quieters {
+			if in == nil || !in.QuietAfter(cycle, q) {
 				return false
 			}
 		}
@@ -383,7 +399,7 @@ func (m *Multi) QuietAfter(cycle int64, q QueueView) bool {
 // is a Quieter.
 func (m *Multi) quiet(idx []int, cycle int64, q QueueView) bool {
 	for _, i := range idx {
-		if !m.Sources[i].(Quieter).QuietAfter(cycle, q) {
+		if !m.quieters[i].QuietAfter(cycle, q) {
 			return false
 		}
 	}
