@@ -2,8 +2,8 @@
 // round-robin schedulers and the wormhole substrates: Ring, a growable
 // FIFO, and Heap, a binary min-heap, on which the packet and flit
 // FIFOs, the ActiveList of flow ids that the round-robin schedulers
-// cycle over, and the network kernel's event heap are built; and the
-// bitsets of the router's work-lists.
+// cycle over, and the network kernel's scheduled-send heap are built;
+// and the bitsets of the router's work-lists.
 package queue
 
 import (
